@@ -80,7 +80,6 @@ class RunConfig:
     transcript: str | None = None
     budget: int | None = None
     prune: bool = False
-    threads: int | None = None
     family: str | None = None
     t_bar_list: tuple[int, ...] = ()
     t_list: tuple[int, ...] = ()
@@ -143,7 +142,6 @@ def _build_parser() -> _Parser:
     se.add_argument("--t", type=int, required=True)
     se.add_argument("--budget", type=int)
     se.add_argument("--prune", action="store_true")
-    se.add_argument("--threads", type=int)
     se.add_argument("--out", type=str, help="write all evaluated candidates as CSV")
 
     sw = sub.add_parser("sweep", help="ratio curves along K for one family")
@@ -392,7 +390,6 @@ def cmd_search(cfg: RunConfig) -> int:
         cfg.t,
         max_candidates=cfg.budget,
         prune=cfg.prune,
-        threads=cfg.threads,
     )
     if cfg.out:
         f_jcm = cfg.t * binomial(cfg.K, cfg.t)

@@ -29,6 +29,7 @@ from .fscalc import (
 )
 from .typevec import (
     Grouping,
+    MGroupStructure,
     TypeVector,
     concrete_unique_sets,
     enumerate_types,
@@ -97,6 +98,29 @@ def _normalize_rules(
     return out
 
 
+def rate_violation(
+    structure: MGroupStructure,
+    selection: frozenset[int],
+    excluded: frozenset[TypeVector] | set[TypeVector],
+) -> list[int]:
+    """The "rate" stage for one transmitting group type.
+
+    Every transmission must serve t receivers.  A group member whose desired
+    type is excluded receives nothing, so it may appear in a transmitting
+    group type only as the lone transmitter; otherwise some message carries
+    fewer than t payload terms and the delivery overshoots the K(1-M/N)/t
+    rate.  Returns the 1-based unique-set indices of the offending members,
+    or [] when the group type sends at full rate or sends nothing at all.
+    """
+    dead = [i for i, v in enumerate(structure.involved, 1) if v in excluded]
+    if len(dead) == len(structure.involved):
+        return []  # every involved type excluded: the group type is skipped
+    n_dead = sum(structure.unique_sets[i - 1].size for i in dead)
+    if n_dead == 0 or (n_dead == 1 and selection == frozenset(dead)):
+        return []
+    return dead
+
+
 def analyze_rules(
     K: int,
     t: int,
@@ -159,30 +183,17 @@ def analyze_rules(
                 f"type(s) {[v.text() for v in st.involved if v not in excluded]}",
             )
 
-    # Every transmission must serve t receivers.  A group member whose
-    # desired type is excluded receives nothing, so it may appear in a
-    # transmitting group type only as the lone transmitter; otherwise some
-    # message carries fewer than t payload terms and the delivery overshoots
-    # the K(1-M/N)/t rate.
     for gt in rule_types:
-        if gt in skipped:
-            continue
         st = structures[gt]
-        dead = [
-            i for i, v in enumerate(st.involved, 1) if v in excluded
-        ]
-        n_dead = sum(st.unique_sets[i - 1].size for i in dead)
-        if n_dead == 0:
-            continue
-        if n_dead == 1 and set(rules[gt]) == set(dead):
-            continue
-        raise PlanError(
-            "rate",
-            f"group type {gt}: transmissions would reach receivers with "
-            f"nothing to decode (excluded desired type(s) "
-            f"{[st.involved[i - 1].text() for i in dead]}); such members "
-            f"must transmit alone",
-        )
+        dead = rate_violation(st, rules[gt], excluded)
+        if dead:
+            raise PlanError(
+                "rate",
+                f"group type {gt}: transmissions would reach receivers with "
+                f"nothing to decode (excluded desired type(s) "
+                f"{[st.involved[i - 1].text() for i in dead]}); such members "
+                f"must transmit alone",
+            )
 
     mc_rows = tuple(
         tuple(per_user_count(g, v, bi) for v in vtypes)

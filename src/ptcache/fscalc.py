@@ -64,35 +64,62 @@ def local_fs(structure: MGroupStructure, d_tx: Iterable[int]) -> dict[TypeVector
     return out
 
 
-class _RatioForest:
-    """Union-find over rows with exact rational scale ratios on the edges."""
+class RatioForest:
+    """Union-find over rows with exact rational scale ratios on the edges.
+
+    ``scale(i) = num[i] / den[i] * scale(parent[i])``.  Union by size without
+    path compression keeps trees shallow and every union undoable, so a
+    depth-first search can add rows' constraints on the way down and
+    :meth:`rollback` to a :meth:`mark` on the way up.
+    """
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
-        self.ratio = [Fraction(1)] * n  # scale(i) = ratio[i] * scale(parent[i])
+        self.num = [1] * n
+        self.den = [1] * n
+        self.size = [1] * n
+        self._attached: list[int] = []  # roots hung below another, oldest first
 
-    def find(self, i: int) -> tuple[int, Fraction]:
-        if self.parent[i] == i:
-            return i, Fraction(1)
-        root, r = self.find(self.parent[i])
-        self.parent[i] = root
-        self.ratio[i] = self.ratio[i] * r
-        return root, self.ratio[i]
+    def find(self, i: int) -> tuple[int, int, int]:
+        """``(root, n, d)`` with ``scale(i) = n / d * scale(root)``."""
+        n = d = 1
+        parent = self.parent
+        while parent[i] != i:
+            n *= self.num[i]
+            d *= self.den[i]
+            i = parent[i]
+        return i, n, d
 
-    def union(self, i: int, j: int, rel: Fraction) -> bool:
-        """Impose scale(i) = rel * scale(j); False on contradiction."""
-        ri, wi = self.find(i)
-        rj, wj = self.find(j)
+    def relate(self, i: int, a: int, j: int, b: int) -> bool:
+        """Impose ``scale(i) * a == scale(j) * b``; False on contradiction."""
+        ri, ni, di = self.find(i)
+        rj, nj, dj = self.find(j)
+        # the constraint reads x * scale(ri) == y * scale(rj)
+        x = ni * a * dj
+        y = nj * b * di
         if ri == rj:
-            return wi == rel * wj
-        # attach the larger root index beneath the smaller for determinism
-        if ri < rj:
-            self.parent[rj] = ri
-            self.ratio[rj] = wi / (rel * wj)
-        else:
-            self.parent[ri] = rj
-            self.ratio[ri] = rel * wj / wi
+            return x == y
+        if self.size[ri] < self.size[rj]:
+            ri, rj, x, y = rj, ri, y, x
+        g = gcd(x, y)
+        self.parent[rj] = ri
+        self.num[rj] = x // g
+        self.den[rj] = y // g
+        self.size[ri] += self.size[rj]
+        self._attached.append(rj)
         return True
+
+    def mark(self) -> int:
+        return len(self._attached)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every union made since ``mark``."""
+        attached = self._attached
+        while len(attached) > mark:
+            r = attached.pop()
+            self.size[self.parent[r]] -= self.size[r]
+            self.parent[r] = r
+            self.num[r] = self.den[r] = 1
 
 
 def vector_lcm(
@@ -109,8 +136,8 @@ def vector_lcm(
     0 denotes "unconstrained", never by the scheme pipeline.
 
     Scales are the componentwise-minimal positive integers: exact rational
-    ratios are solved per connected component, written over the common
-    denominator, and divided by their gcd.
+    ratios are solved per connected component of a :class:`RatioForest`,
+    written over the common denominator, and divided by their gcd.
     """
     if zero_policy not in ("exclude", "wildcard"):
         raise ValueError(f"unknown zero_policy {zero_policy!r}")
@@ -132,7 +159,7 @@ def vector_lcm(
             j for j in range(width) if any(r[j] == 0 for r in rows)
         }
 
-    forest = _RatioForest(len(rows))
+    forest = RatioForest(len(rows))
     for j in range(width):
         if j in excluded:
             continue
@@ -142,23 +169,24 @@ def vector_lcm(
             if r[j] is not STAR and r[j] != 0
         ]
         for (i1, a1), (i2, a2) in zip(live, live[1:]):
-            # scale(i1) * a1 == scale(i2) * a2
-            if not forest.union(i1, i2, Fraction(a2, a1)):
+            if not forest.relate(i1, a1, i2, a2):
                 raise NoLcmError(
                     f"column {j}: rows {i1} and {i2} need incompatible scales"
                 )
 
-    roots: dict[int, list[tuple[int, Fraction]]] = {}
+    # scale(i) = n / d * scale(root): over the component's common
+    # denominator, divided by the gcd, these are the minimal integers
+    roots: dict[int, list[tuple[int, int, int]]] = {}
     for i in range(len(rows)):
-        root, w = forest.find(i)
-        roots.setdefault(root, []).append((i, w))
+        root, n, d = forest.find(i)
+        roots.setdefault(root, []).append((i, n, d))
 
     scales = [1] * len(rows)
     for members in roots.values():
-        denom = lcm(*(w.denominator for _, w in members))
-        nums = [w.numerator * (denom // w.denominator) for _, w in members]
+        denom = lcm(*(d for _, _, d in members))
+        nums = [n * (denom // d) for _, n, d in members]
         g = gcd(*nums)
-        for (i, _), n in zip(members, nums):
+        for (i, _, _), n in zip(members, nums):
             scales[i] = n // g
 
     factors = []

@@ -9,18 +9,25 @@ already realizes the same scheme.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .combinat import binomial, integer_partitions
 from .designs import DesignSpec, theorem1_bound, theorem1_design, theorem2_design
 from .designs import special_designs, theorem3_design
-from .engine import analyze_rules, PlanError
-from .fscalc import STAR, FSEntry, NoLcmError, local_fs, mc_check, subpacketization, vector_lcm
+from .engine import analyze_rules, rate_violation
+from .fscalc import (
+    STAR,
+    FSEntry,
+    RatioForest,
+    local_fs,
+    mc_check,
+    subpacketization,
+    vector_lcm,
+)
 from .typevec import (
     TypeVector,
     enumerate_types,
@@ -54,47 +61,25 @@ class SearchResult:
     partial: bool
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PT_CACHE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-@dataclass
-class _GroupingOutcome:
-    records: list[CandidateRecord] = field(default_factory=list)
-    explored: int = 0
-    no_lcm: int = 0
-    rate_fail: int = 0
-    mc_fail: int = 0
-    hit_budget: bool = False
-
-
-def _rate_exact(structures, chosen, factors, col) -> bool:
-    """True when every emitted message would carry t payload terms.
-
-    Mirrors the engine's "rate" stage: a member whose desired type is
-    excluded receives nothing, so it may appear in a transmitting group
-    type only as the lone transmitter.
-    """
-    excluded = {j for j, f in enumerate(factors) if f == 0}
-    for st, (sel, _row) in zip(structures, chosen):
-        if all(col[v] in excluded for v in st.involved):
-            continue  # sends nothing at all (emergent skip)
-        dead = [i for i, v in enumerate(st.involved, 1) if col[v] in excluded]
-        n_dead = sum(st.unique_sets[i - 1].size for i in dead)
-        if n_dead == 0:
-            continue
-        if n_dead == 1 and sel == frozenset(dead):
-            continue
-        return False
-    return True
+# (selection, local split-factor row, record text) of one group type
+_Option = tuple[frozenset[int], tuple[FSEntry, ...], tuple[str, tuple[int, ...]]]
 
 
 def _search_one_grouping(
     K: int, t: int, sizes: tuple[int, ...], budget: int | None, prune: bool
-) -> _GroupingOutcome:
+) -> tuple[list[CandidateRecord], bool]:
+    """Depth-first search over one grouping's transmitter selections; the
+    records in discovery order and whether the budget ran out.
+
+    Depth i picks the selection of group type i.  The LCM stage is checked on
+    the way down, on the *final* columns only: those no chosen row has zeroed
+    and no later group type can still zero (a zero needs a single-user unique
+    set transmitting alone for its own type).  Final columns only grow along
+    a path and keep their entries, so a contradiction among them holds for
+    every leaf below; that subtree is finished "doomed": its leaves are
+    counted and recorded as no_lcm, in the same order, without any LCM,
+    rate or memory work.
+    """
     g = make_grouping(K, sizes)
     typed = enumerate_types(g, t)
     vtypes = [v for v, _ in typed]
@@ -108,10 +93,11 @@ def _search_one_grouping(
     ]
 
     # Options per group type: every nonempty selection, smallest first, each
-    # paired with its precomputed local row.
-    options: list[list[tuple[frozenset[int], tuple[FSEntry, ...]]]] = []
-    for st in structures:
+    # paired with its precomputed local row and its record text.
+    options: list[list[_Option]] = []
+    for gt, st in zip(gtypes, structures):
         n = st.num_unique_sets
+        text = gt.text()
         opts = []
         for size in range(1, n + 1):
             for sel in combinations(range(1, n + 1), size):
@@ -119,20 +105,57 @@ def _search_one_grouping(
                 row: list[FSEntry] = [STAR] * len(vtypes)
                 for v, a in local.items():
                     row[col[v]] = a
-                opts.append((frozenset(sel), tuple(row)))
+                opts.append((frozenset(sel), tuple(row), (text, sel)))
         options.append(opts)
 
-    # Columns that no selection of any group type can zero out: a zero needs
-    # a single-user unique set transmitting alone for its own type.
-    can_exclude = set()
-    for st in structures:
+    # Column j can be zeroed only by the group types in zeroers[j]; it turns
+    # final at depth zeroers[j][-1] (from the start when there are none)
+    # unless zeroed by then.  The rows touching column j, in depth order, are
+    # rows_of[j]; a final column never holds a zero, so all of them are live.
+    zeroers: list[list[int]] = [[] for _ in vtypes]
+    rows_of: list[list[int]] = [[] for _ in vtypes]
+    for i, st in enumerate(structures):
         for us, v in zip(st.unique_sets, st.involved):
+            rows_of[col[v]].append(i)
             if us.size == 1:
-                can_exclude.add(col[v])
+                zeroers[col[v]].append(i)
+    can_exclude = {j for j, zs in enumerate(zeroers) if zs}
+    final_at: list[list[int]] = [[] for _ in gtypes]
+    initial_final = 0
+    for j, zs in enumerate(zeroers):
+        if zs:
+            final_at[zs[-1]].append(j)
+        else:
+            initial_final |= 1 << j
+    # Per depth: the columns the row touches, with the column's first row.
+    touched = [
+        [(j, rows_of[j][0]) for j in range(len(vtypes)) if i in rows_of[j]]
+        for i in range(len(gtypes))
+    ]
 
-    out = _GroupingOutcome()
+    forest = RatioForest(len(gtypes))
+    records: list[CandidateRecord] = []
     incumbent: int | None = None
-    chosen: list[tuple[frozenset[int], tuple[FSEntry, ...]]] = []
+    chosen: list[_Option] = []
+
+    def consistent(i: int, final: int) -> int | None:
+        """Add row i's constraints on final columns to the forest; the new
+        final-column mask, or None on a contradiction."""
+        row = chosen[i][1]
+        for j, first in touched[i]:
+            if final >> j & 1 and first != i:
+                if not forest.relate(first, chosen[first][1][j], i, row[j]):
+                    return None
+        for j in final_at[i]:
+            ks = [k for k in rows_of[j] if k <= i]
+            entries = [chosen[k][1][j] for k in ks]
+            if 0 in entries:
+                continue  # excluded on this whole subtree
+            final |= 1 << j
+            for k, e in zip(ks[1:], entries[1:]):
+                if not forest.relate(ks[0], entries[0], k, e):
+                    return None
+        return final
 
     def lower_bound() -> int:
         lb = 0
@@ -141,7 +164,7 @@ def _search_one_grouping(
                 continue
             best = 0
             zeroed = False
-            for _, row in chosen:
+            for _, row, _ in chosen:
                 e = row[j]
                 if e == 0:
                     zeroed = True
@@ -152,67 +175,55 @@ def _search_one_grouping(
                 lb += best * counts[j]
         return lb
 
-    def leaf() -> bool:
-        """Evaluate the current full assignment; False aborts (budget)."""
-        out.explored += 1
-        rules = tuple(
-            (gt.text(), tuple(sorted(sel)))
-            for gt, (sel, _) in zip(gtypes, chosen)
-        )
-        reason = ""
-        f_pt: int | None = None
-        try:
-            gfs = vector_lcm([row for _, row in chosen], zero_policy="exclude")
-            if not _rate_exact(structures, chosen, gfs.factors, col):
-                reason = "rate"
-                out.rate_fail += 1
-            else:
-                mc = mc_check(gfs.factors, mc_rows)
-                if not mc.ok:
-                    reason = "mc"
-                    out.mc_fail += 1
-                else:
-                    f_pt = subpacketization(gfs.factors, counts)
-                    if f_pt <= 0:
-                        reason = "mc"  # fully excluded degenerate
-                        out.mc_fail += 1
-                        f_pt = None
-        except NoLcmError:
-            reason = "no_lcm"
-            out.no_lcm += 1
-        out.records.append(
+    def evaluate() -> tuple[str, int | None]:
+        """Reason and F_PT of a leaf whose final columns reconcile."""
+        gfs = vector_lcm([row for _, row, _ in chosen], zero_policy="exclude")
+        if not any(gfs.factors):
+            return "no_lcm", None  # every subfile type excluded
+        excluded = {v for v, f in zip(vtypes, gfs.factors) if f == 0}
+        for st, (sel, _, _) in zip(structures, chosen):
+            if rate_violation(st, sel, excluded):
+                return "rate", None
+        if not mc_check(gfs.factors, mc_rows).ok:
+            return "mc", None
+        return "", subpacketization(gfs.factors, counts)
+
+    def leaf(doomed: bool) -> bool:
+        """Record the current full assignment; False aborts (budget)."""
+        nonlocal incumbent
+        reason, f_pt = ("no_lcm", None) if doomed else evaluate()
+        if f_pt is not None and (incumbent is None or f_pt < incumbent):
+            incumbent = f_pt
+        records.append(
             CandidateRecord(
                 grouping=sizes,
-                rules=rules,
+                rules=tuple(item for _, _, item in chosen),
                 f_pt=f_pt,
                 feasible=f_pt is not None,
                 reason=reason,
             )
         )
-        nonlocal incumbent
-        if f_pt is not None and (incumbent is None or f_pt < incumbent):
-            incumbent = f_pt
-        if budget is not None and out.explored >= budget:
-            out.hit_budget = True
-            return False
-        return True
+        return budget is None or len(records) < budget
 
-    def dfs(i: int) -> bool:
+    def dfs(i: int, final: int | None) -> bool:
+        """``final`` is the mask of final columns, None once doomed."""
         if i == len(gtypes):
-            return leaf()
+            return leaf(final is None)
         for opt in options[i]:
             chosen.append(opt)
             if prune and incumbent is not None and lower_bound() > incumbent:
                 chosen.pop()
                 continue
-            alive = dfs(i + 1)
+            mark = forest.mark()
+            alive = dfs(i + 1, final if final is None else consistent(i, final))
+            forest.rollback(mark)
             chosen.pop()
             if not alive:
                 return False
         return True
 
-    dfs(0)
-    return out
+    finished = dfs(0, initial_final)
+    return records, not finished
 
 
 def exhaustive_search(
@@ -220,60 +231,32 @@ def exhaustive_search(
     t: int,
     max_candidates: int | None = None,
     prune: bool = False,
-    threads: int | None = None,
 ) -> SearchResult:
     """Search every (grouping, transmitter rules) candidate at (K, t).
 
     Deterministic: groupings in reverse-lexicographic order, selections
-    smallest-first; ``best`` is the first-discovered minimum.  A budget
-    forces sequential execution so that "first max_candidates candidates"
-    is well defined.
+    smallest-first; ``best`` is the first-discovered minimum.  With a budget
+    the result holds the first ``max_candidates`` candidates of that order.
     """
     if not 1 <= t <= K - 1:
         raise ValueError(f"need 1 <= t <= K-1, got K={K}, t={t}")
-    groupings = integer_partitions(K)
-    threads = threads if threads is not None else _default_threads()
-    if max_candidates is not None:
-        threads = 1
-
-    outcomes: list[_GroupingOutcome] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(_search_one_grouping, K, t, sizes, None, prune)
-                for sizes in groupings
-            ]
-            outcomes = [f.result() for f in futs]
-    else:
-        remaining = max_candidates
-        for sizes in groupings:
-            o = _search_one_grouping(K, t, sizes, remaining, prune)
-            outcomes.append(o)
-            if remaining is not None:
-                remaining -= o.explored
-                if o.hit_budget or remaining <= 0:
-                    break
-
     records: list[CandidateRecord] = []
-    explored = 0
-    no_lcm = rate_fail = mc_fail = 0
     partial = False
-    for o in outcomes:
-        records.extend(o.records)
-        explored += o.explored
-        no_lcm += o.no_lcm
-        rate_fail += o.rate_fail
-        mc_fail += o.mc_fail
-        partial = partial or o.hit_budget
+    for sizes in integer_partitions(K):
+        budget = None if max_candidates is None else max_candidates - len(records)
+        found, partial = _search_one_grouping(K, t, sizes, budget, prune)
+        records.extend(found)
+        if partial:
+            break
 
-    best_rec: CandidateRecord | None = None
-    for rec in records:
-        if rec.feasible and (best_rec is None or rec.f_pt < best_rec.f_pt):  # type: ignore[operator]
-            best_rec = rec
+    best_rec = min(
+        (r for r in records if r.feasible), key=lambda r: r.f_pt, default=None
+    )  # the first-discovered minimum
     best = None
     if best_rec is not None:
         best = (candidate_to_design(K, t, best_rec), best_rec.f_pt)  # type: ignore[arg-type]
 
+    reasons = Counter(r.reason for r in records)
     pareto = sorted(
         (r for r in records if r.feasible),
         key=lambda r: (r.f_pt, r.grouping, r.rules),
@@ -284,8 +267,8 @@ def exhaustive_search(
         best=best,
         pareto=pareto,
         records=records,
-        explored=explored,
-        infeasible={"no_lcm": no_lcm, "rate": rate_fail, "mc": mc_fail},
+        explored=len(records),
+        infeasible={k: reasons[k] for k in ("no_lcm", "rate", "mc")},
         partial=partial,
     )
 

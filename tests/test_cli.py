@@ -301,13 +301,6 @@ def test_search_summary_and_csv(tmp_path, capsys):
             assert r[8] in ("mc", "no_lcm", "rate")
 
 
-def test_search_env_thread_count(monkeypatch, capsys):
-    monkeypatch.setenv("PT_CACHE_THREADS", "2")
-    code, out, _ = run_cli(["search", "--K", "4", "--t", "2"], capsys)
-    assert code == EXIT_OK
-    assert json.loads(out)["explored"] == 17
-
-
 # ---------------------------------------------------------------- sweep
 
 

@@ -12,6 +12,7 @@ from ptcache.fscalc import (
     STAR,
     GlobalFS,
     NoLcmError,
+    RatioForest,
     fs_table_from_json,
     fs_table_json,
     jcm_baseline,
@@ -157,6 +158,22 @@ def test_vector_lcm_idempotent():
     first = vector_lcm([(2, 3, STAR), (STAR, 3, 5)])
     again = vector_lcm([first.factors])
     assert again.factors == first.factors
+
+
+def test_ratio_forest_rollback_forgets_later_constraints():
+    f = RatioForest(4)
+    assert f.relate(0, 2, 1, 3)  # 2 s0 = 3 s1
+    fresh = (list(f.parent), list(f.num), list(f.den), list(f.size))
+    m = f.mark()
+    assert f.relate(1, 1, 2, 2)  # s1 = 2 s2, so s0 = 3 s2
+    assert not f.relate(0, 1, 2, 1)
+    assert f.relate(3, 1, 2, 1) and f.relate(0, 1, 3, 3)
+    f.rollback(m)
+    assert (f.parent, f.num, f.den, f.size) == fresh
+    assert f.relate(0, 1, 2, 1)  # s2 is free again
+    root, n, d = f.find(1)
+    root0, n0, d0 = f.find(0)
+    assert root == root0 and Fraction(n, d) / Fraction(n0, d0) == Fraction(2, 3)
 
 
 # ---------------------------------------------------------------- MC check

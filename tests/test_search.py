@@ -104,24 +104,6 @@ def test_search_is_deterministic():
     assert a.best[0].rules_text() == b.best[0].rules_text()
 
 
-def test_threading_does_not_change_results():
-    seq = exhaustive_search(5, 2, threads=1)
-    par = exhaustive_search(5, 2, threads=4)
-    assert seq.records == par.records
-    assert seq.best[1] == par.best[1]
-
-
-def test_env_var_caps_threads(monkeypatch):
-    from ptcache.search import _default_threads
-
-    monkeypatch.setenv("PT_CACHE_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("PT_CACHE_THREADS", "junk")
-    assert _default_threads() == 1
-    monkeypatch.delenv("PT_CACHE_THREADS")
-    assert _default_threads() == 1
-
-
 def test_budget_stops_early_and_flags_partial():
     r = exhaustive_search(6, 3, max_candidates=100)
     assert r.partial
@@ -132,6 +114,11 @@ def test_budget_stops_early_and_flags_partial():
     full = exhaustive_search(6, 3)
     assert not full.partial
     assert full.best[1] == 54
+    # budgets that end inside a subtree the LCM check cut (50, 100, 908 and
+    # 1000 do) stop after exactly n leaves like any other
+    for n in (1, 50, 100, 700, 908, 1000):
+        r = exhaustive_search(6, 3, max_candidates=n)
+        assert (r.explored, r.records) == (n, full.records[:n])
 
 
 def test_pruning_preserves_the_winner():
@@ -161,6 +148,21 @@ def test_no_lcm_records_really_fail_the_lcm_stage():
         with pytest.raises(PlanError) as e:
             analyze_rules(5, 2, c.grouping, rules)
         assert e.value.stage == "lcm"
+
+
+def test_search_reasons_follow_the_engine_stages():
+    """Every record carries the reason and F_PT that analyze_rules gives;
+    (6,1) has candidates whose every subfile type is excluded, which the
+    engine rejects at its LCM stage."""
+    reason_of = {"lcm": "no_lcm", "rate": "rate", "mc": "mc"}
+    for K, t in [(5, 2), (6, 1), (6, 4)]:
+        for c in exhaustive_search(K, t).records:
+            rules = {TypeVector.parse(g): set(sel) for g, sel in c.rules}
+            try:
+                want = ("", analyze_rules(K, t, c.grouping, rules).f_pt)
+            except PlanError as e:
+                want = (reason_of[e.stage], None)
+            assert (c.reason, c.f_pt) == want
 
 
 def test_rate_records_really_fail_the_rate_stage():
