@@ -14,7 +14,7 @@ import csv
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -35,7 +35,6 @@ from .designs import (
 from .engine import PlanError, SCHEMA_VERSION
 from .fscalc import fs_table_json, jcm_baseline
 from .search import exhaustive_search, sweep_ratios
-from .typevec import TypeVector
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -79,12 +78,10 @@ class RunConfig:
     out: str | None = None
     transcript: str | None = None
     budget: int | None = None
-    prune: bool = False
     family: str | None = None
     t_bar_list: tuple[int, ...] = ()
     t_list: tuple[int, ...] = ()
     K_range: tuple[int, ...] = ()
-    extra: dict[str, object] = field(default_factory=dict)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -141,7 +138,6 @@ def _build_parser() -> _Parser:
     se.add_argument("--K", type=int, required=True)
     se.add_argument("--t", type=int, required=True)
     se.add_argument("--budget", type=int)
-    se.add_argument("--prune", action="store_true")
     se.add_argument("--out", type=str, help="write all evaluated candidates as CSV")
 
     sw = sub.add_parser("sweep", help="ratio curves along K for one family")
@@ -208,11 +204,7 @@ def _resolve_design(cfg: RunConfig) -> DesignSpec:
     if cfg.rules_path is None or cfg.K is None or cfg.t is None:
         raise UsageError("--grouping needs --K, --t and --rules FILE")
     with open(cfg.rules_path) as fh:
-        raw = json.load(fh)
-    rules = {
-        TypeVector.parse(text): (None if sel == "skip" else frozenset(sel))
-        for text, sel in raw.items()
-    }
+        rules = engine.rules_from_json(json.load(fh))
     return DesignSpec(
         name=f"custom-K{cfg.K}-t{cfg.t}",
         K=cfg.K,
@@ -385,12 +377,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_search(cfg: RunConfig) -> int:
     assert cfg.K is not None and cfg.t is not None
-    result = exhaustive_search(
-        cfg.K,
-        cfg.t,
-        max_candidates=cfg.budget,
-        prune=cfg.prune,
-    )
+    result = exhaustive_search(cfg.K, cfg.t, max_candidates=cfg.budget)
     if cfg.out:
         f_jcm = cfg.t * binomial(cfg.K, cfg.t)
         with open(cfg.out, "w", newline="") as fh:

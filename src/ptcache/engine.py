@@ -53,24 +53,67 @@ class PlanError(ValueError):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class RuleAnalysis:
-    """Everything derivable from (K, t, grouping, rules) without touching
-    actual file bytes.  Cheap even for large K."""
+class IntegrityError(RuntimeError):
+    """An invariant that bit-exact delivery and decoding rely on is broken:
+    a plan or session was built inconsistently or tampered with."""
 
-    K: int
-    t: int
+
+@dataclass(frozen=True)
+class SchemeLayout:
+    """The rules-independent bookkeeping of one (grouping, t): the subfile
+    types (the columns of every split-factor row) with their counts, the
+    group types (the rows) with their structures, and the table the memory
+    check weighs the global factors with."""
+
     grouping: Grouping
+    t: int
     subfile_types: tuple[TypeVector, ...]
     type_counts: tuple[int, ...]
     group_types: tuple[TypeVector, ...]
+    structures: tuple[MGroupStructure, ...]  # aligned with group_types
+    col: Mapping[TypeVector, int]  # subfile type -> column
+    mc_rows: tuple[tuple[int, ...], ...]
+
+    def row(self, i: int, selection: Iterable[int]) -> tuple[FSEntry, ...]:
+        """Full-width local split-factor row of group type i transmitting
+        with ``selection``; STAR in the columns it does not involve."""
+        row: list[FSEntry] = [STAR] * len(self.subfile_types)
+        for v, a in local_fs(self.structures[i], selection).items():
+            row[self.col[v]] = a
+        return tuple(row)
+
+
+def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
+    typed = enumerate_types(g, t)
+    vtypes = tuple(v for v, _ in typed)
+    gtypes = tuple(v for v, _ in enumerate_types(g, t + 1))
+    return SchemeLayout(
+        grouping=g,
+        t=t,
+        subfile_types=vtypes,
+        type_counts=tuple(c for _, c in typed),
+        group_types=gtypes,
+        structures=tuple(mgroup_structure(g, gt) for gt in gtypes),
+        col={v: j for j, v in enumerate(vtypes)},
+        mc_rows=tuple(
+            tuple(per_user_count(g, v, bi) for v in vtypes)
+            for bi in range(1, len(g.blocks) + 1)
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class RuleAnalysis(SchemeLayout):
+    """The layout plus everything the rules determine on it, without
+    touching actual file bytes.  Cheap even for large K."""
+
+    K: int
     fs_rows: tuple[tuple[FSEntry, ...], ...]  # aligned with rule_types
     rule_types: tuple[TypeVector, ...]  # group types that carry a row
     global_fs: GlobalFS
     z_of: Mapping[TypeVector, int]
     excluded: frozenset[TypeVector]
     skipped_group_types: frozenset[TypeVector]
-    mc_rows: tuple[tuple[int, ...], ...]
     mc_result: MCResult
     f_pt: int
 
@@ -121,6 +164,57 @@ def rate_violation(
     return dead
 
 
+def check_stages(
+    layout: SchemeLayout,
+    selections: Sequence["frozenset[int] | None"],
+    rows: Sequence[Sequence[FSEntry]],
+) -> tuple[GlobalFS, frozenset[TypeVector], int]:
+    """Run the lcm, skip, rate and memory stages on one set of rules.
+
+    ``selections`` is aligned with ``layout.group_types`` (None marks a
+    skip); ``rows`` holds the rows of the selections that are not None, in
+    the same order.  Returns the global split factors, the excluded subfile
+    types and the subpacketization F_PT, or raises PlanError naming the
+    first stage that rejects the rules.
+    """
+    try:
+        gfs = vector_lcm(rows, zero_policy="exclude")
+    except NoLcmError as e:
+        raise PlanError("lcm", f"no consistent global split factors: {e}") from e
+    if not any(gfs.factors):
+        raise PlanError("lcm", "all subfile types excluded; nothing would be stored")
+    excluded = frozenset(v for v, f in zip(layout.subfile_types, gfs.factors) if f == 0)
+
+    if None in selections:  # the search never skips: keep this loop off its path
+        for gt, st, sel in zip(layout.group_types, layout.structures, selections):
+            if sel is None and not all(v in excluded for v in st.involved):
+                raise PlanError(
+                    "skip",
+                    f"group type {gt} is marked skip but involves live subfile "
+                    f"type(s) {[v.text() for v in st.involved if v not in excluded]}",
+                )
+
+    for gt, st, sel in zip(layout.group_types, layout.structures, selections):
+        dead = [] if sel is None else rate_violation(st, sel, excluded)
+        if dead:
+            raise PlanError(
+                "rate",
+                f"group type {gt}: transmissions would reach receivers with "
+                f"nothing to decode (excluded desired type(s) "
+                f"{[st.involved[i - 1].text() for i in dead]}); such members "
+                f"must transmit alone",
+            )
+
+    mc = mc_check(gfs.factors, layout.mc_rows)
+    if not mc.ok:
+        raise PlanError(
+            "mc",
+            f"user classes {mc.fail_index} and {mc.fail_index + 1} would cache "
+            f"unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
+        )
+    return gfs, excluded, subpacketization(gfs.factors, layout.type_counts)
+
+
 def analyze_rules(
     K: int,
     t: int,
@@ -136,96 +230,37 @@ def analyze_rules(
     except ValueError as e:
         raise PlanError("grouping", str(e)) from e
 
-    typed = enumerate_types(g, t)
-    vtypes = tuple(v for v, _ in typed)
-    counts = tuple(c for _, c in typed)
-    col = {v: j for j, v in enumerate(vtypes)}
-    gtypes = tuple(v for v, _ in enumerate_types(g, t + 1))
-    rules = _normalize_rules(gtypes, tx_rules)
-
-    structures = {gt: mgroup_structure(g, gt) for gt in gtypes}
+    layout = scheme_layout(g, t)
+    rules = _normalize_rules(layout.group_types, tx_rules)
+    selections = [rules[gt] for gt in layout.group_types]
     rows: list[tuple[FSEntry, ...]] = []
     rule_types: list[TypeVector] = []
-    for gt in gtypes:
-        sel = rules[gt]
+    for i, (gt, sel) in enumerate(zip(layout.group_types, selections)):
         if sel is None:
             continue
-        st = structures[gt]
         try:
-            local = local_fs(st, sel)
+            rows.append(layout.row(i, sel))
         except ValueError as e:
             raise PlanError("rules", f"group type {gt}: {e}") from e
-        row: list[FSEntry] = [STAR] * len(vtypes)
-        for v, a in local.items():
-            row[col[v]] = a
-        rows.append(tuple(row))
         rule_types.append(gt)
     if not rows:
         raise PlanError("rules", "every group type is marked skip; nothing to send")
 
-    try:
-        gfs = vector_lcm(rows, zero_policy="exclude")
-    except NoLcmError as e:
-        raise PlanError("lcm", f"no consistent global split factors: {e}") from e
-
-    excluded = frozenset(v for v, f in zip(vtypes, gfs.factors) if f == 0)
-    z_of = {gt: scale for gt, scale in zip(rule_types, gfs.row_scales)}
-
-    skipped = set()
-    for gt in gtypes:
-        st = structures[gt]
-        if all(v in excluded for v in st.involved):
-            skipped.add(gt)
-        elif rules[gt] is None:
-            raise PlanError(
-                "skip",
-                f"group type {gt} is marked skip but involves live subfile "
-                f"type(s) {[v.text() for v in st.involved if v not in excluded]}",
-            )
-
-    for gt in rule_types:
-        st = structures[gt]
-        dead = rate_violation(st, rules[gt], excluded)
-        if dead:
-            raise PlanError(
-                "rate",
-                f"group type {gt}: transmissions would reach receivers with "
-                f"nothing to decode (excluded desired type(s) "
-                f"{[st.involved[i - 1].text() for i in dead]}); such members "
-                f"must transmit alone",
-            )
-
-    mc_rows = tuple(
-        tuple(per_user_count(g, v, bi) for v in vtypes)
-        for bi in range(1, len(g.blocks) + 1)
-    )
-    mc = mc_check(gfs.factors, mc_rows)
-    if not mc.ok:
-        assert mc.dots is not None
-        raise PlanError(
-            "mc",
-            f"user classes {mc.fail_index} and {mc.fail_index + 1} would cache "
-            f"unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
-        )
-
-    f_pt = subpacketization(gfs.factors, counts)
-    if f_pt <= 0:
-        raise PlanError("lcm", "all subfile types excluded; nothing would be stored")
+    gfs, excluded, f_pt = check_stages(layout, selections, rows)
     return RuleAnalysis(
+        **vars(layout),
         K=K,
-        t=t,
-        grouping=g,
-        subfile_types=vtypes,
-        type_counts=counts,
-        group_types=gtypes,
         fs_rows=tuple(rows),
         rule_types=tuple(rule_types),
         global_fs=gfs,
-        z_of=z_of,
+        z_of=dict(zip(rule_types, gfs.row_scales)),
         excluded=excluded,
-        skipped_group_types=frozenset(skipped),
-        mc_rows=mc_rows,
-        mc_result=mc,
+        skipped_group_types=frozenset(
+            gt
+            for gt, st in zip(layout.group_types, layout.structures)
+            if all(v in excluded for v in st.involved)
+        ),
+        mc_result=MCResult(ok=True),  # check_stages raised otherwise
         f_pt=f_pt,
     )
 
@@ -280,7 +315,8 @@ def build_plan(
             continue
         subset_map[T] = (offset, a)
         offset += a
-    assert offset == analysis.f_pt
+    if offset != analysis.f_pt:
+        raise IntegrityError(f"packet map holds {offset} packets, F_PT {analysis.f_pt}")
     return SchemePlan(
         K=K,
         N=N,
@@ -298,7 +334,6 @@ class Message:
     tx: int
     group: tuple[int, ...]
     rx: tuple[int, ...]
-    counters_used: tuple[tuple[int, int], ...]  # (receiver, counter consumed)
     terms: tuple[tuple[int, tuple[int, ...], int], ...]  # (receiver, subset, counter)
     payload: bytes
 
@@ -329,7 +364,8 @@ class Measurement:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise IntegrityError(f"XOR of {len(a)} and {len(b)} bytes")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
         len(a), "big"
     )
@@ -340,7 +376,8 @@ def _packet_bytes(
 ) -> bytes:
     """Contiguous packets [first, first+count) (0-based within the subfile)."""
     base, alpha = session.plan.subset_map[T]
-    assert first + count <= alpha, "delivery counter overran the subfile"
+    if first + count > alpha:
+        raise IntegrityError(f"delivery counter overran subfile {T} ({alpha} packets)")
     B = session.bytes_per_packet
     start = (base + first) * B
     return session.files[file_index - 1][start : start + count * B]
@@ -381,6 +418,26 @@ def _group_transmitters(plan: SchemePlan, S: tuple[int, ...]) -> tuple[int, ...]
     return tuple(sorted(chosen))
 
 
+def _terms(
+    plan: SchemePlan, S: tuple[int, ...], tx: int, counters: dict[int, int]
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """The (receiver, subset, counter) terms of the message ``tx`` sends in
+    group ``S``, consuming one of ``counters`` per term.  A receiver whose
+    desired subset holds no packets (its type is excluded) gets no term and
+    keeps its counter."""
+    terms = []
+    for k2 in S:
+        if k2 == tx:
+            continue
+        T = tuple(u for u in S if u != k2)
+        if T not in plan.subset_map:
+            continue
+        c = counters[k2]
+        counters[k2] = c + 1
+        terms.append((k2, T, c))
+    return terms
+
+
 def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
     """Generate the broadcast.  ``order_seed`` shuffles group and transmitter
     order (decoding is order-independent); None keeps the canonical ascending
@@ -405,20 +462,13 @@ def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
         if rng:
             rng.shuffle(txs)
         for tx in txs:
-            terms: list[tuple[int, tuple[int, ...], int]] = []
-            chunks: list[bytes] = []
-            for k2 in S:
-                if k2 == tx:
-                    continue
-                T = tuple(u for u in S if u != k2)
-                if T not in plan.subset_map:
-                    continue  # excluded desired type: no slot, no counter bump
-                c = counters[k2]
-                counters[k2] += 1
-                terms.append((k2, T, c))
-                chunks.append(_packet_bytes(session, demand[k2 - 1], T, c * z, z))
+            terms = _terms(plan, S, tx, counters)
             if not terms:
                 continue  # vacuous message: every other user's type excluded
+            chunks = [
+                _packet_bytes(session, demand[k2 - 1], T, c * z, z)
+                for k2, T, c in terms
+            ]
             payload = chunks[0]
             for ch in chunks[1:]:
                 payload = _xor(payload, ch)
@@ -427,7 +477,6 @@ def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
                     tx=tx,
                     group=S,
                     rx=tuple(k for k in S if k != tx),
-                    counters_used=tuple((k2, c) for k2, _, c in terms),
                     terms=tuple(terms),
                     payload=payload,
                 )
@@ -477,16 +526,7 @@ def decode_and_verify(session: Session) -> VerifyResult:
         S = msg.group
         cnt = counter_state.setdefault(S, {k: 0 for k in S})
         z = z_of[type_of(g, S)]
-        terms: list[tuple[int, tuple[int, ...], int]] = []
-        for k2 in S:
-            if k2 == msg.tx:
-                continue
-            T = tuple(u for u in S if u != k2)
-            if T not in plan.subset_map:
-                continue
-            c = cnt[k2]
-            cnt[k2] += 1
-            terms.append((k2, T, c))
+        terms = _terms(plan, S, msg.tx, cnt)
         for (k, T_own, c_own) in terms:
             acc = msg.payload
             usable = True
@@ -507,7 +547,8 @@ def decode_and_verify(session: Session) -> VerifyResult:
                 continue
             for j in range(z):
                 key = (demand[k - 1], T_own, c_own * z + j + 1)
-                assert key not in session.caches[k], "decoded a packet already cached"
+                if key in session.caches[k]:
+                    raise IntegrityError(f"user {k} decoded {key}, already cached")
                 decoded[k][key] = acc[j * B : (j + 1) * B]
 
     per_user: dict[int, bool] = {}
@@ -619,7 +660,6 @@ def run_jcm(
                     tx=tx,
                     group=S,
                     rx=tuple(k for k in S if k != tx),
-                    counters_used=tuple((k2, c) for k2, _, c in terms),
                     terms=tuple(terms),
                     payload=payload,
                 )
@@ -690,14 +730,29 @@ def plan_json(plan: SchemePlan) -> dict[str, object]:
     }
 
 
+def rules_from_json(data: object) -> dict[TypeVector, "frozenset[int] | None"]:
+    """Transmitter rules from their JSON form: an object mapping group-type
+    text to "skip" or a list of 1-based unique-set indices.  Anything else
+    raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"rules must be a JSON object, not {type(data).__name__}")
+    rules: dict[TypeVector, "frozenset[int] | None"] = {}
+    for text, sel in data.items():
+        if sel != "skip" and not (
+            isinstance(sel, list) and all(type(i) is int for i in sel)
+        ):
+            raise ValueError(f'{text}: selection {sel!r} is not "skip" or int list')
+        try:
+            rules[TypeVector.parse(text)] = None if sel == "skip" else frozenset(sel)
+        except ValueError as e:
+            raise ValueError(f"bad group type {text!r}: {e}") from e
+    return rules
+
+
 def plan_from_json(data: Mapping[str, object]) -> SchemePlan:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
-    rules: dict[TypeVector, "frozenset[int] | None"] = {}
-    for text, sel in data["tx_rules"].items():  # type: ignore[union-attr]
-        rules[TypeVector.parse(text)] = (
-            None if sel == "skip" else frozenset(int(i) for i in sel)  # type: ignore[arg-type]
-        )
+    rules = rules_from_json(data["tx_rules"])
     plan = build_plan(
         K=int(data["K"]),  # type: ignore[arg-type]
         N=int(data["N"]),  # type: ignore[arg-type]
@@ -721,7 +776,7 @@ def transcript_jsonl(transcript: Iterable[Message]) -> str:
                     "tx": m.tx,
                     "group": list(m.group),
                     "rx": list(m.rx),
-                    "counter_snapshot": {str(k): c for k, c in m.counters_used},
+                    "counter_snapshot": {str(k): c for k, _, c in m.terms},
                     "payload_hex": m.payload.hex(),
                 },
                 sort_keys=True,

@@ -18,23 +18,9 @@ from typing import Iterable
 from .combinat import binomial, integer_partitions
 from .designs import DesignSpec, theorem1_bound, theorem1_design, theorem2_design
 from .designs import special_designs, theorem3_design
-from .engine import analyze_rules, rate_violation
-from .fscalc import (
-    STAR,
-    FSEntry,
-    RatioForest,
-    local_fs,
-    mc_check,
-    subpacketization,
-    vector_lcm,
-)
-from .typevec import (
-    TypeVector,
-    enumerate_types,
-    make_grouping,
-    mgroup_structure,
-    per_user_count,
-)
+from .engine import PlanError, analyze_rules, check_stages, scheme_layout
+from .fscalc import FSEntry, RatioForest
+from .typevec import TypeVector, make_grouping
 
 
 @dataclass(frozen=True)
@@ -64,9 +50,12 @@ class SearchResult:
 # (selection, local split-factor row, record text) of one group type
 _Option = tuple[frozenset[int], tuple[FSEntry, ...], tuple[str, tuple[int, ...]]]
 
+# record reason of each stage a search candidate can fail
+_REASONS = {"lcm": "no_lcm", "rate": "rate", "mc": "mc"}
+
 
 def _search_one_grouping(
-    K: int, t: int, sizes: tuple[int, ...], budget: int | None, prune: bool
+    K: int, t: int, sizes: tuple[int, ...], budget: int | None
 ) -> tuple[list[CandidateRecord], bool]:
     """Depth-first search over one grouping's transmitter selections; the
     records in discovery order and whether the budget ran out.
@@ -80,46 +69,35 @@ def _search_one_grouping(
     counted and recorded as no_lcm, in the same order, without any LCM,
     rate or memory work.
     """
-    g = make_grouping(K, sizes)
-    typed = enumerate_types(g, t)
-    vtypes = [v for v, _ in typed]
-    counts = [c for _, c in typed]
-    col = {v: j for j, v in enumerate(vtypes)}
-    gtypes = [v for v, _ in enumerate_types(g, t + 1)]
-    structures = [mgroup_structure(g, gt) for gt in gtypes]
-    mc_rows = [
-        [per_user_count(g, v, bi) for v in vtypes]
-        for bi in range(1, len(g.blocks) + 1)
-    ]
+    layout = scheme_layout(make_grouping(K, sizes), t)
+    gtypes, structures = layout.group_types, layout.structures
+    width = len(layout.subfile_types)
 
     # Options per group type: every nonempty selection, smallest first, each
     # paired with its precomputed local row and its record text.
     options: list[list[_Option]] = []
-    for gt, st in zip(gtypes, structures):
+    for i, (gt, st) in enumerate(zip(gtypes, structures)):
         n = st.num_unique_sets
         text = gt.text()
-        opts = []
-        for size in range(1, n + 1):
-            for sel in combinations(range(1, n + 1), size):
-                local = local_fs(st, sel)
-                row: list[FSEntry] = [STAR] * len(vtypes)
-                for v, a in local.items():
-                    row[col[v]] = a
-                opts.append((frozenset(sel), tuple(row), (text, sel)))
-        options.append(opts)
+        options.append(
+            [
+                (frozenset(sel), layout.row(i, sel), (text, sel))
+                for size in range(1, n + 1)
+                for sel in combinations(range(1, n + 1), size)
+            ]
+        )
 
     # Column j can be zeroed only by the group types in zeroers[j]; it turns
     # final at depth zeroers[j][-1] (from the start when there are none)
     # unless zeroed by then.  The rows touching column j, in depth order, are
     # rows_of[j]; a final column never holds a zero, so all of them are live.
-    zeroers: list[list[int]] = [[] for _ in vtypes]
-    rows_of: list[list[int]] = [[] for _ in vtypes]
+    zeroers: list[list[int]] = [[] for _ in range(width)]
+    rows_of: list[list[int]] = [[] for _ in range(width)]
     for i, st in enumerate(structures):
         for us, v in zip(st.unique_sets, st.involved):
-            rows_of[col[v]].append(i)
+            rows_of[layout.col[v]].append(i)
             if us.size == 1:
-                zeroers[col[v]].append(i)
-    can_exclude = {j for j, zs in enumerate(zeroers) if zs}
+                zeroers[layout.col[v]].append(i)
     final_at: list[list[int]] = [[] for _ in gtypes]
     initial_final = 0
     for j, zs in enumerate(zeroers):
@@ -129,13 +107,12 @@ def _search_one_grouping(
             initial_final |= 1 << j
     # Per depth: the columns the row touches, with the column's first row.
     touched = [
-        [(j, rows_of[j][0]) for j in range(len(vtypes)) if i in rows_of[j]]
+        [(j, rows_of[j][0]) for j in range(width) if i in rows_of[j]]
         for i in range(len(gtypes))
     ]
 
     forest = RatioForest(len(gtypes))
     records: list[CandidateRecord] = []
-    incumbent: int | None = None
     chosen: list[_Option] = []
 
     def consistent(i: int, final: int) -> int | None:
@@ -157,43 +134,19 @@ def _search_one_grouping(
                     return None
         return final
 
-    def lower_bound() -> int:
-        lb = 0
-        for j in range(len(vtypes)):
-            if j in can_exclude:
-                continue
-            best = 0
-            zeroed = False
-            for _, row, _ in chosen:
-                e = row[j]
-                if e == 0:
-                    zeroed = True
-                    break
-                if e is not STAR and e > best:
-                    best = e
-            if not zeroed and best:
-                lb += best * counts[j]
-        return lb
-
     def evaluate() -> tuple[str, int | None]:
         """Reason and F_PT of a leaf whose final columns reconcile."""
-        gfs = vector_lcm([row for _, row, _ in chosen], zero_policy="exclude")
-        if not any(gfs.factors):
-            return "no_lcm", None  # every subfile type excluded
-        excluded = {v for v, f in zip(vtypes, gfs.factors) if f == 0}
-        for st, (sel, _, _) in zip(structures, chosen):
-            if rate_violation(st, sel, excluded):
-                return "rate", None
-        if not mc_check(gfs.factors, mc_rows).ok:
-            return "mc", None
-        return "", subpacketization(gfs.factors, counts)
+        try:
+            _, _, f_pt = check_stages(
+                layout, [sel for sel, _, _ in chosen], [row for _, row, _ in chosen]
+            )
+        except PlanError as e:
+            return _REASONS[e.stage], None
+        return "", f_pt
 
     def leaf(doomed: bool) -> bool:
         """Record the current full assignment; False aborts (budget)."""
-        nonlocal incumbent
         reason, f_pt = ("no_lcm", None) if doomed else evaluate()
-        if f_pt is not None and (incumbent is None or f_pt < incumbent):
-            incumbent = f_pt
         records.append(
             CandidateRecord(
                 grouping=sizes,
@@ -211,9 +164,6 @@ def _search_one_grouping(
             return leaf(final is None)
         for opt in options[i]:
             chosen.append(opt)
-            if prune and incumbent is not None and lower_bound() > incumbent:
-                chosen.pop()
-                continue
             mark = forest.mark()
             alive = dfs(i + 1, final if final is None else consistent(i, final))
             forest.rollback(mark)
@@ -227,10 +177,7 @@ def _search_one_grouping(
 
 
 def exhaustive_search(
-    K: int,
-    t: int,
-    max_candidates: int | None = None,
-    prune: bool = False,
+    K: int, t: int, max_candidates: int | None = None
 ) -> SearchResult:
     """Search every (grouping, transmitter rules) candidate at (K, t).
 
@@ -240,11 +187,13 @@ def exhaustive_search(
     """
     if not 1 <= t <= K - 1:
         raise ValueError(f"need 1 <= t <= K-1, got K={K}, t={t}")
+    if max_candidates is not None and max_candidates < 1:
+        raise ValueError(f"candidate budget must be >= 1, got {max_candidates}")
     records: list[CandidateRecord] = []
     partial = False
     for sizes in integer_partitions(K):
         budget = None if max_candidates is None else max_candidates - len(records)
-        found, partial = _search_one_grouping(K, t, sizes, budget, prune)
+        found, partial = _search_one_grouping(K, t, sizes, budget)
         records.extend(found)
         if partial:
             break

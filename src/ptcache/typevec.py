@@ -127,6 +127,11 @@ class TypeVector:
 
     def text(self) -> str:
         """Canonical text form, e.g. ``2|2,1|1,0,0`` (full padding kept)."""
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # cached: rejected search leaves put their types' text in messages
         return "|".join(",".join(str(e) for e in blk) for blk in self.blocks)
 
     def display(self) -> str:

@@ -414,6 +414,27 @@ def test_bad_arguments_exit_usage(argv, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv,rules",
+    [
+        (["search", "--K", "4", "--t", "2", "--budget", "0"], None),
+        (["search", "--K", "4", "--t", "2", "--budget", "-5"], None),
+        (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], [1, 2]),
+        (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], {"2|0": 1}),
+        (["analyze", "--grouping", "2,2", "--K", "4", "--t", "2"], {"2,x": [1]}),
+    ],
+)
+def test_malformed_input_is_a_usage_error(argv, rules, tmp_path, capsys):
+    if rules is not None:
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(rules))
+        argv = argv + ["--rules", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_module_runs_as_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "ptcache.cli", "design", "--jcm", "--K", "4",

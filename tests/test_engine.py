@@ -6,11 +6,16 @@ pipeline; with the trivial grouping the engine must reproduce its transcript
 byte for byte.
 """
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ptcache
 from conftest import roundtrip_design
 from ptcache.designs import (
     dpda_specials,
@@ -301,6 +306,9 @@ def test_plan_json_rejects_tampering():
         plan_from_json(bad)
     with pytest.raises(ValueError):
         plan_from_json(dict(data, schema_version="0"))
+    for rules in ([1, 2], {"2,1": 2}, {"2,1": ["2"]}, {"2;1": [2]}):
+        with pytest.raises(ValueError):
+            plan_from_json(dict(data, tx_rules=rules))
 
 
 def test_transcript_jsonl_shape():
@@ -319,6 +327,28 @@ def test_transcript_jsonl_shape():
         assert set(rec["rx"]) < set(rec["group"])
         bytes.fromhex(rec["payload_hex"])
     assert transcript_jsonl([]) == ""
+
+
+@pytest.mark.parametrize(
+    "ds,N,M,order_seed,digest",
+    [
+        (theorem2_design(4, 2), 2, 1, None,
+         "ad8cdd61e0e0dbd70431710596653bf3046ef011ab63520486ab42f75967c219"),
+        (special_designs("tbar3", 9), 3, 2, None,
+         "c0878229596396b0d798ac24e71d9f6c04f1f7d705f751a0f2ff011cace52a70"),
+        (special_designs("tbar3", 9), 3, 2, 5,
+         "7fba9cee86da50a2dfc2bcd8c62c971ba1ded9dc80f8904184c273acf6ef3ac5"),
+    ],
+)
+def test_transcript_bytes_are_pinned(ds, N, M, order_seed, digest):
+    """The JSONL transcript of fixed files and demand, byte for byte."""
+    plan = build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
+    rng = random.Random(7)
+    files = [rng.randbytes(plan.f_pt * 2) for _ in range(N)]
+    demand = [rng.randrange(1, N + 1) for _ in range(plan.K)]
+    session = simulate(plan, files, demand, order_seed=order_seed)
+    text = transcript_jsonl(session.transcript)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------ error paths
@@ -418,6 +448,56 @@ def test_simulate_validates_demand():
         simulate(plan, files, (1, 2))
     with pytest.raises(ValueError):
         simulate(plan, files, (1, 2, 3, 1))
+
+
+_TAMPER = """
+import dataclasses, random
+from ptcache.designs import theorem2_design
+from ptcache.engine import IntegrityError, build_plan, decode_and_verify, simulate
+
+ds = theorem2_design(4, 2)
+plan = build_plan(4, 2, 1, ds.grouping_sizes, ds.tx_rules)
+files = [random.Random(3).randbytes(plan.f_pt * 2) for _ in range(2)]
+
+def fresh():
+    return simulate(plan, files, (1, 2, 2, 1))
+
+def raises(fn):
+    try:
+        fn()
+    except IntegrityError:
+        return True
+    return False
+
+s = fresh()  # a truncated payload
+s.transcript[0] = dataclasses.replace(s.transcript[0], payload=s.transcript[0].payload[:1])
+ok = [raises(lambda: decode_and_verify(s))]
+
+s = fresh()  # the packet a message carries is already in the receiver's cache
+k, T, c = s.transcript[0].terms[0]
+s.caches[k][(s.demand[k - 1], T, c + 1)] = b"xx"
+ok.append(raises(lambda: decode_and_verify(s)))
+
+s = fresh()  # a subfile shorter than the delivery counters need
+T = next(iter(plan.subset_map))
+plan.subset_map[T] = (plan.subset_map[T][0], 0)
+ok.append(raises(lambda: simulate(plan, files, (1, 2, 2, 1))))
+print(ok)
+"""
+
+
+def test_integrity_checks_survive_optimized_mode():
+    """Tampered sessions raise IntegrityError even under ``python -O``,
+    which strips assert statements."""
+    src = os.path.dirname(os.path.dirname(ptcache.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPER],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True, True]"
 
 
 if __name__ == "__main__":

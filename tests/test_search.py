@@ -121,17 +121,6 @@ def test_budget_stops_early_and_flags_partial():
         assert (r.explored, r.records) == (n, full.records[:n])
 
 
-def test_pruning_preserves_the_winner():
-    for K, t, full_n, pruned_n in [(6, 2, 695, 690), (6, 4, 215, 153)]:
-        full = exhaustive_search(K, t)
-        pruned = exhaustive_search(K, t, prune=True)
-        assert (full.explored, pruned.explored) == (full_n, pruned_n)
-        assert pruned.best[1] == full.best[1]
-        assert pruned.best[0].grouping_sizes == full.best[0].grouping_sizes
-        assert pruned.best[0].rules_text() == full.best[0].rules_text()
-        assert pruned.pareto[0] == full.pareto[0]
-
-
 def test_search_rejects_bad_parameters():
     with pytest.raises(ValueError):
         exhaustive_search(4, 0)
