@@ -41,6 +41,9 @@ EXIT_INFEASIBLE = 2
 EXIT_DECODE = 3
 EXIT_USAGE = 4
 
+# largest K a sweep accepts; checked before the K values are built
+SWEEP_MAX_K = 1000
+
 
 class UsageError(Exception):
     pass
@@ -89,11 +92,18 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
-    """Accept "4..40", a single value, or a comma list."""
+    """Accept "4..40", a single value, or a comma list, each K <= SWEEP_MAX_K."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+        lo, top = (int(x) for x in text.split("..", 1))
+        values: Sequence[int] = range(lo, top + 1)
+    else:
+        values = _parse_int_list(text)
+        top = max(values, default=0)
+    if not values:
+        raise UsageError(f"--K {text!r} names no value")
+    if top > SWEEP_MAX_K:
+        raise UsageError(f"--K {text!r} goes above the cap K={SWEEP_MAX_K}")
+    return tuple(values)
 
 
 def _build_parser() -> _Parser:
@@ -142,7 +152,11 @@ def _build_parser() -> _Parser:
 
     sw = sub.add_parser("sweep", help="ratio curves along K for one family")
     sw.add_argument("--family", required=True, choices=("thm1", "thm2", "thm3"))
-    sw.add_argument("--K", required=True, help='K range, e.g. "4..40" or "8,12,16"')
+    sw.add_argument(
+        "--K",
+        required=True,
+        help=f'K range, e.g. "4..40" or "8,12,16"; K <= {SWEEP_MAX_K}',
+    )
     sw.add_argument("--tbar", help="comma list of t_bar values (thm1)")
     sw.add_argument("--t", help="comma list of t values (thm2/thm3)")
     sw.add_argument("--m", type=int, help="group count (thm3)")

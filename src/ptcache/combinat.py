@@ -46,7 +46,9 @@ def integer_partitions(
 
     Parts are non-increasing within a partition; partitions are returned in
     reverse-lexicographic order, i.e. (n,) first and (1,)*n last.  n = 0
-    yields the single empty partition ().
+    yields the single empty partition ().  Every recursive branch yields a
+    partition: a part is tried only if the parts still allowed can hold the
+    rest, so the work is proportional to the output.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -54,20 +56,24 @@ def integer_partitions(
         max_parts = n
     if max_part is None:
         max_part = n
+    if max_parts < 0 or max_part < 0:
+        raise ValueError("max_parts and max_part must be >= 0")
+    if n > max_parts * max_part:
+        return []
     out: list[tuple[int, ...]] = []
 
-    def rec(remaining: int, cap: int, prefix: list[int]) -> None:
+    def rec(remaining: int, cap: int, slots: int, prefix: list[int]) -> None:
+        # invariant: remaining <= cap * slots
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        if len(prefix) >= max_parts:
-            return
-        for part in range(min(cap, remaining), 0, -1):
+        # a part below ceil(remaining / slots) leaves more than the slots hold
+        for part in range(min(cap, remaining), -(-remaining // slots) - 1, -1):
             prefix.append(part)
-            rec(remaining - part, part, prefix)
+            rec(remaining - part, part, slots - 1, prefix)
             prefix.pop()
 
-    rec(n, max_part, [])
+    rec(n, max_part, max_parts, [])
     return out
 
 

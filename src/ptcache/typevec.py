@@ -204,31 +204,31 @@ def type_count(g: Grouping, v: TypeVector) -> int:
 
 
 def enumerate_types(g: Grouping, total: int) -> list[tuple[TypeVector, int]]:
-    """All realizable types of ``total`` users, canonically ordered, with counts."""
+    """All realizable types of ``total`` users, canonically ordered, with counts.
+
+    Every recursive branch yields a type: a block takes s users only if the
+    later blocks can hold the rest, and its partitions are built per branch.
+    """
     if total < 0 or total > g.K:
         raise ValueError(f"total {total} out of range for K={g.K}")
-    per_block: list[list[tuple[int, ...]]] = []
-    for beta, psi in g.blocks:
-        options: list[list[tuple[int, ...]]] = []
-        for s in range(0, min(total, beta * psi) + 1):
-            padded = [
-                p + (0,) * (psi - len(p))
-                for p in integer_partitions(s, max_parts=psi, max_part=beta)
-            ]
-            options.append(padded)
-        per_block.append(options)  # type: ignore[arg-type]
+    # room[bi]: users that blocks bi, bi+1, ... can hold together
+    room = [0] * (len(g.blocks) + 1)
+    for bi in range(len(g.blocks) - 1, -1, -1):
+        beta, psi = g.blocks[bi]
+        room[bi] = room[bi + 1] + beta * psi
 
     found: list[TypeVector] = []
 
     def rec(bi: int, remaining: int, prefix: list[tuple[int, ...]]) -> None:
         if bi == len(g.blocks):
-            if remaining == 0:
-                found.append(TypeVector(blocks=tuple(prefix)))
+            found.append(TypeVector(blocks=tuple(prefix)))
             return
-        opts = per_block[bi]
-        for s in range(min(remaining, len(opts) - 1), -1, -1):
-            for padded in opts[s]:
-                prefix.append(padded)
+        beta, psi = g.blocks[bi]
+        most = min(remaining, beta * psi)
+        least = max(0, remaining - room[bi + 1])
+        for s in range(most, least - 1, -1):
+            for p in integer_partitions(s, max_parts=psi, max_part=beta):
+                prefix.append(p + (0,) * (psi - len(p)))
                 rec(bi + 1, remaining - s, prefix)
                 prefix.pop()
 

@@ -6,6 +6,7 @@ entry point also works from a shell.
 """
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -321,6 +322,18 @@ def test_sweep_pair_group_curve_to_stdout(capsys):
         assert f"skipped K={K}" in err
 
 
+def test_sweep_csv_bytes_are_pinned(capsys):
+    """The thm1 sweep to K=100, byte for byte (97 lines)."""
+    code, out, _ = run_cli(
+        ["sweep", "--family", "thm1", "--tbar", "2,4", "--K", "4..100"], capsys
+    )
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 97
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "749584c13d3b68f7479d1b94cb37838363f009162ce3a5655ac4f405d587b709"
+    )
+
+
 def test_sweep_out_file_with_summary(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code, out, err = run_cli(
@@ -422,6 +435,8 @@ def test_bad_arguments_exit_usage(argv, capsys):
         (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], [1, 2]),
         (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], {"2|0": 1}),
         (["analyze", "--grouping", "2,2", "--K", "4", "--t", "2"], {"2,x": [1]}),
+        (["sweep", "--family", "thm1", "--tbar", "2", "--K", "10..4"], None),
+        (["sweep", "--family", "thm1", "--tbar", "2", "--K", "4..1000000000"], None),
     ],
 )
 def test_malformed_input_is_a_usage_error(argv, rules, tmp_path, capsys):

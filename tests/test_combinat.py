@@ -113,6 +113,24 @@ def test_partitions_constrained():
     assert integer_partitions(5, max_part=2) == [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
     assert integer_partitions(0) == [()]
     assert integer_partitions(4, max_parts=1) == [(4,)]
+    with pytest.raises(ValueError):
+        integer_partitions(3, max_parts=-1)
+    with pytest.raises(ValueError):
+        integer_partitions(3, max_part=-1)
+
+
+def test_bounded_partitions_equal_filtered_unbounded():
+    """The bounded enumeration keeps exactly the unbounded list's partitions
+    that fit both bounds, in the same order (0 bounds included)."""
+    for n in range(15):
+        every = integer_partitions(n)
+        for max_parts in range(16):
+            for max_part in range(16):
+                want = [
+                    p for p in every
+                    if len(p) <= max_parts and all(x <= max_part for x in p)
+                ]
+                assert integer_partitions(n, max_parts, max_part) == want
 
 
 def test_subsets_are_lexicographic():

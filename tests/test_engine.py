@@ -309,6 +309,13 @@ def test_plan_json_rejects_tampering():
     for rules in ([1, 2], {"2,1": 2}, {"2,1": ["2"]}, {"2;1": [2]}):
         with pytest.raises(ValueError):
             plan_from_json(dict(data, tx_rules=rules))
+    for name in ("tx_rules", "K", "N", "M", "grouping", "F_PT"):
+        partial = {k: v for k, v in data.items() if k != name}
+        with pytest.raises(ValueError, match=name):
+            plan_from_json(partial)
+    for name, value in (("grouping", 4), ("grouping", [2, "2"]), ("K", None), ("N", "2")):
+        with pytest.raises(ValueError, match=name):
+            plan_from_json(dict(data, **{name: value}))
 
 
 def test_transcript_jsonl_shape():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import grouping_params, grouping_with_t
-from ptcache.combinat import binomial, subsets
+from ptcache.combinat import binomial, integer_partitions, subsets
 from ptcache.typevec import (
     TypeVector,
     concrete_unique_sets,
@@ -121,6 +121,32 @@ def test_enumerate_types_matches_brute_force(params):
     for v, c in typed:
         assert is_realizable(g, v)
         assert type_count(g, v) == c
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 2, 1, 1), (2, 2, 1), (4, 2, 2, 1), (3, 1, 1, 1)])
+def test_enumerate_types_matches_brute_force_on_tight_blocks(sizes):
+    """Multi-block groupings whose later blocks bound what earlier ones take."""
+    g = make_grouping(sum(sizes), sizes)
+    for t in range(g.K + 1):
+        typed = enumerate_types(g, t)
+        assert dict(typed) == dict(brute_type_census(g, t))
+        flats = [v.flat for v, _ in typed]
+        assert flats == sorted(flats, reverse=True)
+
+
+def test_enumerate_types_only_builds_partitions_it_uses(monkeypatch):
+    """Pair groups at total K-1: the single block must take all 99 users, so
+    exactly one partition list is built."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integer_partitions(*args, **kwargs)
+
+    monkeypatch.setattr("ptcache.typevec.integer_partitions", counted)
+    typed = enumerate_types(make_grouping(100, (2,) * 50), 99)
+    assert len(calls) == 1
+    assert [(v.text(), c) for v, c in typed] == [(",".join(["2"] * 49 + ["1"]), 100)]
 
 
 @settings(max_examples=40, deadline=None)
