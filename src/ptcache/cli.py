@@ -14,10 +14,9 @@ import csv
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import engine
 from .combinat import binomial
@@ -56,37 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation, normalized."""
-
-    command: str
-    K: int | None = None
-    N: int | None = None
-    M: int | None = None
-    t: int | None = None
-    t_bar: int | None = None
-    m: int | None = None
-    q: int | None = None
-    thm: int | None = None
-    variant: str = "orderwise"
-    special: str | None = None
-    dpda: str | None = None
-    jcm: bool = False
-    grouping: tuple[int, ...] | None = None
-    rules_path: str | None = None
-    seed: int = 0
-    bytes_per_packet: int = 1
-    demands: str = "1"
-    out: str | None = None
-    transcript: str | None = None
-    budget: int | None = None
-    family: str | None = None
-    t_bar_list: tuple[int, ...] = ()
-    t_list: tuple[int, ...] = ()
-    K_range: tuple[int, ...] = ()
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x != "")
 
@@ -115,7 +83,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--special", choices=SPECIAL_KINDS)
         sp.add_argument("--dpda", choices=[m.replace("_", "-") for m in DPDA_MODES])
         sp.add_argument("--jcm", action="store_true")
-        sp.add_argument("--grouping", type=str, help="comma list of group sizes")
+        sp.add_argument("--grouping", type=_parse_int_list, help="comma list of group sizes")
         sp.add_argument("--rules", dest="rules_path", help="JSON file of transmitter rules")
         sp.add_argument("--K", type=int)
         sp.add_argument("--t", type=int)
@@ -152,91 +120,77 @@ def _build_parser() -> _Parser:
 
     sw = sub.add_parser("sweep", help="ratio curves along K for one family")
     sw.add_argument("--family", required=True, choices=("thm1", "thm2", "thm3"))
-    sw.add_argument(
-        "--K",
-        required=True,
-        help=f'K range, e.g. "4..40" or "8,12,16"; K <= {SWEEP_MAX_K}',
-    )
-    sw.add_argument("--tbar", help="comma list of t_bar values (thm1)")
-    sw.add_argument("--t", help="comma list of t values (thm2/thm3)")
+    sw.add_argument("--K", dest="K_range", type=_parse_range, required=True,
+                    help=f'K range, e.g. "4..40" or "8,12,16"; K <= {SWEEP_MAX_K}')
+    sw.add_argument("--tbar", dest="t_bar_list", type=_parse_int_list, default=(),
+                    help="comma list of t_bar values (thm1)")
+    sw.add_argument("--t", dest="t_list", type=_parse_int_list, default=(),
+                    help="comma list of t values (thm2/thm3)")
     sw.add_argument("--m", type=int, help="group count (thm3)")
     sw.add_argument("--out", type=str)
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "grouping", None):
-        cfg.grouping = _parse_int_list(args.grouping)
-    if args.command == "sweep":
-        cfg.K_range = _parse_range(args.K)
-        cfg.t_bar_list = _parse_int_list(args.tbar) if args.tbar else ()
-        cfg.t_list = _parse_int_list(args.t) if args.t else ()
-    return cfg
-
-
-def _resolve_design(cfg: RunConfig) -> DesignSpec:
+def _resolve_design(args: argparse.Namespace) -> DesignSpec:
     chosen = [
-        cfg.thm is not None,
-        cfg.special is not None,
-        cfg.dpda is not None,
-        cfg.jcm,
-        cfg.grouping is not None,
+        args.thm is not None,
+        args.special is not None,
+        args.dpda is not None,
+        args.jcm,
+        args.grouping is not None,
     ]
     if sum(chosen) != 1:
         raise UsageError(
             "pick exactly one of --thm / --special / --dpda / --jcm / --grouping"
         )
-    if cfg.thm == 1:
-        if cfg.K is None or cfg.t_bar is None:
+    if args.thm == 1:
+        if args.K is None or args.t_bar is None:
             raise UsageError("--thm 1 needs --K and --tbar")
-        return theorem1_design(cfg.K, cfg.t_bar, cfg.variant)
-    if cfg.thm == 2:
-        if cfg.K is None or cfg.t is None:
+        return theorem1_design(args.K, args.t_bar, args.variant)
+    if args.thm == 2:
+        if args.K is None or args.t is None:
             raise UsageError("--thm 2 needs --K and --t")
-        return theorem2_design(cfg.K, cfg.t)
-    if cfg.thm == 3:
-        if cfg.m is None or cfg.q is None or cfg.t is None:
+        return theorem2_design(args.K, args.t)
+    if args.thm == 3:
+        if args.m is None or args.q is None or args.t is None:
             raise UsageError("--thm 3 needs --m, --q and --t")
-        return theorem3_design(cfg.m, cfg.q, cfg.t)
-    if cfg.special is not None:
-        if cfg.K is None:
+        return theorem3_design(args.m, args.q, args.t)
+    if args.special is not None:
+        if args.K is None:
             raise UsageError("--special needs --K")
-        return special_designs(cfg.special, cfg.K, q=cfg.q)
-    if cfg.dpda is not None:
-        if cfg.K is None:
+        return special_designs(args.special, args.K, q=args.q)
+    if args.dpda is not None:
+        if args.K is None:
             raise UsageError("--dpda needs --K")
-        return dpda_specials(cfg.dpda.replace("-", "_"), cfg.K)
-    if cfg.jcm:
-        if cfg.K is None or cfg.t is None:
+        return dpda_specials(args.dpda.replace("-", "_"), args.K)
+    if args.jcm:
+        if args.K is None or args.t is None:
             raise UsageError("--jcm needs --K and --t")
-        return jcm_design(cfg.K, cfg.t)
-    assert cfg.grouping is not None
-    if cfg.rules_path is None or cfg.K is None or cfg.t is None:
+        return jcm_design(args.K, args.t)
+    if args.rules_path is None or args.K is None or args.t is None:
         raise UsageError("--grouping needs --K, --t and --rules FILE")
-    with open(cfg.rules_path) as fh:
+    with open(args.rules_path) as fh:
         rules = engine.rules_from_json(json.load(fh))
     return DesignSpec(
-        name=f"custom-K{cfg.K}-t{cfg.t}",
-        K=cfg.K,
-        t=cfg.t,
-        grouping_sizes=cfg.grouping,
+        name=f"custom-K{args.K}-t{args.t}",
+        K=args.K,
+        t=args.t,
+        grouping_sizes=args.grouping,
         tx_rules=rules,
         type_order=(),
         params={"family": "custom"},
     )
 
 
-def _memory_point(cfg: RunConfig, ds: DesignSpec) -> tuple[int, int]:
+def _memory_point(args: argparse.Namespace, ds: DesignSpec) -> tuple[int, int]:
     """(N, M) with K*M/N equal to the design's cache level."""
-    if (cfg.N is None) != (cfg.M is None):
+    if (args.N is None) != (args.M is None):
         raise UsageError("give both --N and --M or neither")
-    if cfg.N is None:
+    if args.N is None:
         return ds.K, ds.t
-    N, M = cfg.N, int(cfg.M)  # type: ignore[arg-type]
+    N, M = args.N, args.M
+    if not 1 <= M <= N:
+        raise UsageError(f"need 1 <= M <= N, got N={N}, M={M}")
     if (ds.K * M) % N or (ds.K * M) // N != ds.t:
         raise UsageError(
             f"(N={N}, M={M}) puts the cache level at K*M/N != {ds.t} "
@@ -268,16 +222,16 @@ def _plan_report(ds: DesignSpec, plan: engine.SchemePlan) -> dict[str, object]:
     return report
 
 
-def cmd_design(cfg: RunConfig) -> int:
-    ds = _resolve_design(cfg)
-    N, M = _memory_point(cfg, ds)
+def cmd_design(args: argparse.Namespace) -> int:
+    ds = _resolve_design(args)
+    N, M = _memory_point(args, ds)
     plan = engine.build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
-    _emit(_plan_report(ds, plan), cfg.out)
+    _emit(_plan_report(ds, plan), args.out)
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    ds = _resolve_design(cfg)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    ds = _resolve_design(args)
     analysis = engine.analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
     f_jcm, jcm_rate = jcm_baseline(ds.K, ds.t)
     ratio = Fraction(analysis.f_pt, f_jcm)
@@ -310,21 +264,22 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "ratio": f"{ratio.numerator}/{ratio.denominator}",
         "jcm_rate": f"{jcm_rate.numerator}/{jcm_rate.denominator}",
     }
-    _emit(out, cfg.out)
+    _emit(out, args.out)
     return EXIT_OK
 
 
 def _demand_vectors(
-    cfg: RunConfig, plan: engine.SchemePlan, rng: random.Random
-) -> list[tuple[int, ...]]:
-    spec = cfg.demands
+    spec: str, plan: engine.SchemePlan, rng: random.Random
+) -> Iterable[tuple[int, ...]]:
+    """The demand vectors --demands names, checked up front and drawn from
+    ``rng`` one at a time."""
     if spec == "all":
         count = plan.N ** plan.K
         if count > 65536:
             raise UsageError(
                 f"--demands all would enumerate {count} vectors; cap is 65536"
             )
-        return [tuple(d) for d in product(range(1, plan.N + 1), repeat=plan.K)]
+        return product(range(1, plan.N + 1), repeat=plan.K)
     if "," in spec:
         vec = _parse_int_list(spec)
         if len(vec) != plan.K or any(not 1 <= d <= plan.N for d in vec):
@@ -334,40 +289,38 @@ def _demand_vectors(
         count = int(spec)
     except ValueError as e:
         raise UsageError(f"bad --demands value {spec!r}") from e
-    return [
+    if count < 1:
+        raise UsageError(f"--demands {count}: need at least one demand vector")
+    return (
         tuple(rng.randrange(1, plan.N + 1) for _ in range(plan.K))
         for _ in range(count)
-    ]
-
-
-def cmd_simulate(cfg: RunConfig) -> int:
-    ds = _resolve_design(cfg)
-    N, M = _memory_point(cfg, ds)
-    plan = engine.build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
-    if cfg.bytes_per_packet < 1:
-        raise UsageError("--bytes-per-packet must be >= 1")
-    rng = random.Random(cfg.seed)
-    files = tuple(
-        rng.randbytes(plan.f_pt * cfg.bytes_per_packet) for _ in range(N)
     )
-    demands = _demand_vectors(cfg, plan, rng)
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    ds = _resolve_design(args)
+    N, M = _memory_point(args, ds)
+    plan = engine.build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
+    if args.bytes_per_packet < 1:
+        raise UsageError("--bytes-per-packet must be >= 1")
+    rng = random.Random(args.seed)
+    files = tuple(
+        rng.randbytes(plan.f_pt * args.bytes_per_packet) for _ in range(N)
+    )
 
     all_ok = True
     first = None
-    last_session = None
-    for demand in demands:
+    for checked, demand in enumerate(_demand_vectors(args.demands, plan, rng), 1):
         session = engine.simulate(plan, files, demand)
         result = engine.decode_and_verify(session)
         meas = engine.measure(session)
         all_ok = all_ok and result.ok
         if first is None:
             first = meas
-        last_session = session
-    assert first is not None and last_session is not None
 
-    if cfg.transcript:
-        with open(cfg.transcript, "w") as fh:
-            fh.write(engine.transcript_jsonl(last_session.transcript))
+    if args.transcript:
+        with open(args.transcript, "w") as fh:
+            fh.write(engine.transcript_jsonl(session.transcript))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -377,24 +330,23 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "M": M,
         "t": plan.t,
         "F_PT": plan.f_pt,
-        "bytes_per_packet": cfg.bytes_per_packet,
-        "demands_checked": len(demands),
+        "bytes_per_packet": args.bytes_per_packet,
+        "demands_checked": checked,
         "all_decoded": all_ok,
         "rate": f"{first.rate.numerator}/{first.rate.denominator}",
         "cache_bits": first.per_user_cache_bits,
         "message_count": first.message_count,
         "total_bits": first.total_bits,
     }
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return EXIT_OK if all_ok else EXIT_DECODE
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    assert cfg.K is not None and cfg.t is not None
-    result = exhaustive_search(cfg.K, cfg.t, max_candidates=cfg.budget)
-    if cfg.out:
-        f_jcm = cfg.t * binomial(cfg.K, cfg.t)
-        with open(cfg.out, "w", newline="") as fh:
+def cmd_search(args: argparse.Namespace) -> int:
+    result = exhaustive_search(args.K, args.t, max_candidates=args.budget)
+    if args.out:
+        f_jcm = args.t * binomial(args.K, args.t)
+        with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(
                 ["K", "t", "grouping", "tx_rules", "F_PT", "F_JCM", "ratio",
@@ -406,8 +358,8 @@ def cmd_search(cfg: RunConfig) -> int:
                 )
                 w.writerow(
                     [
-                        cfg.K,
-                        cfg.t,
+                        args.K,
+                        args.t,
                         ",".join(map(str, rec.grouping)),
                         json.dumps(rec.rules_dict(), sort_keys=True),
                         rec.f_pt if rec.f_pt is not None else "",
@@ -419,8 +371,8 @@ def cmd_search(cfg: RunConfig) -> int:
                 )
     summary: dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
-        "K": cfg.K,
-        "t": cfg.t,
+        "K": args.K,
+        "t": args.t,
         "explored": result.explored,
         "feasible": len(result.pareto),
         "infeasible": result.infeasible,
@@ -437,31 +389,31 @@ def cmd_search(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     jobs: list[dict[str, int]] = []
-    if cfg.family == "thm1":
-        if not cfg.t_bar_list:
+    if args.family == "thm1":
+        if not args.t_bar_list:
             raise UsageError("sweep --family thm1 needs --tbar")
-        jobs = [{"t_bar": tb} for tb in cfg.t_bar_list]
-    elif cfg.family == "thm2":
-        if not cfg.t_list:
+        jobs = [{"t_bar": tb} for tb in args.t_bar_list]
+    elif args.family == "thm2":
+        if not args.t_list:
             raise UsageError("sweep --family thm2 needs --t")
-        jobs = [{"t": t} for t in cfg.t_list]
+        jobs = [{"t": t} for t in args.t_list]
     else:
-        if not cfg.t_list or cfg.m is None:
+        if not args.t_list or args.m is None:
             raise UsageError("sweep --family thm3 needs --m and --t")
-        jobs = [{"m": cfg.m, "t": t} for t in cfg.t_list]
+        jobs = [{"m": args.m, "t": t} for t in args.t_list]
 
     all_rows = []
     skipped_total = 0
     for job in jobs:
-        res = sweep_ratios(cfg.family, cfg.K_range, **job)  # type: ignore[arg-type]
+        res = sweep_ratios(args.family, args.K_range, **job)  # type: ignore[arg-type]
         all_rows.extend(res.rows)
         skipped_total += len(res.skipped)
         for K, why in res.skipped:
             print(f"note: skipped K={K}: {why}", file=sys.stderr)
 
-    writer_target = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
+    writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(writer_target)
         w.writerow(["family", "label", "K", "F_PT", "F_JCM", "ratio", "bound"])
@@ -471,16 +423,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
                  str(row.ratio), str(row.bound)]
             )
     finally:
-        if cfg.out:
+        if args.out:
             writer_target.close()
-    if cfg.out:
+    if args.out:
         _emit(
             {
                 "schema_version": SCHEMA_VERSION,
-                "family": cfg.family,
+                "family": args.family,
                 "rows": len(all_rows),
                 "skipped": skipped_total,
-                "out": cfg.out,
+                "out": args.out,
             },
             None,
         )
@@ -500,8 +452,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .combinat import binomial, subsets
 from .fscalc import (
@@ -274,7 +274,7 @@ class SchemePlan:
     analysis: RuleAnalysis
     tx_rules: Mapping[TypeVector, "frozenset[int] | None"]
     rate: Fraction
-    # subset -> (first packet offset within a file, packet count)
+    # subset -> (first packet offset within a file, packet count), in offset order
     subset_map: Mapping[tuple[int, ...], tuple[int, int]]
 
     @property
@@ -338,13 +338,68 @@ class Message:
     payload: bytes
 
 
+def _packet_offset(
+    subset_map: Mapping[tuple[int, ...], tuple[int, int]],
+    T: tuple[int, ...],
+    first: int,
+    count: int,
+) -> int:
+    """Packet index within a file of packet ``first`` (0-based) of subfile
+    T, after checking that packets [first, first+count) lie inside it."""
+    base, alpha = subset_map[T]
+    if first + count > alpha:
+        raise IntegrityError(f"delivery counter overran subfile {T} ({alpha} packets)")
+    return base + first
+
+
+@dataclass(eq=False, repr=False)  # compare as a Mapping; never print the files
+class CacheView(Mapping[PacketKey, bytes]):
+    """One user's cache: every packet of every file's subfile T for the T in
+    ``held``, read in place from the files through the plan's packet map.
+    Keys, order and bytes are those of a per-packet copy: subset in map
+    order, then file, then packet."""
+
+    subset_map: Mapping[tuple[int, ...], tuple[int, int]]
+    files: tuple[bytes, ...]
+    B: int  # bytes per packet
+    held: frozenset[tuple[int, ...]]
+
+    def span(self, n: int, T: tuple[int, ...], first: int, count: int) -> bytes:
+        """Packets [first, first+count) (0-based) of file n's subfile T;
+        KeyError when T is not cached here."""
+        if T not in self.held:
+            raise KeyError(T)
+        start = _packet_offset(self.subset_map, T, first, count) * self.B
+        return self.files[n - 1][start : start + count * self.B]
+
+    def __getitem__(self, key: PacketKey) -> bytes:
+        n, T, i = key
+        if not (
+            1 <= n <= len(self.files)
+            and T in self.held
+            and 1 <= i <= self.subset_map[T][1]
+        ):
+            raise KeyError(key)
+        return self.span(n, T, i - 1, 1)
+
+    def __iter__(self) -> Iterator[PacketKey]:
+        for T, (_, alpha) in self.subset_map.items():
+            if T in self.held:
+                for n in range(1, len(self.files) + 1):
+                    for i in range(1, alpha + 1):
+                        yield (n, T, i)
+
+    def __len__(self) -> int:
+        return len(self.files) * sum(self.subset_map[T][1] for T in self.held)
+
+
 @dataclass
 class Session:
     plan: SchemePlan
     files: tuple[bytes, ...]
     demand: tuple[int, ...]
     bytes_per_packet: int
-    caches: dict[int, dict[PacketKey, bytes]] = field(default_factory=dict)
+    caches: dict[int, CacheView] = field(default_factory=dict)
     transcript: list[Message] = field(default_factory=list)
 
 
@@ -363,28 +418,20 @@ class Measurement:
     message_count: int
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise IntegrityError(f"XOR of {len(a)} and {len(b)} bytes")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
-        len(a), "big"
-    )
+def _xor(*chunks: bytes) -> bytes:
+    """XOR of equal-length byte strings, in one int pass."""
+    n = len(chunks[0])
+    acc = 0
+    for c in chunks:
+        if len(c) != n:
+            raise IntegrityError(f"XOR of {n} and {len(c)} bytes")
+        acc ^= int.from_bytes(c, "big")
+    return acc.to_bytes(n, "big")
 
 
-def _packet_bytes(
-    session: Session, file_index: int, T: tuple[int, ...], first: int, count: int
-) -> bytes:
-    """Contiguous packets [first, first+count) (0-based within the subfile)."""
-    base, alpha = session.plan.subset_map[T]
-    if first + count > alpha:
-        raise IntegrityError(f"delivery counter overran subfile {T} ({alpha} packets)")
-    B = session.bytes_per_packet
-    start = (base + first) * B
-    return session.files[file_index - 1][start : start + count * B]
-
-
-def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, dict[PacketKey, bytes]]:
-    """Fill every user's cache; exact, deterministic, demand-independent."""
+def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
+    """Every user's cache; exact, deterministic, demand-independent.  User k
+    holds the subsets T with k in T; nothing is copied."""
     if len(files) != plan.N:
         raise ValueError(f"expected {plan.N} files, got {len(files)}")
     sizes = {len(f) for f in files}
@@ -396,15 +443,15 @@ def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, dict[PacketKey,
             f"file length {L} bytes is not a whole number of packets "
             f"(subpacketization {plan.f_pt}); pad files to a multiple"
         )
-    B = L // plan.f_pt
-    caches: dict[int, dict[PacketKey, bytes]] = {k: {} for k in range(1, plan.K + 1)}
-    for T, (base, alpha) in plan.subset_map.items():
+    files_t = tuple(bytes(f) for f in files)
+    held: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, plan.K + 1)}
+    for T in plan.subset_map:
         for k in T:
-            for n in range(1, plan.N + 1):
-                blob = files[n - 1][base * B : (base + alpha) * B]
-                for i in range(alpha):
-                    caches[k][(n, T, i + 1)] = blob[i * B : (i + 1) * B]
-    return caches
+            held[k].append(T)
+    return {
+        k: CacheView(plan.subset_map, files_t, L // plan.f_pt, frozenset(Ts))
+        for k, Ts in held.items()
+    }
 
 
 def _group_transmitters(plan: SchemePlan, S: tuple[int, ...]) -> tuple[int, ...]:
@@ -465,13 +512,10 @@ def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
             terms = _terms(plan, S, tx, counters)
             if not terms:
                 continue  # vacuous message: every other user's type excluded
-            chunks = [
-                _packet_bytes(session, demand[k2 - 1], T, c * z, z)
-                for k2, T, c in terms
-            ]
-            payload = chunks[0]
-            for ch in chunks[1:]:
-                payload = _xor(payload, ch)
+            cache = session.caches[tx]
+            payload = _xor(
+                *(cache.span(demand[k2 - 1], T, c * z, z) for k2, T, c in terms)
+            )
             out.append(
                 Message(
                     tx=tx,
@@ -497,9 +541,9 @@ def simulate(
     caches = place(plan, files)
     session = Session(
         plan=plan,
-        files=tuple(bytes(f) for f in files),
+        files=caches[1].files,
         demand=demand_t,
-        bytes_per_packet=len(files[0]) // plan.f_pt,
+        bytes_per_packet=caches[1].B,
         caches=caches,
     )
     deliver(session, order_seed=order_seed)
@@ -517,9 +561,10 @@ def decode_and_verify(session: Session) -> VerifyResult:
     z_of = plan.analysis.z_of
     g = plan.grouping
     B = session.bytes_per_packet
-    decoded: dict[int, dict[PacketKey, bytes]] = {
-        k: {} for k in range(1, plan.K + 1)
-    }
+    users = range(1, plan.K + 1)
+    # each user's copy of its demanded file, and a flag per packet filled in
+    bufs = {k: bytearray(len(session.files[0])) for k in users}
+    got = {k: bytearray(plan.f_pt) for k in users}
     counter_state: dict[tuple[int, ...], dict[int, int]] = {}
 
     for msg in session.transcript:
@@ -528,50 +573,37 @@ def decode_and_verify(session: Session) -> VerifyResult:
         z = z_of[type_of(g, S)]
         terms = _terms(plan, S, msg.tx, cnt)
         for (k, T_own, c_own) in terms:
-            acc = msg.payload
-            usable = True
-            for (k2, T2, c2) in terms:
-                if k2 == k:
-                    continue
-                pieces = []
-                for j in range(z):
-                    key = (demand[k2 - 1], T2, c2 * z + j + 1)
-                    if key not in session.caches[k]:
-                        usable = False
-                        break
-                    pieces.append(session.caches[k][key])
-                if not usable:
-                    break
-                acc = _xor(acc, b"".join(pieces))
-            if not usable:
-                continue
-            for j in range(z):
-                key = (demand[k - 1], T_own, c_own * z + j + 1)
-                if key in session.caches[k]:
-                    raise IntegrityError(f"user {k} decoded {key}, already cached")
-                decoded[k][key] = acc[j * B : (j + 1) * B]
+            cache = session.caches[k]
+            if T_own in cache.held:
+                raise IntegrityError(
+                    f"user {k} decoded subfile {T_own} of file {demand[k - 1]}, "
+                    f"already cached"
+                )
+            side = [
+                cache.span(demand[k2 - 1], T2, c2 * z, z)
+                for (k2, T2, c2) in terms
+                if k2 != k
+            ]
+            p = _packet_offset(plan.subset_map, T_own, c_own * z, z)
+            bufs[k][p * B : (p + z) * B] = _xor(msg.payload, *side)
+            got[k][p : p + z] = b"\1" * z
 
     per_user: dict[int, bool] = {}
     missing: dict[int, list[PacketKey]] = {}
-    for k in range(1, plan.K + 1):
+    for k in users:
         want = demand[k - 1]
-        lost: list[PacketKey] = []
-        parts: list[bytes] = []
-        intact = True
-        for T, (base, alpha) in sorted(
-            plan.subset_map.items(), key=lambda kv: kv[1][0]
-        ):
-            for i in range(1, alpha + 1):
-                key = (want, T, i)
-                if k in T:
-                    parts.append(session.caches[k][key])
-                elif key in decoded[k]:
-                    parts.append(decoded[k][key])
-                else:
-                    lost.append(key)
-                    intact = False
-        ok = intact and b"".join(parts) == session.files[want - 1]
-        per_user[k] = ok
+        cache = session.caches[k]
+        for T in cache.held:
+            base, alpha = plan.subset_map[T]
+            bufs[k][base * B : (base + alpha) * B] = cache.span(want, T, 0, alpha)
+            got[k][base : base + alpha] = b"\1" * alpha
+        lost = [
+            (want, T, i + 1)
+            for T, (base, alpha) in plan.subset_map.items()
+            for i in range(alpha)
+            if not got[k][base + i]
+        ]
+        per_user[k] = not lost and bufs[k] == session.files[want - 1]
         if lost:
             missing[k] = lost
     return VerifyResult(ok=all(per_user.values()), per_user=per_user, missing=missing)
@@ -580,9 +612,8 @@ def decode_and_verify(session: Session) -> VerifyResult:
 def measure(session: Session) -> Measurement:
     total_bits = sum(8 * len(m.payload) for m in session.transcript)
     L_bits = 8 * len(session.files[0])
-    cache_bits = {
-        8 * sum(len(p) for p in c.values()) for c in session.caches.values()
-    }
+    B = session.bytes_per_packet
+    cache_bits = {8 * B * len(c) for c in session.caches.values()}
     if len(cache_bits) != 1:
         raise AssertionError(f"caches are not uniform: {sorted(cache_bits)}")
     return Measurement(

@@ -291,8 +291,8 @@ def sweep_ratios(
             raise ValueError("thm2 sweep needs t")
         if t % 2 and t != 3:
             raise ValueError(f"no half-split construction for odd t={t}")
-    if family == "thm3" and (m is None or t is None):
-        raise ValueError("thm3 sweep needs m and t")
+    if family == "thm3" and (m is None or t is None or m < 1):
+        raise ValueError(f"thm3 sweep needs m >= 1 and t, got m={m}, t={t}")
 
     rows: list[SweepRow] = []
     skipped: list[tuple[int, str]] = []

@@ -437,6 +437,12 @@ def test_bad_arguments_exit_usage(argv, capsys):
         (["analyze", "--grouping", "2,2", "--K", "4", "--t", "2"], {"2,x": [1]}),
         (["sweep", "--family", "thm1", "--tbar", "2", "--K", "10..4"], None),
         (["sweep", "--family", "thm1", "--tbar", "2", "--K", "4..1000000000"], None),
+        (["simulate", "--jcm", "--K", "4", "--t", "2", "--demands", "0"], None),
+        (["simulate", "--jcm", "--K", "4", "--t", "2", "--demands", "-3"], None),
+        (["design", "--jcm", "--K", "4", "--t", "2", "--N", "0", "--M", "0"], None),
+        (["simulate", "--jcm", "--K", "4", "--t", "2", "--N", "0", "--M", "1"], None),
+        (["sweep", "--family", "thm3", "--m", "0", "--t", "2", "--K", "6"], None),
+        (["sweep", "--family", "thm3", "--m", "-3", "--t", "2", "--K", "6"], None),
     ],
 )
 def test_malformed_input_is_a_usage_error(argv, rules, tmp_path, capsys):

@@ -6,6 +6,7 @@ pipeline; with the trivial grouping the engine must reproduce its transcript
 byte for byte.
 """
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -457,6 +458,75 @@ def test_simulate_validates_demand():
         simulate(plan, files, (1, 2, 3, 1))
 
 
+# ------------------------------------------------- cache views and decoding
+
+
+DATA_PLANE_CASES = [
+    # design, N, M, and the packets each user misses without the final message
+    (special_designs("tbar3", 9), 3, 2, {k: 3 for k in range(4, 10)}),
+    (theorem2_design(4, 2), 2, 1, {3: 1, 4: 1}),
+]
+
+
+def data_plane_session(ds, N, M):
+    plan = build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
+    files = make_files(N, 2 * plan.f_pt)
+    demand = tuple((k % N) + 1 for k in range(ds.K))
+    return simulate(plan, files, demand)
+
+
+@pytest.mark.parametrize("ds,N,M,_", DATA_PLANE_CASES)
+def test_cache_view_equals_per_packet_copy(ds, N, M, _):
+    """Each user's cache holds, in order, exactly the packets a per-packet
+    copy of every cached subfile would hold."""
+    session = data_plane_session(ds, N, M)
+    plan, B = session.plan, session.bytes_per_packet
+    for k in range(1, plan.K + 1):
+        copy = {}
+        for T, (base, alpha) in plan.subset_map.items():
+            if k in T:
+                for n in range(1, plan.N + 1):
+                    blob = session.files[n - 1][base * B : (base + alpha) * B]
+                    for i in range(alpha):
+                        copy[(n, T, i + 1)] = blob[i * B : (i + 1) * B]
+        assert list(session.caches[k].items()) == list(copy.items())
+        assert len(session.caches[k]) == len(copy)
+
+
+@pytest.mark.parametrize("ds,N,M,final_loss", DATA_PLANE_CASES)
+def test_dropped_message_leaves_exactly_its_packets_missing(ds, N, M, final_loss):
+    session = data_plane_session(ds, N, M)
+    full = session.transcript
+    z_of, g = session.plan.analysis.z_of, session.plan.grouping
+    for S in (full[-1].group, full[len(full) // 2].group):
+        drop = max(i for i, m in enumerate(full) if m.group == S)  # last of S
+        msg = full[drop]
+        z = z_of[type_of(g, S)]
+        want = {
+            k: [(session.demand[k - 1], T, c * z + j + 1) for j in range(z)]
+            for k, T, c in msg.terms
+        }
+        session.transcript = full[:drop] + full[drop + 1 :]
+        res = decode_and_verify(session)
+        assert res.missing == want
+        assert res.per_user == {k: k not in want for k in res.per_user}
+        if drop == len(full) - 1:
+            assert {k: len(v) for k, v in res.missing.items()} == final_loss
+
+
+@pytest.mark.parametrize("ds,N,M,_", DATA_PLANE_CASES)
+def test_flipped_payload_byte_fails_exactly_its_receivers(ds, N, M, _):
+    session = data_plane_session(ds, N, M)
+    i = len(session.transcript) // 3
+    msg = session.transcript[i]
+    flipped = bytes([msg.payload[0] ^ 0x5A]) + msg.payload[1:]
+    session.transcript[i] = dataclasses.replace(msg, payload=flipped)
+    res = decode_and_verify(session)
+    receivers = {k for k, T, c in msg.terms}
+    assert res.per_user == {k: k not in receivers for k in res.per_user}
+    assert res.missing == {}
+
+
 _TAMPER = """
 import dataclasses, random
 from ptcache.designs import theorem2_design
@@ -482,7 +552,7 @@ ok = [raises(lambda: decode_and_verify(s))]
 
 s = fresh()  # the packet a message carries is already in the receiver's cache
 k, T, c = s.transcript[0].terms[0]
-s.caches[k][(s.demand[k - 1], T, c + 1)] = b"xx"
+s.caches[k].held |= {T}
 ok.append(raises(lambda: decode_and_verify(s)))
 
 s = fresh()  # a subfile shorter than the delivery counters need
