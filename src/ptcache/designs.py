@@ -226,7 +226,8 @@ def theorem3_design(m: int, q: int, t: int) -> DesignSpec:
             rules[gt] = frozenset({_us_index(st, 0, 1)})
         else:
             rules[gt] = _all_sets(st)
-    assert top in rules  # realizable because q >= t+1
+    if top not in rules:  # cannot happen: q >= t+1 makes it realizable
+        raise ValueError(f"group type {top} is not realizable under grouping {g}")
     order = tuple(v for v, _ in enumerate_types(g, t))
     expected = (0,) + (t,) * (len(order) - 1)
     return DesignSpec(

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .combinat import binomial, subsets
 from .fscalc import (
@@ -46,11 +47,22 @@ PacketKey = tuple[int, tuple[int, ...], int]
 
 
 class PlanError(ValueError):
-    """Scheme rejected; ``stage`` names the failing pipeline step."""
+    """Scheme rejected; ``stage`` names the failing pipeline step.
 
-    def __init__(self, stage: str, message: str) -> None:
-        super().__init__(message)
+    ``message`` may be a callable that builds the text when it is first
+    read: the search rejects thousands of candidates and reads only the
+    stage.
+    """
+
+    def __init__(self, stage: str, message: str | Callable[[], str]) -> None:
+        super().__init__(stage)
         self.stage = stage
+        self._message = message
+
+    def __str__(self) -> str:
+        if callable(self._message):
+            self._message = self._message()
+        return self._message
 
 
 class IntegrityError(RuntimeError):
@@ -190,8 +202,9 @@ def check_stages(
             if sel is None and not all(v in excluded for v in st.involved):
                 raise PlanError(
                     "skip",
-                    f"group type {gt} is marked skip but involves live subfile "
-                    f"type(s) {[v.text() for v in st.involved if v not in excluded]}",
+                    lambda: f"group type {gt} is marked skip but involves live "
+                    f"subfile type(s) "
+                    f"{[v.text() for v in st.involved if v not in excluded]}",
                 )
 
     for gt, st, sel in zip(layout.group_types, layout.structures, selections):
@@ -199,8 +212,8 @@ def check_stages(
         if dead:
             raise PlanError(
                 "rate",
-                f"group type {gt}: transmissions would reach receivers with "
-                f"nothing to decode (excluded desired type(s) "
+                lambda: f"group type {gt}: transmissions would reach receivers "
+                f"with nothing to decode (excluded desired type(s) "
                 f"{[st.involved[i - 1].text() for i in dead]}); such members "
                 f"must transmit alone",
             )
@@ -209,8 +222,8 @@ def check_stages(
     if not mc.ok:
         raise PlanError(
             "mc",
-            f"user classes {mc.fail_index} and {mc.fail_index + 1} would cache "
-            f"unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
+            lambda: f"user classes {mc.fail_index} and {mc.fail_index + 1} would "
+            f"cache unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
         )
     return gfs, excluded, subpacketization(gfs.factors, layout.type_counts)
 
@@ -285,6 +298,12 @@ class SchemePlan:
     def grouping(self) -> Grouping:
         return self.analysis.grouping
 
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The delivery schedule, compiled on the first simulation: plans
+        that are only designed or analyzed never pay for it."""
+        return _compile_schedule(self)
+
 
 def build_plan(
     K: int,
@@ -338,18 +357,106 @@ class Message:
     payload: bytes
 
 
-def _packet_offset(
-    subset_map: Mapping[tuple[int, ...], tuple[int, int]],
-    T: tuple[int, ...],
-    first: int,
-    count: int,
-) -> int:
-    """Packet index within a file of packet ``first`` (0-based) of subfile
-    T, after checking that packets [first, first+count) lie inside it."""
-    base, alpha = subset_map[T]
-    if first + count > alpha:
-        raise IntegrityError(f"delivery counter overran subfile {T} ({alpha} packets)")
-    return base + first
+# (receiver k, its desired subset S minus k, first packet, packet count)
+ScheduleEntry = tuple[int, tuple[int, ...], int, int]
+
+
+@dataclass(frozen=True, slots=True)
+class GroupSchedule:
+    """The demand-independent delivery in one multicast group S: its
+    further-splitting factor, its transmitters in canonical order, and one
+    entry per member whose desired subset holds packets.  A member whose
+    subset is excluded gets no entry, so it receives nothing."""
+
+    z: int
+    transmitters: tuple[int, ...]
+    entries: tuple[ScheduleEntry, ...]
+
+    def replay(
+        self, tx: int, counters: list[int]
+    ) -> tuple[list[tuple[int, tuple[int, ...], int]], list[int]]:
+        """The (receiver, subset, counter) terms of the message ``tx`` sends
+        and the file's packet index each term starts at, consuming one of
+        ``counters`` (aligned with ``entries``) per term."""
+        z = self.z
+        terms = []
+        firsts = []
+        for j, (k, T, base, alpha) in enumerate(self.entries):
+            if k == tx:
+                continue
+            c = counters[j]
+            if (c + 1) * z > alpha:
+                raise IntegrityError(
+                    f"delivery counter overran subfile {T} ({alpha} packets)"
+                )
+            counters[j] = c + 1
+            terms.append((k, T, c))
+            firsts.append(base + c * z)
+        return terms, firsts
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Everything delivery does that the demand does not change, compiled
+    once per plan: the groups that send, in canonical order, and the packet
+    map they were compiled from."""
+
+    subset_map: Mapping[tuple[int, ...], tuple[int, int]]
+    groups: Mapping[tuple[int, ...], GroupSchedule]
+
+
+def _compile_schedule(plan: SchemePlan) -> Schedule:
+    """The schedule of ``plan``.  A group's type and transmitting unique
+    sets depend only on its intersection size with each user group, so
+    they are worked out once per such profile, not once per group."""
+    g = plan.grouping
+    skipped = plan.analysis.skipped_group_types
+    subset_map = dict(plan.subset_map)
+    # intersection sizes -> (z, user groups that transmit), None when skipped
+    profiles: dict[tuple[int, ...], tuple[int, frozenset[int]] | None] = {}
+    groups: dict[tuple[int, ...], GroupSchedule] = {}
+    for S in subsets(plan.K, plan.t + 1):
+        sizes = [0] * len(g.sizes)
+        for u in S:
+            sizes[g.group_of[u]] += 1
+        key = tuple(sizes)
+        if key not in profiles:
+            gtype = type_of(g, S)
+            sel = plan.tx_rules[gtype]
+            if gtype in skipped:
+                profiles[key] = None
+            elif sel is None:
+                raise IntegrityError(f"group type {gtype} sends but is marked skip")
+            else:
+                profiles[key] = (
+                    plan.analysis.z_of[gtype],
+                    frozenset(
+                        g.group_of[u]
+                        for i, us in enumerate(concrete_unique_sets(g, S), start=1)
+                        if i in sel
+                        for u in us.members
+                    ),
+                )
+        profile = profiles[key]
+        if profile is None:
+            continue
+        z, tx_groups = profile
+        entries = []
+        for i, k in enumerate(S):
+            T = S[:i] + S[i + 1 :]
+            if T in subset_map:
+                entries.append((k, T, *subset_map[T]))
+        groups[S] = GroupSchedule(
+            z, tuple(u for u in S if g.group_of[u] in tx_groups), tuple(entries)
+        )
+    return Schedule(subset_map, groups)
+
+
+def _schedule(plan: SchemePlan) -> Schedule:
+    sched = plan.schedule
+    if sched.subset_map != plan.subset_map:
+        raise IntegrityError("the plan's packet map changed after its schedule")
+    return sched
 
 
 @dataclass(eq=False, repr=False)  # compare as a Mapping; never print the files
@@ -364,14 +471,6 @@ class CacheView(Mapping[PacketKey, bytes]):
     B: int  # bytes per packet
     held: frozenset[tuple[int, ...]]
 
-    def span(self, n: int, T: tuple[int, ...], first: int, count: int) -> bytes:
-        """Packets [first, first+count) (0-based) of file n's subfile T;
-        KeyError when T is not cached here."""
-        if T not in self.held:
-            raise KeyError(T)
-        start = _packet_offset(self.subset_map, T, first, count) * self.B
-        return self.files[n - 1][start : start + count * self.B]
-
     def __getitem__(self, key: PacketKey) -> bytes:
         n, T, i = key
         if not (
@@ -380,7 +479,8 @@ class CacheView(Mapping[PacketKey, bytes]):
             and 1 <= i <= self.subset_map[T][1]
         ):
             raise KeyError(key)
-        return self.span(n, T, i - 1, 1)
+        start = (self.subset_map[T][0] + i - 1) * self.B
+        return self.files[n - 1][start : start + self.B]
 
     def __iter__(self) -> Iterator[PacketKey]:
         for T, (_, alpha) in self.subset_map.items():
@@ -454,75 +554,41 @@ def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
     }
 
 
-def _group_transmitters(plan: SchemePlan, S: tuple[int, ...]) -> tuple[int, ...]:
-    gtype = type_of(plan.grouping, S)
-    sel = plan.tx_rules[gtype]
-    assert sel is not None
-    chosen: list[int] = []
-    for idx, us in enumerate(concrete_unique_sets(plan.grouping, S), start=1):
-        if idx in sel:
-            chosen.extend(us.members)
-    return tuple(sorted(chosen))
-
-
-def _terms(
-    plan: SchemePlan, S: tuple[int, ...], tx: int, counters: dict[int, int]
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """The (receiver, subset, counter) terms of the message ``tx`` sends in
-    group ``S``, consuming one of ``counters`` per term.  A receiver whose
-    desired subset holds no packets (its type is excluded) gets no term and
-    keeps its counter."""
-    terms = []
-    for k2 in S:
-        if k2 == tx:
-            continue
-        T = tuple(u for u in S if u != k2)
-        if T not in plan.subset_map:
-            continue
-        c = counters[k2]
-        counters[k2] = c + 1
-        terms.append((k2, T, c))
-    return terms
-
-
 def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
     """Generate the broadcast.  ``order_seed`` shuffles group and transmitter
     order (decoding is order-independent); None keeps the canonical ascending
     order."""
-    plan = session.plan
-    g = plan.grouping
-    demand = session.demand
+    groups = list(_schedule(session.plan).groups.items())
+    B = session.bytes_per_packet
+    wanted = [session.files[n - 1] for n in session.demand]  # user k's at k-1
     out: list[Message] = []
-    groups = [
-        S
-        for S in subsets(plan.K, plan.t + 1)
-        if type_of(g, S) not in plan.analysis.skipped_group_types
-    ]
     rng = random.Random(order_seed) if order_seed is not None else None
     if rng:
         rng.shuffle(groups)
-    for S in groups:
-        gtype = type_of(g, S)
-        z = plan.analysis.z_of[gtype]
-        counters = {k: 0 for k in S}
-        txs = list(_group_transmitters(plan, S))
+    for S, gs in groups:
+        size = gs.z * B
+        counters = [0] * len(gs.entries)
+        txs = list(gs.transmitters)
         if rng:
             rng.shuffle(txs)
         for tx in txs:
-            terms = _terms(plan, S, tx, counters)
+            terms, firsts = gs.replay(tx, counters)
             if not terms:
                 continue  # vacuous message: every other user's type excluded
-            cache = session.caches[tx]
-            payload = _xor(
-                *(cache.span(demand[k2 - 1], T, c * z, z) for k2, T, c in terms)
-            )
+            held = session.caches[tx].held
+            acc = 0
+            for (k, T, _), p in zip(terms, firsts):
+                if T not in held:
+                    raise IntegrityError(f"transmitter {tx} does not cache subfile {T}")
+                acc ^= int.from_bytes(wanted[k - 1][p * B : p * B + size], "big")
+            i = S.index(tx)
             out.append(
                 Message(
                     tx=tx,
                     group=S,
-                    rx=tuple(k for k in S if k != tx),
+                    rx=S[:i] + S[i + 1 :],
                     terms=tuple(terms),
-                    payload=payload,
+                    payload=acc.to_bytes(size, "big"),
                 )
             )
     session.transcript = out
@@ -554,58 +620,82 @@ def decode_and_verify(session: Session) -> VerifyResult:
     """Replay the transcript at every user and check bit-exact recovery.
 
     Counters are replayed from the transcript sequence itself, so any
-    delivery order the sender used is reproduced faithfully.
+    delivery order the sender used is reproduced faithfully.  Each message's
+    terms are read once; receiver i recovers its packets as the payload XOR
+    the terms before i XOR the terms after i.
     """
     plan = session.plan
+    sched = _schedule(plan)
     demand = session.demand
-    z_of = plan.analysis.z_of
-    g = plan.grouping
     B = session.bytes_per_packet
+    wanted = [session.files[n - 1] for n in demand]  # user k's at k-1
     users = range(1, plan.K + 1)
     # each user's copy of its demanded file, and a flag per packet filled in
     bufs = {k: bytearray(len(session.files[0])) for k in users}
     got = {k: bytearray(plan.f_pt) for k in users}
-    counter_state: dict[tuple[int, ...], dict[int, int]] = {}
+    counter_state: dict[tuple[int, ...], list[int]] = {}
+    held_of = {k: cache.held for k, cache in session.caches.items()}
 
     for msg in session.transcript:
         S = msg.group
-        cnt = counter_state.setdefault(S, {k: 0 for k in S})
-        z = z_of[type_of(g, S)]
-        terms = _terms(plan, S, msg.tx, cnt)
-        for (k, T_own, c_own) in terms:
-            cache = session.caches[k]
-            if T_own in cache.held:
+        gs = sched.groups.get(S)
+        if gs is None:
+            raise IntegrityError(f"message for group {S}, which the plan never serves")
+        cnt = counter_state.get(S)
+        if cnt is None:
+            cnt = counter_state[S] = [0] * len(gs.entries)
+        terms, firsts = gs.replay(msg.tx, cnt)
+        z = gs.z
+        size = z * B
+        if len(msg.payload) != size:
+            raise IntegrityError(
+                f"message of {len(msg.payload)} bytes in a group sending {size}"
+            )
+        # each term's packets, as read by every cache view that holds them
+        vals = [
+            int.from_bytes(wanted[k - 1][p * B : p * B + size], "big")
+            for (k, _, _), p in zip(terms, firsts)
+        ]
+        suffix = vals + [0]  # suffix[i]: XOR of the terms i, i+1, ...
+        for i in range(len(vals) - 2, -1, -1):
+            suffix[i] ^= suffix[i + 1]
+        sent = [T for _, T, _ in terms]
+        ones = b"\1" * z
+        acc = int.from_bytes(msg.payload, "big")  # payload XOR the terms before i
+        for i, (k, T_own, _) in enumerate(terms):
+            held = held_of[k]
+            if T_own in held:
                 raise IntegrityError(
                     f"user {k} decoded subfile {T_own} of file {demand[k - 1]}, "
                     f"already cached"
                 )
-            side = [
-                cache.span(demand[k2 - 1], T2, c2 * z, z)
-                for (k2, T2, c2) in terms
-                if k2 != k
-            ]
-            p = _packet_offset(plan.subset_map, T_own, c_own * z, z)
-            bufs[k][p * B : (p + z) * B] = _xor(msg.payload, *side)
-            got[k][p : p + z] = b"\1" * z
+            if not held.issuperset(sent[:i] + sent[i + 1 :]):
+                raise IntegrityError(
+                    f"user {k} lacks side information for the message {msg.tx} "
+                    f"sends in group {S}"
+                )
+            p = firsts[i]
+            bufs[k][p * B : p * B + size] = (acc ^ suffix[i + 1]).to_bytes(size, "big")
+            got[k][p : p + z] = ones
+            acc ^= vals[i]
 
     per_user: dict[int, bool] = {}
     missing: dict[int, list[PacketKey]] = {}
     for k in users:
         want = demand[k - 1]
-        cache = session.caches[k]
-        for T in cache.held:
-            base, alpha = plan.subset_map[T]
-            bufs[k][base * B : (base + alpha) * B] = cache.span(want, T, 0, alpha)
-            got[k][base : base + alpha] = b"\1" * alpha
-        lost = [
-            (want, T, i + 1)
-            for T, (base, alpha) in plan.subset_map.items()
-            for i in range(alpha)
-            if not got[k][base + i]
-        ]
-        per_user[k] = not lost and bufs[k] == session.files[want - 1]
-        if lost:
-            missing[k] = lost
+        buf, flags, file = bufs[k], got[k], wanted[k - 1]
+        for T in held_of[k]:
+            base, alpha = sched.subset_map[T]
+            buf[base * B : (base + alpha) * B] = file[base * B : (base + alpha) * B]
+            flags[base : base + alpha] = b"\1" * alpha
+        if 0 in flags:
+            missing[k] = [
+                (want, T, i + 1)
+                for T, (base, alpha) in sched.subset_map.items()
+                for i in range(alpha)
+                if not flags[base + i]
+            ]
+        per_user[k] = k not in missing and buf == file
     return VerifyResult(ok=all(per_user.values()), per_user=per_user, missing=missing)
 
 

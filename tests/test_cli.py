@@ -384,6 +384,37 @@ def test_ratio_cycle_exit_infeasible(tmp_path, capsys):
     assert "infeasible (lcm)" in err
 
 
+@pytest.mark.parametrize(
+    "sizes,K,t,rules,message",
+    [
+        ("2,2", 4, 1, {"1,1": [1], "2,0": "skip"},
+         "infeasible (skip): group type 2,0 is marked skip but involves live "
+         "subfile type(s) ['1,0']"),
+        ("3,1", 4, 2, {"3|0": [1], "2|1": [1]},
+         "infeasible (mc): user classes 1 and 2 would cache unequal amounts "
+         "(5 vs 3 weighted subsets)"),
+        ("2,2,1", 5, 2, {"2,1|0": [1], "1,1|1": [1], "2,0|1": [1]},
+         "infeasible (lcm): no consistent global split factors: column 2: "
+         "rows 1 and 2 need incompatible scales"),
+        ("2,2,1", 5, 2, {"2,1|0": [2], "1,1|1": [1, 2], "2,0|1": [1]},
+         "infeasible (rate): group type 2,0|1: transmissions would reach "
+         "receivers with nothing to decode (excluded desired type(s) "
+         "['2,0|0']); such members must transmit alone"),
+    ],
+)
+def test_infeasible_stage_messages_are_pinned(tmp_path, capsys, sizes, K, t, rules,
+                                              message):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(rules))
+    for command in ("analyze", "design"):
+        code, out, err = run_cli(
+            [command, "--grouping", sizes, "--K", str(K), "--t", str(t),
+             "--rules", str(path)],
+            capsys,
+        )
+        assert (code, out, err) == (EXIT_INFEASIBLE, "", message + "\n")
+
+
 def test_all_skip_rules_rejected_as_usage(tmp_path, capsys):
     # skipping every group type is a malformed rule set, not a near-miss design
     rules = tmp_path / "rules.json"

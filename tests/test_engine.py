@@ -6,6 +6,7 @@ pipeline; with the trivial grouping the engine must reproduce its transcript
 byte for byte.
 """
 
+import ast
 import dataclasses
 import hashlib
 import os
@@ -527,6 +528,54 @@ def test_flipped_payload_byte_fails_exactly_its_receivers(ds, N, M, _):
     assert res.missing == {}
 
 
+def test_schedule_is_compiled_once_per_plan(monkeypatch):
+    """Repeated simulations of one plan reuse its delivery schedule: no
+    group is typed again, and each transcript equals the one a freshly
+    built plan gives."""
+    ds = special_designs("tbar3", 9)
+    plan = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
+    files = make_files(3, 2 * plan.f_pt)
+    calls = []
+
+    def counting_type_of(g, subset):
+        calls.append(subset)
+        return type_of(g, subset)
+
+    monkeypatch.setattr(ptcache.engine, "type_of", counting_type_of)
+    rng = random.Random(11)
+    typed = []  # type_of calls made by each simulation of ``plan``
+    for order_seed in (None, 4, None):
+        demand = tuple(rng.randint(1, 3) for _ in range(ds.K))
+        before = len(calls)
+        session = simulate(plan, files, demand, order_seed=order_seed)
+        assert decode_and_verify(session).ok
+        typed.append(len(calls) - before)
+        fresh = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
+        expected = simulate(fresh, files, demand, order_seed=order_seed)
+        assert transcript_jsonl(session.transcript) == transcript_jsonl(
+            expected.transcript
+        )
+    assert typed[0] > 0
+    assert typed[1:] == [0, 0]
+
+
+def test_src_holds_no_assert_statements():
+    """``python -O`` strips assert statements, so no check in the package
+    may be one."""
+    pkg = os.path.dirname(ptcache.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+    assert found == []
+
+
 _TAMPER = """
 import dataclasses, random
 from ptcache.designs import theorem2_design
@@ -563,18 +612,56 @@ print(ok)
 """
 
 
-def test_integrity_checks_survive_optimized_mode():
-    """Tampered sessions raise IntegrityError even under ``python -O``,
-    which strips assert statements."""
+def run_optimized(script):
+    """The stdout of ``script`` run by ``python -O``, which strips assert
+    statements."""
     src = os.path.dirname(os.path.dirname(ptcache.__file__))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _TAMPER],
+        [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[True, True, True]"
+    return proc.stdout.strip()
+
+
+def test_integrity_checks_survive_optimized_mode():
+    """Tampered sessions raise IntegrityError even under ``python -O``,
+    which strips assert statements."""
+    assert run_optimized(_TAMPER) == "[True, True, True]"
+
+
+_MISSING_SIDE = """
+import random
+from ptcache.designs import theorem2_design
+from ptcache.engine import IntegrityError, build_plan, decode_and_verify, simulate
+
+ds = theorem2_design(4, 2)
+plan = build_plan(4, 2, 1, ds.grouping_sizes, ds.tx_rules)
+files = [random.Random(3).randbytes(plan.f_pt * 2) for _ in range(2)]
+two_terms = [
+    i for i, m in enumerate(simulate(plan, files, (1, 2, 2, 1)).transcript)
+    if len(m.terms) == 2
+]
+ok = []
+for i in (two_terms[0], two_terms[-1]):
+    s = simulate(plan, files, (1, 2, 2, 1))
+    (k, _, _), (_, T_side, _) = s.transcript[i].terms
+    s.caches[k].held -= {T_side}  # receiver k no longer caches its side information
+    try:
+        decode_and_verify(s)
+        ok.append(False)
+    except IntegrityError:
+        ok.append(True)
+print(ok)
+"""
+
+
+def test_missing_side_information_is_an_integrity_error():
+    """A receiver lacking a subset that a message XORs into its packet
+    raises IntegrityError, also under ``python -O``."""
+    assert run_optimized(_MISSING_SIDE) == "[True, True]"
 
 
 if __name__ == "__main__":
