@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .combinat import binomial, subsets
 from .fscalc import (
@@ -47,22 +46,11 @@ PacketKey = tuple[int, tuple[int, ...], int]
 
 
 class PlanError(ValueError):
-    """Scheme rejected; ``stage`` names the failing pipeline step.
+    """Scheme rejected; ``stage`` names the failing pipeline step."""
 
-    ``message`` may be a callable that builds the text when it is first
-    read: the search rejects thousands of candidates and reads only the
-    stage.
-    """
-
-    def __init__(self, stage: str, message: str | Callable[[], str]) -> None:
-        super().__init__(stage)
+    def __init__(self, stage: str, message: str) -> None:
+        super().__init__(message)
         self.stage = stage
-        self._message = message
-
-    def __str__(self) -> str:
-        if callable(self._message):
-            self._message = self._message()
-        return self._message
 
 
 class IntegrityError(RuntimeError):
@@ -202,9 +190,8 @@ def check_stages(
             if sel is None and not all(v in excluded for v in st.involved):
                 raise PlanError(
                     "skip",
-                    lambda: f"group type {gt} is marked skip but involves live "
-                    f"subfile type(s) "
-                    f"{[v.text() for v in st.involved if v not in excluded]}",
+                    f"group type {gt} is marked skip but involves live subfile "
+                    f"type(s) {[v.text() for v in st.involved if v not in excluded]}",
                 )
 
     for gt, st, sel in zip(layout.group_types, layout.structures, selections):
@@ -212,8 +199,8 @@ def check_stages(
         if dead:
             raise PlanError(
                 "rate",
-                lambda: f"group type {gt}: transmissions would reach receivers "
-                f"with nothing to decode (excluded desired type(s) "
+                f"group type {gt}: transmissions would reach receivers with "
+                f"nothing to decode (excluded desired type(s) "
                 f"{[st.involved[i - 1].text() for i in dead]}); such members "
                 f"must transmit alone",
             )
@@ -222,8 +209,8 @@ def check_stages(
     if not mc.ok:
         raise PlanError(
             "mc",
-            lambda: f"user classes {mc.fail_index} and {mc.fail_index + 1} would "
-            f"cache unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
+            f"user classes {mc.fail_index} and {mc.fail_index + 1} would cache "
+            f"unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
         )
     return gfs, excluded, subpacketization(gfs.factors, layout.type_counts)
 
@@ -297,12 +284,6 @@ class SchemePlan:
     @property
     def grouping(self) -> Grouping:
         return self.analysis.grouping
-
-    @cached_property
-    def schedule(self) -> Schedule:
-        """The delivery schedule, compiled on the first simulation: plans
-        that are only designed or analyzed never pay for it."""
-        return _compile_schedule(self)
 
 
 def build_plan(
@@ -395,23 +376,14 @@ class GroupSchedule:
         return terms, firsts
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Everything delivery does that the demand does not change, compiled
-    once per plan: the groups that send, in canonical order, and the packet
-    map they were compiled from."""
-
-    subset_map: Mapping[tuple[int, ...], tuple[int, int]]
-    groups: Mapping[tuple[int, ...], GroupSchedule]
-
-
-def _compile_schedule(plan: SchemePlan) -> Schedule:
-    """The schedule of ``plan``.  A group's type and transmitting unique
+def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
+    """Everything delivery does that the demand does not change: the groups
+    that send, in canonical order.  A group's type and transmitting unique
     sets depend only on its intersection size with each user group, so
     they are worked out once per such profile, not once per group."""
     g = plan.grouping
     skipped = plan.analysis.skipped_group_types
-    subset_map = dict(plan.subset_map)
+    subset_map = plan.subset_map
     # intersection sizes -> (z, user groups that transmit), None when skipped
     profiles: dict[tuple[int, ...], tuple[int, frozenset[int]] | None] = {}
     groups: dict[tuple[int, ...], GroupSchedule] = {}
@@ -449,14 +421,7 @@ def _compile_schedule(plan: SchemePlan) -> Schedule:
         groups[S] = GroupSchedule(
             z, tuple(u for u in S if g.group_of[u] in tx_groups), tuple(entries)
         )
-    return Schedule(subset_map, groups)
-
-
-def _schedule(plan: SchemePlan) -> Schedule:
-    sched = plan.schedule
-    if sched.subset_map != plan.subset_map:
-        raise IntegrityError("the plan's packet map changed after its schedule")
-    return sched
+    return groups
 
 
 @dataclass(eq=False, repr=False)  # compare as a Mapping; never print the files
@@ -499,6 +464,7 @@ class Session:
     files: tuple[bytes, ...]
     demand: tuple[int, ...]
     bytes_per_packet: int
+    schedule: Mapping[tuple[int, ...], GroupSchedule]  # sending groups, in order
     caches: dict[int, CacheView] = field(default_factory=dict)
     transcript: list[Message] = field(default_factory=list)
 
@@ -558,7 +524,7 @@ def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
     """Generate the broadcast.  ``order_seed`` shuffles group and transmitter
     order (decoding is order-independent); None keeps the canonical ascending
     order."""
-    groups = list(_schedule(session.plan).groups.items())
+    groups = list(session.schedule.items())
     B = session.bytes_per_packet
     wanted = [session.files[n - 1] for n in session.demand]  # user k's at k-1
     out: list[Message] = []
@@ -576,11 +542,15 @@ def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
             if not terms:
                 continue  # vacuous message: every other user's type excluded
             held = session.caches[tx].held
-            acc = 0
-            for (k, T, _), p in zip(terms, firsts):
+            for _, T, _ in terms:
                 if T not in held:
                     raise IntegrityError(f"transmitter {tx} does not cache subfile {T}")
-                acc ^= int.from_bytes(wanted[k - 1][p * B : p * B + size], "big")
+            payload = _xor(
+                *(
+                    wanted[k - 1][p * B : p * B + size]
+                    for (k, _, _), p in zip(terms, firsts)
+                )
+            )
             i = S.index(tx)
             out.append(
                 Message(
@@ -588,7 +558,7 @@ def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
                     group=S,
                     rx=S[:i] + S[i + 1 :],
                     terms=tuple(terms),
-                    payload=acc.to_bytes(size, "big"),
+                    payload=payload,
                 )
             )
     session.transcript = out
@@ -610,6 +580,7 @@ def simulate(
         files=caches[1].files,
         demand=demand_t,
         bytes_per_packet=caches[1].B,
+        schedule=_compile_schedule(plan),
         caches=caches,
     )
     deliver(session, order_seed=order_seed)
@@ -622,10 +593,11 @@ def decode_and_verify(session: Session) -> VerifyResult:
     Counters are replayed from the transcript sequence itself, so any
     delivery order the sender used is reproduced faithfully.  Each message's
     terms are read once; receiver i recovers its packets as the payload XOR
-    the terms before i XOR the terms after i.
+    the terms before i XOR the terms after i, so the XOR work is O(terms)
+    per message (checking that each receiver holds the other terms' subsets
+    stays O(terms^2) set lookups).
     """
     plan = session.plan
-    sched = _schedule(plan)
     demand = session.demand
     B = session.bytes_per_packet
     wanted = [session.files[n - 1] for n in demand]  # user k's at k-1
@@ -638,7 +610,7 @@ def decode_and_verify(session: Session) -> VerifyResult:
 
     for msg in session.transcript:
         S = msg.group
-        gs = sched.groups.get(S)
+        gs = session.schedule.get(S)
         if gs is None:
             raise IntegrityError(f"message for group {S}, which the plan never serves")
         cnt = counter_state.get(S)
@@ -685,13 +657,13 @@ def decode_and_verify(session: Session) -> VerifyResult:
         want = demand[k - 1]
         buf, flags, file = bufs[k], got[k], wanted[k - 1]
         for T in held_of[k]:
-            base, alpha = sched.subset_map[T]
+            base, alpha = plan.subset_map[T]
             buf[base * B : (base + alpha) * B] = file[base * B : (base + alpha) * B]
             flags[base : base + alpha] = b"\1" * alpha
         if 0 in flags:
             missing[k] = [
                 (want, T, i + 1)
-                for T, (base, alpha) in sched.subset_map.items()
+                for T, (base, alpha) in plan.subset_map.items()
                 for i in range(alpha)
                 if not flags[base + i]
             ]

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import ptcache
 from conftest import roundtrip_design
+from ptcache.combinat import subsets
 from ptcache.designs import (
     dpda_specials,
     jcm_design,
@@ -528,13 +529,19 @@ def test_flipped_payload_byte_fails_exactly_its_receivers(ds, N, M, _):
     assert res.missing == {}
 
 
-def test_schedule_is_compiled_once_per_plan(monkeypatch):
-    """Repeated simulations of one plan reuse its delivery schedule: no
-    group is typed again, and each transcript equals the one a freshly
-    built plan gives."""
+def test_schedule_types_each_intersection_profile_once(monkeypatch):
+    """Each simulation compiles its delivery schedule typing one group per
+    intersection profile (the number of members in each user group), not
+    every group, and repeated simulations of one plan give the transcripts
+    of a freshly built plan."""
     ds = special_designs("tbar3", 9)
     plan = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
     files = make_files(3, 2 * plan.f_pt)
+    g = plan.grouping
+    profiles = {
+        tuple(sum(g.group_of[u] == b for u in S) for b in range(len(g.sizes)))
+        for S in subsets(ds.K, plan.t + 1)
+    }
     calls = []
 
     def counting_type_of(g, subset):
@@ -555,8 +562,7 @@ def test_schedule_is_compiled_once_per_plan(monkeypatch):
         assert transcript_jsonl(session.transcript) == transcript_jsonl(
             expected.transcript
         )
-    assert typed[0] > 0
-    assert typed[1:] == [0, 0]
+    assert typed == [len(profiles)] * 3
 
 
 def test_src_holds_no_assert_statements():
