@@ -178,7 +178,6 @@ def _resolve_design(args: argparse.Namespace) -> DesignSpec:
         grouping_sizes=args.grouping,
         tx_rules=rules,
         type_order=(),
-        params={"family": "custom"},
     )
 
 
@@ -258,7 +257,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             v.text() for v in analysis.skipped_group_types
         ),
         "mc_table": [list(row) for row in analysis.mc_rows],
-        "mc_ok": analysis.mc_result.ok,
+        "mc_ok": True,  # analyze_rules raised otherwise
         "F_PT": analysis.f_pt,
         "F_JCM": f_jcm,
         "ratio": f"{ratio.numerator}/{ratio.denominator}",
@@ -365,7 +364,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                         rec.f_pt if rec.f_pt is not None else "",
                         f_jcm,
                         ratio,
-                        rec.feasible,
+                        rec.f_pt is not None,
                         rec.reason,
                     ]
                 )
@@ -461,10 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if e.stage in ("lcm", "rate", "mc", "skip"):
             return EXIT_INFEASIBLE
         return EXIT_USAGE
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -89,10 +89,3 @@ def subsets(ground: int, size: int) -> Iterator[tuple[int, ...]]:
     if size > ground:
         raise ValueError(f"cannot choose {size} elements from {ground}")
     return combinations(range(1, ground + 1), size)
-
-
-def num_subsets(ground: int, size: int) -> int:
-    """len() companion for :func:`subsets`."""
-    if size > ground:
-        raise ValueError(f"cannot choose {size} elements from {ground}")
-    return math.comb(ground, size)

@@ -9,7 +9,7 @@ scratch, so the expectations double as an end-to-end cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from typing import Mapping
@@ -44,7 +44,6 @@ class DesignSpec:
     type_order: tuple[TypeVector, ...]
     expected_global_fs: tuple[int, ...] | None = None
     expected_f_pt: int | None = None
-    params: Mapping[str, object] = field(default_factory=dict)
 
     def rules_text(self) -> dict[str, object]:
         out: dict[str, object] = {}
@@ -91,7 +90,6 @@ def jcm_design(K: int, t: int) -> DesignSpec:
         type_order=order,
         expected_global_fs=(t,),
         expected_f_pt=t * binomial(K, t),
-        params={"family": "jcm"},
     )
 
 
@@ -155,7 +153,6 @@ def theorem1_design(K: int, t_bar: int, variant: str = "orderwise") -> DesignSpe
         type_order=order,
         expected_global_fs=exp,
         expected_f_pt=_dot_expectation(g, order, exp),
-        params={"family": "thm1", "t_bar": t_bar, "variant": variant},
     )
 
 
@@ -201,7 +198,6 @@ def theorem2_design(K: int, t: int) -> DesignSpec:
         type_order=order,
         expected_global_fs=expected,
         expected_f_pt=_dot_expectation(g, order, expected),
-        params={"family": "thm2", "case": 1 if t <= q - 1 else 2},
     )
 
 
@@ -239,7 +235,6 @@ def theorem3_design(m: int, q: int, t: int) -> DesignSpec:
         type_order=order,
         expected_global_fs=expected,
         expected_f_pt=t * binomial(K, t) - m * t * binomial(q, t),
-        params={"family": "thm3", "m": m, "q": q},
     )
 
 
@@ -272,7 +267,6 @@ def _lemma2(K: int, q: int) -> DesignSpec:
         type_order=order,
         expected_global_fs=(q - 2, q - 1),
         expected_f_pt=K * (q - 1) * (K - 2) // 2,
-        params={"family": "lemma2", "q": q},
     )
 
 
@@ -306,7 +300,6 @@ def _odd_k_tbar2(K: int) -> DesignSpec:
         type_order=order,
         expected_global_fs=(1, 2, 2, 0),
         expected_f_pt=K * (K - 2),
-        params={"family": "odd_k_tbar2"},
     )
 
 
@@ -338,7 +331,6 @@ def _tbar3(K: int) -> DesignSpec:
         type_order=order,
         expected_global_fs=(4, 3, 0),
         expected_f_pt=K * (K - 3) * (2 * K - 3) // 3,
-        params={"family": "tbar3"},
     )
 
 
@@ -365,7 +357,6 @@ def _t3_halfsplit(K: int) -> DesignSpec:
         type_order=order,
         expected_global_fs=(0, 3),
         expected_f_pt=3 * K * K * (K - 2) // 8,
-        params={"family": "t3_halfsplit"},
     )
 
 
@@ -393,7 +384,6 @@ def _k5_t3(K: int) -> DesignSpec:
         type_order=order,
         expected_global_fs=(1, 2, 0),
         expected_f_pt=15,
-        params={"family": "k5_t3"},
     )
 
 
@@ -436,7 +426,6 @@ def _t2(K: int) -> DesignSpec:
         type_order=order,
         expected_global_fs=(0, 1),
         expected_f_pt=K * K // 4,
-        params={"family": "dpda_t2"},
     )
 
 

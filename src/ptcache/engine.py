@@ -20,7 +20,6 @@ from .fscalc import (
     STAR,
     FSEntry,
     GlobalFS,
-    MCResult,
     NoLcmError,
     local_fs,
     mc_check,
@@ -36,6 +35,7 @@ from .typevec import (
     make_grouping,
     mgroup_structure,
     per_user_count,
+    profile,
     type_of,
 )
 
@@ -114,7 +114,6 @@ class RuleAnalysis(SchemeLayout):
     z_of: Mapping[TypeVector, int]
     excluded: frozenset[TypeVector]
     skipped_group_types: frozenset[TypeVector]
-    mc_result: MCResult
     f_pt: int
 
     def factor_of(self, v: TypeVector) -> int:
@@ -260,7 +259,6 @@ def analyze_rules(
             for gt, st in zip(layout.group_types, layout.structures)
             if all(v in excluded for v in st.involved)
         ),
-        mc_result=MCResult(ok=True),  # check_stages raised otherwise
         f_pt=f_pt,
     )
 
@@ -304,13 +302,15 @@ def build_plan(
     rules = _normalize_rules(analysis.group_types, tx_rules)
 
     g = analysis.grouping
-    factor = {
-        v: f for v, f in zip(analysis.subfile_types, analysis.global_fs.factors)
-    }
+    # factor per profile: a subset's profile fixes its type
+    factors: dict[tuple[int, ...], int] = {}
     subset_map: dict[tuple[int, ...], tuple[int, int]] = {}
     offset = 0
     for T in subsets(K, t):
-        a = factor[type_of(g, T)]
+        key = profile(g, T)
+        a = factors.get(key)
+        if a is None:
+            a = factors[key] = analysis.factor_of(type_of(g, T))
         if a == 0:
             continue
         subset_map[T] = (offset, a)
@@ -384,14 +384,11 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
     g = plan.grouping
     skipped = plan.analysis.skipped_group_types
     subset_map = plan.subset_map
-    # intersection sizes -> (z, user groups that transmit), None when skipped
+    # profile -> (z, user groups that transmit), None when skipped
     profiles: dict[tuple[int, ...], tuple[int, frozenset[int]] | None] = {}
     groups: dict[tuple[int, ...], GroupSchedule] = {}
     for S in subsets(plan.K, plan.t + 1):
-        sizes = [0] * len(g.sizes)
-        for u in S:
-            sizes[g.group_of[u]] += 1
-        key = tuple(sizes)
+        key = profile(g, S)
         if key not in profiles:
             gtype = type_of(g, S)
             sel = plan.tx_rules[gtype]
@@ -409,10 +406,10 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
                         for u in us.members
                     ),
                 )
-        profile = profiles[key]
-        if profile is None:
+        sending = profiles[key]
+        if sending is None:
             continue
-        z, tx_groups = profile
+        z, tx_groups = sending
         entries = []
         for i, k in enumerate(S):
             T = S[:i] + S[i + 1 :]
@@ -595,16 +592,17 @@ def decode_and_verify(session: Session) -> VerifyResult:
     terms are read once; receiver i recovers its packets as the payload XOR
     the terms before i XOR the terms after i, so the XOR work is O(terms)
     per message (checking that each receiver holds the other terms' subsets
-    stays O(terms^2) set lookups).
+    stays O(terms^2) set lookups).  Each recovered packet is compared with
+    the demanded file where it lands; counters never repeat, so no packet
+    is recovered twice, and the file is not reassembled.
     """
     plan = session.plan
     demand = session.demand
     B = session.bytes_per_packet
     wanted = [session.files[n - 1] for n in demand]  # user k's at k-1
     users = range(1, plan.K + 1)
-    # each user's copy of its demanded file, and a flag per packet filled in
-    bufs = {k: bytearray(len(session.files[0])) for k in users}
-    got = {k: bytearray(plan.f_pt) for k in users}
+    got = {k: bytearray(plan.f_pt) for k in users}  # a flag per packet recovered
+    wrong: set[int] = set()  # users that recovered some packet incorrectly
     counter_state: dict[tuple[int, ...], list[int]] = {}
     held_of = {k: cache.held for k, cache in session.caches.items()}
 
@@ -646,19 +644,18 @@ def decode_and_verify(session: Session) -> VerifyResult:
                     f"user {k} lacks side information for the message {msg.tx} "
                     f"sends in group {S}"
                 )
-            p = firsts[i]
-            bufs[k][p * B : p * B + size] = (acc ^ suffix[i + 1]).to_bytes(size, "big")
-            got[k][p : p + z] = ones
+            if acc ^ suffix[i + 1] != vals[i]:
+                wrong.add(k)
+            got[k][firsts[i] : firsts[i] + z] = ones
             acc ^= vals[i]
 
     per_user: dict[int, bool] = {}
     missing: dict[int, list[PacketKey]] = {}
     for k in users:
         want = demand[k - 1]
-        buf, flags, file = bufs[k], got[k], wanted[k - 1]
+        flags = got[k]
         for T in held_of[k]:
             base, alpha = plan.subset_map[T]
-            buf[base * B : (base + alpha) * B] = file[base * B : (base + alpha) * B]
             flags[base : base + alpha] = b"\1" * alpha
         if 0 in flags:
             missing[k] = [
@@ -667,7 +664,7 @@ def decode_and_verify(session: Session) -> VerifyResult:
                 for i in range(alpha)
                 if not flags[base + i]
             ]
-        per_user[k] = k not in missing and buf == file
+        per_user[k] = k not in missing and k not in wrong
     return VerifyResult(ok=all(per_user.values()), per_user=per_user, missing=missing)
 
 
@@ -677,7 +674,7 @@ def measure(session: Session) -> Measurement:
     B = session.bytes_per_packet
     cache_bits = {8 * B * len(c) for c in session.caches.values()}
     if len(cache_bits) != 1:
-        raise AssertionError(f"caches are not uniform: {sorted(cache_bits)}")
+        raise IntegrityError(f"caches are not uniform: {sorted(cache_bits)}")
     return Measurement(
         total_bits=total_bits,
         rate=Fraction(total_bits, L_bits),

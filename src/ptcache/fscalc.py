@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .combinat import binomial
 from .typevec import MGroupStructure, TypeVector
@@ -253,12 +253,3 @@ def fs_table_json(
     for gt, row in zip(group_types, rows):
         out[gt.text()] = ["star" if e is STAR else e for e in row]
     return out
-
-
-def fs_table_from_json(data: Mapping[str, Sequence[object]]):
-    group_types = [TypeVector.parse(k) for k in data]
-    rows = [
-        [STAR if e == "star" else int(e) for e in row]  # type: ignore[arg-type]
-        for row in data.values()
-    ]
-    return group_types, rows

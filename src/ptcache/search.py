@@ -27,8 +27,7 @@ from .typevec import TypeVector, make_grouping
 class CandidateRecord:
     grouping: tuple[int, ...]
     rules: tuple[tuple[str, tuple[int, ...]], ...]  # (group type text, selection)
-    f_pt: int | None
-    feasible: bool
+    f_pt: int | None  # None when infeasible
     reason: str  # "" | "no_lcm" | "rate" | "mc"
 
     def rules_dict(self) -> dict[str, list[int]]:
@@ -152,7 +151,6 @@ def _search_one_grouping(
                 grouping=sizes,
                 rules=tuple(item for _, _, item in chosen),
                 f_pt=f_pt,
-                feasible=f_pt is not None,
                 reason=reason,
             )
         )
@@ -199,7 +197,7 @@ def exhaustive_search(
             break
 
     best_rec = min(
-        (r for r in records if r.feasible), key=lambda r: r.f_pt, default=None
+        (r for r in records if r.f_pt is not None), key=lambda r: r.f_pt, default=None
     )  # the first-discovered minimum
     best = None
     if best_rec is not None:
@@ -207,7 +205,7 @@ def exhaustive_search(
 
     reasons = Counter(r.reason for r in records)
     pareto = sorted(
-        (r for r in records if r.feasible),
+        (r for r in records if r.f_pt is not None),
         key=lambda r: (r.f_pt, r.grouping, r.rules),
     )
     return SearchResult(
@@ -237,7 +235,6 @@ def candidate_to_design(K: int, t: int, rec: CandidateRecord) -> DesignSpec:
         type_order=analysis.subfile_types,
         expected_global_fs=analysis.global_fs.factors,
         expected_f_pt=analysis.f_pt,
-        params={"family": "search"},
     )
 
 

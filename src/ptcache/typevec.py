@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import prod
 from typing import Iterable, Sequence
 
@@ -31,10 +30,6 @@ class Grouping:
 
     K: int
     sizes: tuple[int, ...]
-
-    @cached_property
-    def num_groups(self) -> int:
-        return len(self.sizes)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int], ...]:
@@ -80,9 +75,6 @@ class Grouping:
             out[bi].append(gi)
         return tuple(tuple(x) for x in out)
 
-    def block_of_user(self, user: int) -> int:
-        return self.block_of_group[self.group_of[user]]
-
     def __str__(self) -> str:
         return "(" + ",".join(str(s) for s in self.sizes) + ")"
 
@@ -104,8 +96,7 @@ class TypeVector:
     """Per-block, non-increasing intersection-size profile of a user subset.
 
     Entries are kept padded to the full block width (trailing zeros
-    retained) so that equality and dict keys are unambiguous; ``display``
-    trims trailing zeros for human-facing output.
+    retained) so that equality and dict keys are unambiguous.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -116,10 +107,6 @@ class TypeVector:
                 raise ValueError(f"negative entry in type vector {self.blocks}")
             if list(blk) != sorted(blk, reverse=True):
                 raise ValueError(f"block {blk} is not non-increasing")
-
-    @property
-    def total(self) -> int:
-        return sum(sum(blk) for blk in self.blocks)
 
     @property
     def flat(self) -> tuple[int, ...]:
@@ -133,19 +120,6 @@ class TypeVector:
     def _text(self) -> str:
         # cached: rejected search leaves put their types' text in messages
         return "|".join(",".join(str(e) for e in blk) for blk in self.blocks)
-
-    def display(self) -> str:
-        """Like :meth:`text` but with trailing zero entries trimmed."""
-        blks = [list(b) for b in self.blocks]
-        while blks:
-            while blks[-1] and blks[-1][-1] == 0:
-                blks[-1].pop()
-            if blks[-1]:
-                break
-            blks.pop()
-        if not blks:
-            return "0"
-        return "|".join(",".join(str(e) for e in blk) for blk in blks)
 
     @classmethod
     def parse(cls, text: str) -> "TypeVector":
@@ -163,19 +137,27 @@ def canonical_type_order(types: Iterable[TypeVector]) -> list[TypeVector]:
     return sorted(types, key=lambda v: v.flat, reverse=True)
 
 
+def profile(g: Grouping, S: Iterable[int]) -> tuple[int, ...]:
+    """Number of members of ``S`` in each user group.  A subset's type and
+    unique sets depend only on this profile."""
+    sizes = [0] * len(g.sizes)
+    for u in S:
+        sizes[g.group_of[u]] += 1
+    return tuple(sizes)
+
+
 def type_of(g: Grouping, subset: Iterable[int]) -> TypeVector:
     """Type of a user subset under grouping ``g``."""
     chosen = set(subset)
     if not chosen <= set(range(1, g.K + 1)):
         raise ValueError(f"subset {sorted(chosen)} not within users 1..{g.K}")
-    blocks = []
-    for gis in g.block_groups:
-        profile = sorted(
-            (sum(1 for u in g.group_members[gi] if u in chosen) for gi in gis),
-            reverse=True,
+    sizes = profile(g, chosen)
+    return TypeVector(
+        blocks=tuple(
+            tuple(sorted((sizes[gi] for gi in gis), reverse=True))
+            for gis in g.block_groups
         )
-        blocks.append(tuple(profile))
-    return TypeVector(blocks=tuple(blocks))
+    )
 
 
 def is_realizable(g: Grouping, v: TypeVector) -> bool:
@@ -259,7 +241,7 @@ class UniqueSet:
 def concrete_unique_sets(g: Grouping, S: Iterable[int]) -> tuple[UniqueSet, ...]:
     """Unique sets of a concrete group, ordered (block asc, cardinality desc)."""
     users = sorted(S)
-    per_group: Counter[int] = Counter(g.group_of[u] for u in users)
+    per_group = profile(g, users)
     buckets: dict[tuple[int, int], list[int]] = {}
     for u in users:
         gi = g.group_of[u]
@@ -283,19 +265,13 @@ class MGroupStructure:
     "owns" for delivery purposes.
     """
 
-    grouping: Grouping
     gtype: TypeVector
-    representative: tuple[int, ...]
     unique_sets: tuple[UniqueSet, ...]
     involved: tuple[TypeVector, ...]
 
     @property
     def num_unique_sets(self) -> int:
         return len(self.unique_sets)
-
-    def owner_of(self, v: TypeVector) -> int:
-        """1-based unique-set index owning subfile type ``v``."""
-        return self.involved.index(v) + 1
 
 
 def mgroup_structure(g: Grouping, gtype: TypeVector) -> MGroupStructure:
@@ -310,40 +286,19 @@ def mgroup_structure(g: Grouping, gtype: TypeVector) -> MGroupStructure:
     involved = tuple(
         type_of(g, set(rep_t) - {us.members[0]}) for us in unique_sets
     )
-    return MGroupStructure(
-        grouping=g,
-        gtype=gtype,
-        representative=rep_t,
-        unique_sets=unique_sets,
-        involved=involved,
-    )
+    return MGroupStructure(gtype=gtype, unique_sets=unique_sets, involved=involved)
 
 
 def per_user_count(g: Grouping, v: TypeVector, block_index: int) -> int:
     """Number of subsets of type ``v`` containing a fixed user whose group
     lies in grouping block ``block_index`` (1-based).
 
-    The memory-consistency check needs this per block: users are equivalent
-    within a block, so one representative per block suffices.
+    The memory-consistency check needs this per block.  The block's β·ψ
+    users are interchangeable, so each lies in equally many subsets of type
+    ``v``; counting (user, subset) pairs both ways gives
+    type_count · |v ∩ block| / (β·ψ).
     """
     if not 1 <= block_index <= len(g.blocks):
         raise ValueError(f"block index {block_index} out of range")
-    if not is_realizable(g, v):
-        raise ValueError(f"type {v} not realizable under {g}")
-    b = block_index - 1
-    beta, _ = g.blocks[b]
-    entries = v.blocks[b]
-    other = prod(
-        _block_arrangements(blk, bb)
-        for i, (blk, (bb, _)) in enumerate(zip(v.blocks, g.blocks))
-        if i != b
-    )
-    total = 0
-    for x in sorted(set(entries), reverse=True):
-        if x == 0:
-            continue
-        rest = list(entries)
-        rest.remove(x)
-        # fix the user's own group at intersection size x, distribute the rest
-        total += binomial(beta - 1, x - 1) * _block_arrangements(rest, beta)
-    return total * other
+    beta, psi = g.blocks[block_index - 1]
+    return type_count(g, v) * sum(v.blocks[block_index - 1]) // (beta * psi)

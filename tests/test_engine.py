@@ -565,6 +565,31 @@ def test_schedule_types_each_intersection_profile_once(monkeypatch):
     assert typed == [len(profiles)] * 3
 
 
+def test_build_plan_types_each_subset_profile_once(monkeypatch):
+    """The packet map types one t-subset per profile (the number of members
+    in each user group), not every t-subset: tbar3(9) at t=6 has 84
+    subsets but 10 profiles, and every subset still gets its type's
+    factor."""
+    ds = special_designs("tbar3", 9)
+    calls = []
+
+    def counting_type_of(g, subset):
+        calls.append(subset)
+        return type_of(g, subset)
+
+    monkeypatch.setattr(ptcache.engine, "type_of", counting_type_of)
+    plan = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
+    g = plan.grouping
+    profiles = {
+        tuple(sum(g.group_of[u] == b for u in T) for b in range(len(g.sizes)))
+        for T in subsets(ds.K, plan.t)
+    }
+    assert len(calls) == len(profiles) == 10
+    for T in subsets(ds.K, plan.t):
+        _, alpha = plan.subset_map.get(T, (None, 0))
+        assert alpha == plan.analysis.factor_of(type_of(g, T))
+
+
 def test_src_holds_no_assert_statements():
     """``python -O`` strips assert statements, so no check in the package
     may be one."""
@@ -668,6 +693,28 @@ def test_missing_side_information_is_an_integrity_error():
     """A receiver lacking a subset that a message XORs into its packet
     raises IntegrityError, also under ``python -O``."""
     assert run_optimized(_MISSING_SIDE) == "[True, True]"
+
+
+_UNEVEN_CACHES = """
+from ptcache.designs import theorem2_design
+from ptcache.engine import IntegrityError, build_plan, measure, simulate
+
+ds = theorem2_design(4, 2)
+plan = build_plan(4, 2, 1, ds.grouping_sizes, ds.tx_rules)
+s = simulate(plan, [bytes(plan.f_pt)] * 2, (1, 2, 2, 1))
+s.caches[1].held -= {min(s.caches[1].held)}  # user 1 now caches less
+try:
+    measure(s)
+    print(False)
+except IntegrityError:
+    print(True)
+"""
+
+
+def test_uneven_caches_are_an_integrity_error():
+    """``measure`` raises IntegrityError when the users cache unequal
+    amounts, also under ``python -O``."""
+    assert run_optimized(_UNEVEN_CACHES) == "True"
 
 
 if __name__ == "__main__":

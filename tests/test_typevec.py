@@ -24,6 +24,7 @@ from ptcache.typevec import (
     make_grouping,
     mgroup_structure,
     per_user_count,
+    profile,
     type_count,
     type_of,
 )
@@ -37,11 +38,11 @@ def test_make_grouping_basic():
     assert g.K == 7
     assert g.sizes == (3, 2, 1, 1)
     assert g.blocks == ((3, 1), (2, 1), (1, 2))
-    assert g.num_groups == 4
+    assert len(g.sizes) == 4
     assert g.group_members == ((1, 2, 3), (4, 5), (6,), (7,))
-    assert g.block_of_user(1) == 0
-    assert g.block_of_user(4) == 1
-    assert g.block_of_user(7) == 2
+    assert g.block_of_group[g.group_of[1]] == 0
+    assert g.block_of_group[g.group_of[4]] == 1
+    assert g.block_of_group[g.group_of[7]] == 2
 
 
 def test_make_grouping_canonicalizes_order():
@@ -73,9 +74,14 @@ def test_type_of_frozen():
     g = make_grouping(10, (3, 2, 2, 1, 1, 1))
     v = type_of(g, {1, 2, 5, 6, 7, 8})
     assert v.text() == "2|2,1|1,0,0"
-    assert v.display() == "2|2,1|1"
-    assert v.total == 6
+    assert sum(v.flat) == 6
     assert type_of(g, ()) == TypeVector(((0,), (0, 0), (0, 0, 0)))
+
+
+def test_profile_counts_members_per_group():
+    g = make_grouping(10, (3, 2, 2, 1, 1, 1))
+    assert profile(g, (1, 2, 5, 6, 7, 8)) == (2, 1, 2, 1, 0, 0)
+    assert profile(g, ()) == (0,) * 6
 
 
 def test_type_text_parse_roundtrip():
@@ -169,8 +175,8 @@ def test_type_is_invariant_under_symmetry(params, rnd):
     # swap two whole groups of equal size
     same = [
         (a, b)
-        for a in range(g.num_groups)
-        for b in range(a + 1, g.num_groups)
+        for a in range(len(g.sizes))
+        for b in range(a + 1, len(g.sizes))
         if g.sizes[a] == g.sizes[b]
     ]
     if same:
@@ -247,7 +253,7 @@ def test_involved_types_are_distinct_and_owned(params):
         st_ = mgroup_structure(g, gt)
         assert len(set(st_.involved)) == st_.num_unique_sets
         for i, v in enumerate(st_.involved, start=1):
-            assert st_.owner_of(v) == i
+            assert st_.involved.index(v) + 1 == i
 
 
 # --------------------------------------------------------- per-user counts
@@ -271,7 +277,7 @@ def brute_per_user(g, v, block_index):
     # pick the first user of the first group in the block
     gi = g.block_groups[block_index - 1][0]
     u = g.group_members[gi][0]
-    t = v.total
+    t = sum(v.flat)
     return sum(
         1
         for T in combinations(range(1, g.K + 1), t)
