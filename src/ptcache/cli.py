@@ -33,7 +33,7 @@ from .designs import (
 )
 from .engine import PlanError, SCHEMA_VERSION
 from .fscalc import fs_table_json, jcm_baseline
-from .search import exhaustive_search, sweep_ratios
+from .search import MAX_CANDIDATES, MAX_K, exhaustive_search, sweep_ratios
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -113,9 +113,14 @@ def _build_parser() -> _Parser:
     s.add_argument("--transcript", help="write the delivery transcript (JSONL) here")
 
     se = sub.add_parser("search", help="exhaustive rule search at one (K, t)")
-    se.add_argument("--K", type=int, required=True)
+    se.add_argument("--K", type=int, required=True, help=f"users, at most {MAX_K}")
     se.add_argument("--t", type=int, required=True)
-    se.add_argument("--budget", type=int)
+    se.add_argument(
+        "--budget",
+        type=int,
+        help=f"stop after this many candidates; without it, a (K, t) with more "
+        f"than {MAX_CANDIDATES:,} candidates is refused before the search starts",
+    )
     se.add_argument("--out", type=str, help="write all evaluated candidates as CSV")
 
     sw = sub.add_parser("sweep", help="ratio curves along K for one family")

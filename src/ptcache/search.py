@@ -9,18 +9,29 @@ already realizes the same scheme.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, product
+from math import prod
 from typing import Iterable
 
 from .combinat import binomial, integer_partitions
 from .designs import DesignSpec, theorem1_bound, theorem1_design, theorem2_design
 from .designs import special_designs, theorem3_design
-from .engine import PlanError, analyze_rules, check_stages, scheme_layout
+from .engine import PlanError, SchemeLayout, analyze_rules, check_stages
+from .engine import rate_violation, scheme_layout
 from .fscalc import FSEntry, RatioForest
 from .typevec import TypeVector, make_grouping
+
+# Largest census searched without a candidate budget: it admits every
+# (K <= 9, t), (9,4) being the largest at 2.12e10 candidates.
+MAX_CANDIDATES = 10**11
+# Largest K searched: laying out every grouping grows with the number of
+# partitions of K (0.22 s at K=16, 1.7 s at K=24 on a 2-vCPU x86-64 host).
+MAX_K = 16
 
 
 @dataclass(frozen=True)
@@ -34,57 +45,148 @@ class CandidateRecord:
         return {gt: sorted(sel) for gt, sel in self.rules}
 
 
+# (group type text, selection) of one group type in a record
+_Item = tuple[str, tuple[int, ...]]
+# a grouping's sizes and, per depth, the items of its selections
+_Space = tuple[tuple[int, ...], tuple[tuple[_Item, ...], ...]]
+# (F_PT, reason) of a record
+_Verdict = tuple["int | None", str]
+
+
+class CandidateRecords(Sequence[CandidateRecord]):
+    """Every evaluated candidate in discovery order: a read-only sequence
+    that builds each record only when it is read.
+
+    The search visits each grouping's candidates in product order of its
+    group types' selections, so record i is fixed by its grouping and its
+    position there; only the verdicts (F_PT and reason) are stored, once
+    per run of equal verdicts.  A subtree the LCM check cut is one such
+    run, counted without visiting its leaves.  Iterating expands the
+    groupings with ``itertools.product``; indexing decodes one position.
+    """
+
+    def __init__(self) -> None:
+        self._groupings: list[_Space] = []
+        self._grouping_starts: list[int] = []
+        self._verdicts: list[_Verdict] = []
+        self._verdict_starts: list[int] = []
+        self._len = 0
+
+    def _start_grouping(self, space: _Space) -> None:
+        """Open the next grouping; its candidates follow."""
+        self._groupings.append(space)
+        self._grouping_starts.append(self._len)
+
+    def _extend(self, count: int, verdict: _Verdict) -> None:
+        """Append the next ``count`` candidates, all with one verdict."""
+        if not self._verdicts or self._verdicts[-1] != verdict:
+            self._verdicts.append(verdict)
+            self._verdict_starts.append(self._len)
+        self._len += count
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[CandidateRecord]:
+        starts, verdicts = self._verdict_starts, self._verdicts
+        i = r = 0
+        for (sizes, items), first in zip(self._groupings, self._grouping_starts):
+            for rules in islice(product(*items), self._len - first):
+                while r + 1 < len(starts) and starts[r + 1] <= i:
+                    r += 1
+                yield CandidateRecord(sizes, rules, *verdicts[r])
+                i += 1
+
+    def _record(self, i: int) -> CandidateRecord:
+        g = bisect_right(self._grouping_starts, i) - 1
+        sizes, items = self._groupings[g]
+        pos = i - self._grouping_starts[g]
+        picked = []
+        for opts in reversed(items):  # the last depth varies fastest
+            pos, k = divmod(pos, len(opts))
+            picked.append(opts[k])
+        verdict = self._verdicts[bisect_right(self._verdict_starts, i) - 1]
+        return CandidateRecord(sizes, tuple(reversed(picked)), *verdict)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        positions = range(self._len)[index]  # IndexError out of range
+        if isinstance(index, slice):
+            return [self._record(i) for i in positions]
+        return self._record(positions)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass
 class SearchResult:
     K: int
     t: int
     best: "tuple[DesignSpec, int] | None"
     pareto: list[CandidateRecord]  # feasible candidates, ascending subpacketization
-    records: list[CandidateRecord]  # everything evaluated, in discovery order
+    records: CandidateRecords  # everything evaluated, in discovery order
     explored: int
     infeasible: dict[str, int]
     partial: bool
 
 
-# (selection, local split-factor row, record text) of one group type
-_Option = tuple[frozenset[int], tuple[FSEntry, ...], tuple[str, tuple[int, ...]]]
+# (selection, local split-factor row, record item, mask of the columns the
+# row zeroes) of one group type
+_Option = tuple[frozenset[int], tuple[FSEntry, ...], _Item, int]
 
-# record reason of each stage a search candidate can fail
-_REASONS = {"lcm": "no_lcm", "rate": "rate", "mc": "mc"}
+# verdict of each stage a search candidate can fail, one object each so
+# that the records hold no copies
+_REJECTED: dict[str, _Verdict] = {
+    "lcm": (None, "no_lcm"), "rate": (None, "rate"), "mc": (None, "mc")
+}
 
 
 def _search_one_grouping(
-    K: int, t: int, sizes: tuple[int, ...], budget: int | None
-) -> tuple[list[CandidateRecord], bool]:
-    """Depth-first search over one grouping's transmitter selections; the
-    records in discovery order and whether the budget ran out.
+    layout: SchemeLayout,
+    budget: int | None,
+    records: CandidateRecords,
+    reasons: Counter[str],
+    feasible: list[CandidateRecord],
+) -> bool:
+    """Depth-first search over one grouping's transmitter selections.
+
+    Appends the candidates to ``records`` in discovery order, counts them
+    in ``reasons`` and the feasible ones in ``feasible``; True when
+    ``records`` reached ``budget`` candidates.
 
     Depth i picks the selection of group type i.  The LCM stage is checked on
     the way down, on the *final* columns only: those no chosen row has zeroed
     and no later group type can still zero (a zero needs a single-user unique
     set transmitting alone for its own type).  Final columns only grow along
     a path and keep their entries, so a contradiction among them holds for
-    every leaf below; that subtree is finished "doomed": its leaves are
-    counted and recorded as no_lcm, in the same order, without any LCM,
-    rate or memory work.
+    every leaf below; that subtree is "doomed" and becomes one run of
+    no_lcm records, counted in one step without visiting its leaves.
     """
-    layout = scheme_layout(make_grouping(K, sizes), t)
-    gtypes, structures = layout.group_types, layout.structures
-    width = len(layout.subfile_types)
+    sizes = layout.grouping.sizes
+    vtypes, gtypes = layout.subfile_types, layout.group_types
+    structures = layout.structures
+    width, depth = len(vtypes), len(gtypes)
 
     # Options per group type: every nonempty selection, smallest first, each
-    # paired with its precomputed local row and its record text.
+    # with its precomputed local row, its record item and its zeroed columns.
     options: list[list[_Option]] = []
     for i, (gt, st) in enumerate(zip(gtypes, structures)):
         n = st.num_unique_sets
         text = gt.text()
-        options.append(
-            [
-                (frozenset(sel), layout.row(i, sel), (text, sel))
-                for size in range(1, n + 1)
-                for sel in combinations(range(1, n + 1), size)
-            ]
-        )
+        options.append([])
+        for size in range(1, n + 1):
+            for sel in combinations(range(1, n + 1), size):
+                row = layout.row(i, sel)
+                zeroes = sum(1 << j for j, e in enumerate(row) if e == 0)
+                options[i].append((frozenset(sel), row, (text, sel), zeroes))
+    items = tuple(tuple(o[2] for o in opts) for opts in options)
+    records._start_grouping((sizes, items))
+    # the leaves below a node at depth i
+    below = [prod(len(opts) for opts in options[i:]) for i in range(depth + 1)]
 
     # Column j can be zeroed only by the group types in zeroers[j]; it turns
     # final at depth zeroers[j][-1] (from the start when there are none)
@@ -107,11 +209,12 @@ def _search_one_grouping(
     # Per depth: the columns the row touches, with the column's first row.
     touched = [
         [(j, rows_of[j][0]) for j in range(width) if i in rows_of[j]]
-        for i in range(len(gtypes))
+        for i in range(depth)
     ]
+    all_columns = (1 << width) - 1
+    excluded_of: dict[int, frozenset[TypeVector]] = {}
 
-    forest = RatioForest(len(gtypes))
-    records: list[CandidateRecord] = []
+    forest = RatioForest(depth)
     chosen: list[_Option] = []
 
     def consistent(i: int, final: int) -> int | None:
@@ -133,45 +236,77 @@ def _search_one_grouping(
                     return None
         return final
 
-    def evaluate() -> tuple[str, int | None]:
-        """Reason and F_PT of a leaf whose final columns reconcile."""
+    def evaluate(zeroed: int) -> _Verdict:
+        """Verdict of a leaf whose final columns reconcile.  Every other
+        column is in ``zeroed``, so the LCM passes and excludes exactly
+        ``zeroed`` (each column has a row: a subset of type v plus one more
+        user is a group that involves v).  So the rate stage can run first,
+        and only the leaves it passes reach the LCM and memory stages."""
+        if zeroed == all_columns:
+            return _REJECTED["lcm"]  # every subfile type excluded
+        excluded = excluded_of.get(zeroed)
+        if excluded is None:
+            excluded = frozenset(v for j, v in enumerate(vtypes) if zeroed >> j & 1)
+            excluded_of[zeroed] = excluded
+        for st, (sel, _, _, _) in zip(structures, chosen):
+            if rate_violation(st, sel, excluded):
+                return _REJECTED["rate"]
         try:
             _, _, f_pt = check_stages(
-                layout, [sel for sel, _, _ in chosen], [row for _, row, _ in chosen]
+                layout, [o[0] for o in chosen], [o[1] for o in chosen]
             )
         except PlanError as e:
-            return _REASONS[e.stage], None
-        return "", f_pt
+            return _REJECTED[e.stage]
+        return f_pt, ""
 
-    def leaf(doomed: bool) -> bool:
-        """Record the current full assignment; False aborts (budget)."""
-        reason, f_pt = ("no_lcm", None) if doomed else evaluate()
-        records.append(
-            CandidateRecord(
-                grouping=sizes,
-                rules=tuple(item for _, _, item in chosen),
-                f_pt=f_pt,
-                reason=reason,
-            )
-        )
+    def emit(count: int, verdict: _Verdict) -> bool:
+        """Append the next ``count`` candidates, cut to the budget; False
+        once the budget is spent."""
+        if budget is not None:
+            count = min(count, budget - len(records))
+        records._extend(count, verdict)
+        reasons[verdict[1]] += count
+        if verdict[0] is not None:
+            rules = tuple(o[2] for o in chosen)
+            feasible.append(CandidateRecord(sizes, rules, *verdict))
         return budget is None or len(records) < budget
 
-    def dfs(i: int, final: int | None) -> bool:
-        """``final`` is the mask of final columns, None once doomed."""
-        if i == len(gtypes):
-            return leaf(final is None)
+    def dfs(i: int, final: int, zeroed: int) -> bool:
+        """``final`` and ``zeroed`` are the masks of the final columns and
+        of the columns a chosen row zeroes."""
+        if i == depth:
+            return emit(1, evaluate(zeroed))
         for opt in options[i]:
             chosen.append(opt)
             mark = forest.mark()
-            alive = dfs(i + 1, final if final is None else consistent(i, final))
+            nxt = consistent(i, final)
+            if nxt is None:
+                alive = emit(below[i + 1], _REJECTED["lcm"])
+            else:
+                alive = dfs(i + 1, nxt, zeroed | opt[3])
             forest.rollback(mark)
             chosen.pop()
             if not alive:
                 return False
         return True
 
-    finished = dfs(0, initial_final)
-    return records, not finished
+    return not dfs(0, initial_final, 0)
+
+
+def search_space(K: int, t: int) -> tuple[int, list[SchemeLayout]]:
+    """The number of candidates at (K, t) and the layout of every grouping,
+    in search order.  A grouping has the product, over its group types, of
+    2^(unique sets) - 1 nonempty selections.  Summing stops once the count
+    passes MAX_CANDIDATES; the count is then a lower bound."""
+    count = 0
+    layouts = []
+    for sizes in integer_partitions(K):
+        layout = scheme_layout(make_grouping(K, sizes), t)
+        layouts.append(layout)
+        count += prod(2**st.num_unique_sets - 1 for st in layout.structures)
+        if count > MAX_CANDIDATES:
+            break
+    return count, layouts
 
 
 def exhaustive_search(
@@ -182,32 +317,45 @@ def exhaustive_search(
     Deterministic: groupings in reverse-lexicographic order, selections
     smallest-first; ``best`` is the first-discovered minimum.  With a budget
     the result holds the first ``max_candidates`` candidates of that order.
+    Without one, a census of more than MAX_CANDIDATES candidates is refused
+    before it starts; K is at most MAX_K either way.
     """
     if not 1 <= t <= K - 1:
         raise ValueError(f"need 1 <= t <= K-1, got K={K}, t={t}")
+    if K > MAX_K:
+        raise ValueError(f"search needs K <= {MAX_K}, got K={K}")
     if max_candidates is not None and max_candidates < 1:
         raise ValueError(f"candidate budget must be >= 1, got {max_candidates}")
-    records: list[CandidateRecord] = []
+    layouts: Iterable[SchemeLayout]
+    if max_candidates is None:
+        count, layouts = search_space(K, t)
+        if count > MAX_CANDIDATES:
+            raise ValueError(
+                f"K={K}, t={t} has at least {count:,} candidates, more than the "
+                f"{MAX_CANDIDATES:,} searched without a candidate budget"
+            )
+    else:  # the budget bounds the work; lay groupings out as they come
+        layouts = (
+            scheme_layout(make_grouping(K, s), t) for s in integer_partitions(K)
+        )
+    records = CandidateRecords()
+    reasons: Counter[str] = Counter()
+    feasible: list[CandidateRecord] = []
     partial = False
-    for sizes in integer_partitions(K):
-        budget = None if max_candidates is None else max_candidates - len(records)
-        found, partial = _search_one_grouping(K, t, sizes, budget)
-        records.extend(found)
+    for layout in layouts:
+        partial = _search_one_grouping(
+            layout, max_candidates, records, reasons, feasible
+        )
         if partial:
             break
 
-    best_rec = min(
-        (r for r in records if r.f_pt is not None), key=lambda r: r.f_pt, default=None
-    )  # the first-discovered minimum
+    # the first-discovered minimum
+    best_rec = min(feasible, key=lambda r: r.f_pt, default=None)  # type: ignore
     best = None
     if best_rec is not None:
         best = (candidate_to_design(K, t, best_rec), best_rec.f_pt)  # type: ignore[arg-type]
 
-    reasons = Counter(r.reason for r in records)
-    pareto = sorted(
-        (r for r in records if r.f_pt is not None),
-        key=lambda r: (r.f_pt, r.grouping, r.rules),
-    )
+    pareto = sorted(feasible, key=lambda r: (r.f_pt, r.grouping, r.rules))
     return SearchResult(
         K=K,
         t=t,

@@ -11,6 +11,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,26 @@ def test_simulate_decode_failure_exit_code(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------- search
+
+
+@pytest.mark.parametrize(
+    "K,t,names", [(12, 5, "7,662,320,328,116,431,759 candidates"), (60, 1, "K <= 16")]
+)
+def test_search_refuses_unbounded_work_before_it_starts(K, t, names, capsys):
+    """(12,5) holds 7.7e18 candidates; laying out every grouping of K=60
+    would take long before any count exists.  Both are refused at once."""
+    start = time.perf_counter()
+    code, out, err = run_cli(["search", "--K", str(K), "--t", str(t)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and names in err
+
+
+def test_budget_admits_a_census_above_the_cap(capsys):
+    code, out, _ = run_cli(["search", "--K", "10", "--t", "4", "--budget", "1000"], capsys)
+    assert code == EXIT_OK
+    summary = json.loads(out)
+    assert summary["partial"] is True and summary["explored"] == 1000
 
 
 def test_search_summary_and_csv(tmp_path, capsys):

@@ -6,8 +6,14 @@ and now pins the enumeration order, the feasibility verdicts and the
 reported reasons.
 """
 
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
+import ptcache.search
+from ptcache.combinat import integer_partitions
 from ptcache.engine import (
     PlanError,
     analyze_rules,
@@ -17,14 +23,13 @@ from ptcache.engine import (
     simulate,
 )
 from ptcache.search import (
+    CandidateRecord,
     candidate_to_design,
     exhaustive_search,
+    search_space,
     sweep_ratios,
 )
 from ptcache.typevec import TypeVector
-
-import random
-from fractions import Fraction
 
 
 FROZEN_4_2 = [
@@ -96,6 +101,49 @@ def test_census_sizes_frozen():
     assert exhaustive_search(6, 4).explored == 215
 
 
+@pytest.mark.parametrize("K", range(2, 7))
+def test_preflight_count_is_the_census_size(K):
+    for t in range(1, K):
+        count, layouts = search_space(K, t)
+        assert count == exhaustive_search(K, t).explored
+        assert [lay.grouping.sizes for lay in layouts] == integer_partitions(K)
+
+
+def test_preflight_count_of_larger_censuses():
+    assert search_space(7, 3)[0] == 85_289
+    assert search_space(8, 4)[0] == 4_507_484
+
+
+def test_unread_census_builds_no_doomed_records(monkeypatch):
+    """A subtree the LCM check cut is counted, not visited: until the
+    records are read, no record is built for its leaves."""
+    built = 0
+
+    class Counted(CandidateRecord):
+        def __init__(self, *args):
+            nonlocal built
+            built += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(ptcache.search, "CandidateRecord", Counted)
+    r = exhaustive_search(7, 4)
+    assert r.infeasible["no_lcm"] == 21_948
+    assert built <= r.explored - r.infeasible["no_lcm"]
+    assert len(r.records) == r.explored == 23_549
+    assert built <= r.explored - r.infeasible["no_lcm"]
+    records = list(r.records)
+    assert built >= r.explored
+    assert Counter(c.reason for c in records) == Counter(
+        {"": len(r.pareto), **r.infeasible}
+    )
+    # indexing decodes the same records that iterating expands
+    for i in (0, 1, 5_000, 12_345, r.explored - 1, -1):
+        assert r.records[i] == records[i]
+    assert r.records[100:3_000:7] == records[100:3_000:7]
+    with pytest.raises(IndexError):
+        r.records[r.explored]
+
+
 def test_search_is_deterministic():
     a = exhaustive_search(5, 3)
     b = exhaustive_search(5, 3)
@@ -142,9 +190,11 @@ def test_no_lcm_records_really_fail_the_lcm_stage():
 def test_search_reasons_follow_the_engine_stages():
     """Every record carries the reason and F_PT that analyze_rules gives;
     (6,1) has candidates whose every subfile type is excluded, which the
-    engine rejects at its LCM stage."""
+    engine rejects at its LCM stage.  The search runs the rate stage before
+    the LCM on leaves the LCM cannot reject, and analyze_rules, which runs
+    the LCM first, checks that order on (6,3) and its (3,2,1) rate cases."""
     reason_of = {"lcm": "no_lcm", "rate": "rate", "mc": "mc"}
-    for K, t in [(5, 2), (6, 1), (6, 4)]:
+    for K, t in [(5, 2), (6, 1), (6, 3), (6, 4)]:
         for c in exhaustive_search(K, t).records:
             rules = {TypeVector.parse(g): set(sel) for g, sel in c.rules}
             try:
