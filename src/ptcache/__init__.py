@@ -14,6 +14,7 @@ from .designs import (
 from .engine import (
     PlanError,
     SchemePlan,
+    analyze_layout,
     analyze_rules,
     build_plan,
     decode_and_verify,
@@ -57,6 +58,7 @@ __all__ = [
     "theorem3_design",
     "PlanError",
     "SchemePlan",
+    "analyze_layout",
     "analyze_rules",
     "build_plan",
     "decode_and_verify",

@@ -33,7 +33,8 @@ from .designs import (
 )
 from .engine import PlanError, SCHEMA_VERSION
 from .fscalc import fs_table_json, jcm_baseline
-from .search import MAX_CANDIDATES, MAX_K, exhaustive_search, sweep_ratios
+from .search import MAX_BUDGET, MAX_CANDIDATES, MAX_K, exhaustive_search
+from .search import sweep_ratios
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -118,8 +119,9 @@ def _build_parser() -> _Parser:
     se.add_argument(
         "--budget",
         type=int,
-        help=f"stop after this many candidates; without it, a (K, t) with more "
-        f"than {MAX_CANDIDATES:,} candidates is refused before the search starts",
+        help=f"stop after this many candidates (at most {MAX_BUDGET:,}); without it, "
+        f"a (K, t) with more than {MAX_CANDIDATES:,} candidates is refused "
+        f"before the search starts",
     )
     se.add_argument("--out", type=str, help="write all evaluated candidates as CSV")
 
@@ -408,14 +410,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError("sweep --family thm3 needs --m and --t")
         jobs = [{"m": args.m, "t": t} for t in args.t_list]
 
-    all_rows = []
-    skipped_total = 0
-    for job in jobs:
-        res = sweep_ratios(args.family, args.K_range, **job)  # type: ignore[arg-type]
-        all_rows.extend(res.rows)
-        skipped_total += len(res.skipped)
-        for K, why in res.skipped:
-            print(f"note: skipped K={K}: {why}", file=sys.stderr)
+    # every job runs before any note is printed, so a job that no K admits
+    # fails the command with nothing else on stderr
+    results = [
+        sweep_ratios(args.family, args.K_range, **job)  # type: ignore[arg-type]
+        for job in jobs
+    ]
+    all_rows = [row for res in results for row in res.rows]
+    skipped = [note for res in results for note in res.skipped]
+    for K, why in skipped:
+        print(f"note: skipped K={K}: {why}", file=sys.stderr)
 
     writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -435,7 +439,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "schema_version": SCHEMA_VERSION,
                 "family": args.family,
                 "rows": len(all_rows),
-                "skipped": skipped_total,
+                "skipped": len(skipped),
                 "out": args.out,
             },
             None,
@@ -460,12 +464,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except PlanError as e:
-        print(f"infeasible ({e.stage}): {e}", file=sys.stderr)
-        if e.stage in ("lcm", "rate", "mc", "skip"):
-            return EXIT_INFEASIBLE
-        return EXIT_USAGE
     except (ValueError, OSError) as e:
+        if isinstance(e, PlanError) and e.stage in ("lcm", "rate", "mc", "skip"):
+            print(f"infeasible ({e.stage}): {e}", file=sys.stderr)
+            return EXIT_INFEASIBLE
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .combinat import binomial, subsets
@@ -228,8 +228,16 @@ def analyze_rules(
         g = make_grouping(K, grouping_sizes)
     except ValueError as e:
         raise PlanError("grouping", str(e)) from e
+    return analyze_layout(scheme_layout(g, t), tx_rules)
 
-    layout = scheme_layout(g, t)
+
+def analyze_layout(
+    layout: SchemeLayout,
+    tx_rules: Mapping[TypeVector, "Iterable[int] | None"],
+) -> RuleAnalysis:
+    """Check one set of transmitter rules against a layout built once for its
+    (grouping, t), so that several rule sets can share it; raise PlanError
+    when any stage rejects the rules."""
     rules = _normalize_rules(layout.group_types, tx_rules)
     selections = [rules[gt] for gt in layout.group_types]
     rows: list[tuple[FSEntry, ...]] = []
@@ -247,8 +255,8 @@ def analyze_rules(
 
     gfs, excluded, f_pt = check_stages(layout, selections, rows)
     return RuleAnalysis(
-        **vars(layout),
-        K=K,
+        **{f.name: getattr(layout, f.name) for f in fields(SchemeLayout)},
+        K=layout.grouping.K,
         fs_rows=tuple(rows),
         rule_types=tuple(rule_types),
         global_fs=gfs,

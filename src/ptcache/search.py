@@ -9,9 +9,10 @@ already realizes the same scheme.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -21,14 +22,16 @@ from typing import Iterable
 from .combinat import binomial, integer_partitions
 from .designs import DesignSpec, theorem1_bound, theorem1_design, theorem2_design
 from .designs import special_designs, theorem3_design
-from .engine import PlanError, SchemeLayout, analyze_rules, check_stages
-from .engine import rate_violation, scheme_layout
+from .engine import PlanError, SchemeLayout, analyze_layout, analyze_rules
+from .engine import check_stages, rate_violation, scheme_layout
 from .fscalc import FSEntry, RatioForest
 from .typevec import TypeVector, make_grouping
 
 # Largest census searched without a candidate budget: it admits every
 # (K <= 9, t), (9,4) being the largest at 2.12e10 candidates.
 MAX_CANDIDATES = 10**11
+# Largest candidate budget: CandidateRecords stores positions as 8-byte ints.
+MAX_BUDGET = 2**63 - 1
 # Largest K searched: laying out every grouping grows with the number of
 # partitions of K (0.22 s at K=16, 1.7 s at K=24 on a 2-vCPU x86-64 host).
 MAX_K = 16
@@ -63,13 +66,15 @@ class CandidateRecords(Sequence[CandidateRecord]):
     per run of equal verdicts.  A subtree the LCM check cut is one such
     run, counted without visiting its leaves.  Iterating expands the
     groupings with ``itertools.product``; indexing decodes one position.
+    Run and grouping starts are 8-byte integers, so it holds at most
+    MAX_BUDGET records.
     """
 
     def __init__(self) -> None:
         self._groupings: list[_Space] = []
-        self._grouping_starts: list[int] = []
+        self._grouping_starts = array("q")
         self._verdicts: list[_Verdict] = []
-        self._verdict_starts: list[int] = []
+        self._verdict_starts = array("q")
         self._len = 0
 
     def _start_grouping(self, space: _Space) -> None:
@@ -324,8 +329,11 @@ def exhaustive_search(
         raise ValueError(f"need 1 <= t <= K-1, got K={K}, t={t}")
     if K > MAX_K:
         raise ValueError(f"search needs K <= {MAX_K}, got K={K}")
-    if max_candidates is not None and max_candidates < 1:
-        raise ValueError(f"candidate budget must be >= 1, got {max_candidates}")
+    if max_candidates is not None and not 1 <= max_candidates <= MAX_BUDGET:
+        raise ValueError(
+            f"candidate budget must be between 1 and {MAX_BUDGET}, "
+            f"got {max_candidates}"
+        )
     layouts: Iterable[SchemeLayout]
     if max_candidates is None:
         count, layouts = search_space(K, t)
@@ -408,9 +416,16 @@ class SweepResult:
     skipped: list[tuple[int, str]]
 
 
-def _eval_design(ds: DesignSpec) -> int:
-    analysis = analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
-    return analysis.f_pt
+def _least_f_pt(designs: Sequence[DesignSpec]) -> int:
+    """The least F_PT over designs that share one (grouping, t): their
+    layout is built once and each distinct rule set is checked against it."""
+    first = designs[0]
+    layout = scheme_layout(make_grouping(first.K, first.grouping_sizes), first.t)
+    distinct: list[Mapping[TypeVector, "frozenset[int] | None"]] = []
+    for ds in designs:
+        if ds.tx_rules not in distinct:
+            distinct.append(ds.tx_rules)
+    return min(analyze_layout(layout, rules).f_pt for rules in distinct)
 
 
 def sweep_ratios(
@@ -423,55 +438,62 @@ def sweep_ratios(
 ) -> SweepResult:
     """Subpacketization ratio vs the baseline along one family's K axis.
 
-    Bad arguments (unknown family, missing family parameter) raise; K values
-    where the family simply does not apply are skipped with a note, so
-    callers can hand in a plain range.
+    Bad arguments (unknown family, missing family parameter, or parameters
+    that no K admits) raise; K values where the family simply does not apply
+    are skipped with a note, so callers can hand in a plain range.
     """
     if family not in ("thm1", "thm2", "thm3"):
         raise ValueError(f"unknown family {family!r}")
-    if family == "thm1" and t_bar is None:
-        raise ValueError("thm1 sweep needs t_bar")
+    if family == "thm1":
+        if t_bar is None:
+            raise ValueError("thm1 sweep needs t_bar")
+        if t_bar % 2 or t_bar < 2:
+            raise ValueError(f"thm1 sweep needs an even t_bar >= 2, got t_bar={t_bar}")
     if family == "thm2":
         if t is None:
             raise ValueError("thm2 sweep needs t")
+        if t < 2:
+            raise ValueError(f"thm2 sweep needs t >= 2, got t={t}")
         if t % 2 and t != 3:
             raise ValueError(f"no half-split construction for odd t={t}")
-    if family == "thm3" and (m is None or t is None or m < 1):
-        raise ValueError(f"thm3 sweep needs m >= 1 and t, got m={m}, t={t}")
+    if family == "thm3":
+        if m is None or t is None:
+            raise ValueError(f"thm3 sweep needs m and t, got m={m}, t={t}")
+        if t < 2 or m < t + 1:
+            raise ValueError(
+                f"thm3 sweep needs t >= 2 and m >= t+1 groups, got m={m}, t={t}"
+            )
 
     rows: list[SweepRow] = []
     skipped: list[tuple[int, str]] = []
     for K in K_values:
         try:
             if family == "thm1":
-                f_pt = min(
-                    _eval_design(theorem1_design(K, t_bar, "orderwise")),
-                    _eval_design(theorem1_design(K, t_bar, "fallback")),
-                )
-                tt = K - t_bar
+                designs = [
+                    theorem1_design(K, t_bar, variant)
+                    for variant in ("orderwise", "fallback")
+                ]
                 bound = theorem1_bound(K, t_bar)
                 label = f"t_bar={t_bar}"
             elif family == "thm2":
                 if t % 2 == 0:
-                    ds = theorem2_design(K, t)
+                    designs = [theorem2_design(K, t)]
                     bound = Fraction(1, 2)
                 else:
-                    ds = special_designs("t3_halfsplit", K)
+                    designs = [special_designs("t3_halfsplit", K)]
                     bound = Fraction(6, 7)
-                f_pt = _eval_design(ds)
-                tt = t
                 label = f"t={t}"
             else:  # thm3
                 if K % m:
                     raise ValueError(f"K={K} is not a multiple of m={m}")
-                ds = theorem3_design(m, K // m, t)
-                f_pt = _eval_design(ds)
-                tt = t
+                designs = [theorem3_design(m, K // m, t)]
                 bound = Fraction(1)
                 label = f"m={m},t={t}"
+            f_pt = _least_f_pt(designs)
         except ValueError as e:
             skipped.append((K, str(e)))
             continue
+        tt = designs[0].t
         f_jcm = tt * binomial(K, tt)
         rows.append(
             SweepRow(

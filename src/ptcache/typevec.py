@@ -173,7 +173,9 @@ def _block_arrangements(entries: Sequence[int], beta: int) -> int:
     # Distinct orderings of the profile across the block's groups, times the
     # number of ways to pick each intersection inside its group.
     mult = Counter(entries)
-    return multinomial(list(mult.values())) * prod(binomial(beta, e) for e in entries)
+    return multinomial(list(mult.values())) * prod(
+        binomial(beta, e) ** n for e, n in mult.items()
+    )
 
 
 def type_count(g: Grouping, v: TypeVector) -> int:
@@ -275,18 +277,36 @@ class MGroupStructure:
 
 
 def mgroup_structure(g: Grouping, gtype: TypeVector) -> MGroupStructure:
+    """The structure of ``gtype``, derived from the type alone.
+
+    The representative group takes the first ``entry`` members of each
+    group.  Its users of one block and one intersection size form a unique
+    set, in (block asc, cardinality desc) order as
+    :func:`concrete_unique_sets` gives them.  Dropping a member of that set
+    lowers the last entry equal to its cardinality by one, which keeps the
+    block non-increasing: that is the set's involved type.
+    """
     if not is_realizable(g, gtype):
         raise ValueError(f"group type {gtype} is not realizable under {g}")
-    rep: list[int] = []
-    for blk, gis in zip(gtype.blocks, g.block_groups):
-        for entry, gi in zip(blk, gis):
-            rep.extend(g.group_members[gi][:entry])
-    rep_t = tuple(sorted(rep))
-    unique_sets = concrete_unique_sets(g, rep_t)
-    involved = tuple(
-        type_of(g, set(rep_t) - {us.members[0]}) for us in unique_sets
+    unique_sets = []
+    involved = []
+    for bi, (blk, gis) in enumerate(zip(gtype.blocks, g.block_groups)):
+        for card in sorted(set(blk) - {0}, reverse=True):
+            members = [
+                u
+                for entry, gi in zip(blk, gis)
+                if entry == card
+                for u in g.group_members[gi][:card]
+            ]
+            unique_sets.append(UniqueSet(bi, card, tuple(members)))
+            last = len(blk) - 1 - blk[::-1].index(card)
+            lowered = blk[:last] + (card - 1,) + blk[last + 1 :]
+            involved.append(
+                TypeVector(gtype.blocks[:bi] + (lowered,) + gtype.blocks[bi + 1 :])
+            )
+    return MGroupStructure(
+        gtype=gtype, unique_sets=tuple(unique_sets), involved=tuple(involved)
     )
-    return MGroupStructure(gtype=gtype, unique_sets=unique_sets, involved=involved)
 
 
 def per_user_count(g: Grouping, v: TypeVector, block_index: int) -> int:

@@ -5,16 +5,19 @@ JSON/CSV can be asserted directly; one subprocess test confirms the module
 entry point also works from a shell.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ptcache.engine
 from ptcache.cli import (
@@ -495,6 +498,19 @@ def test_bad_arguments_exit_usage(argv, capsys):
         (["simulate", "--jcm", "--K", "4", "--t", "2", "--N", "0", "--M", "1"], None),
         (["sweep", "--family", "thm3", "--m", "0", "--t", "2", "--K", "6"], None),
         (["sweep", "--family", "thm3", "--m", "-3", "--t", "2", "--K", "6"], None),
+        # parameters that no K admits: an error, not a header-only CSV
+        (["sweep", "--family", "thm1", "--tbar", "3", "--K", "4..20"], None),
+        (["sweep", "--family", "thm1", "--tbar", "0", "--K", "4..20"], None),
+        (["sweep", "--family", "thm1", "--tbar", "-2", "--K", "4..20"], None),
+        (["sweep", "--family", "thm1", "--tbar", "2,3", "--K", "4..20"], None),
+        (["sweep", "--family", "thm2", "--t", "0", "--K", "4..20"], None),
+        (["sweep", "--family", "thm3", "--m", "2", "--t", "1", "--K", "4..20"], None),
+        (["sweep", "--family", "thm3", "--m", "2", "--t", "2", "--K", "4..20"], None),
+        (["search", "--K", "4", "--t", "2", "--budget", str(2**63)], None),
+        # rule sets the pipeline refuses before any stage runs
+        (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], {}),
+        (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], {"2,1": "skip"}),
+        (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], {"2,1": [7]}),
     ],
 )
 def test_malformed_input_is_a_usage_error(argv, rules, tmp_path, capsys):
@@ -506,6 +522,88 @@ def test_malformed_input_is_a_usage_error(argv, rules, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ")
+
+
+# Cheap commands for the fuzz test below: every number is small, so no
+# mutation of them can start a large search, sweep or simulation.
+FUZZ_BASES = [
+    ["design", "--thm", "2", "--K", "4", "--t", "2"],
+    ["analyze", "--jcm", "--K", "4", "--t", "2"],
+    ["simulate", "--jcm", "--K", "4", "--t", "2", "--demands", "1"],
+    ["search", "--K", "4", "--t", "2", "--budget", "5"],
+    ["sweep", "--family", "thm1", "--tbar", "2", "--K", "4..6"],
+    ["design", "--grouping", "2,2", "--K", "4", "--t", "2", "--rules", "RULES"],
+]
+FUZZ_TOKENS = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.sampled_from(
+        ["--t", "--N", "--M", "--tbar", "--m", "--q", "--thm", "--grouping",
+         "--demands", "--family", "--variant", "--special", "--dpda", "--jcm",
+         "--seed", "--bytes-per-packet", "--budget", "--", "thm1", "thm3",
+         "2,2", "1,2,1", "4..", "..", ",", "skip", "design", "search"]
+    ),
+    st.text(alphabet="-,.|:xyz ", max_size=5),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["2,1", "2,0", "1,1", "2|1", "x", ""]), inner, max_size=3
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def malformed_argv(draw):
+    argv = list(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(argv)))
+        op = draw(st.sampled_from(["delete", "replace", "insert"]))
+        if op == "insert" or i == len(argv):
+            argv.insert(i, draw(FUZZ_TOKENS))
+        elif op == "replace":
+            argv[i] = draw(FUZZ_TOKENS)
+        else:
+            del argv[i]
+    return argv
+
+
+def check_exit_contract(argv, rules):
+    """Run ``argv`` with ``rules`` written to the file named RULES: the exit
+    code is a documented one, nothing raises, and exit 4 says ``error: ``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/rules.json"
+        with open(path, "w") as fh:
+            json.dump(rules, fh)
+        argv = [path if a == "RULES" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse's --help
+                code = e.code
+    assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_DECODE, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=malformed_argv())
+def test_malformed_argv_keeps_the_exit_code_contract(argv):
+    check_exit_contract(argv, {"2,1": [2]})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["design", "analyze", "simulate"]), rules=JSON_VALUES
+)
+def test_malformed_rules_keep_the_exit_code_contract(command, rules):
+    check_exit_contract(
+        [command, "--grouping", "2,2", "--K", "4", "--t", "2", "--rules", "RULES"],
+        rules,
+    )
 
 
 def test_module_runs_as_subprocess():

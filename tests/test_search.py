@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+import ptcache.engine
 import ptcache.search
 from ptcache.combinat import integer_partitions
+from ptcache.designs import theorem1_design
 from ptcache.engine import (
     PlanError,
     analyze_rules,
@@ -275,6 +277,32 @@ def test_sweep_pair_family_exact_curve():
         assert row.ratio == Fraction(1, row.K - 1)
         assert row.bound == Fraction(1, row.K - 2)
         assert row.ratio <= row.bound
+
+
+@pytest.mark.parametrize("t_bar", [2, 4, 6])
+def test_thm1_sweep_builds_one_layout_per_k(t_bar, monkeypatch):
+    built = []
+
+    def counting(g, t, real=ptcache.engine.scheme_layout):
+        built.append(g.K)
+        return real(g, t)
+
+    monkeypatch.setattr(ptcache.engine, "scheme_layout", counting)
+    monkeypatch.setattr(ptcache.search, "scheme_layout", counting)
+    res = sweep_ratios("thm1", range(4, 41), t_bar=t_bar)
+    admitted = [K for K in range(4, 41) if K % 2 == 0 and 2 * t_bar <= K]
+    assert [row.K for row in res.rows] == admitted
+    assert built == admitted
+    monkeypatch.undo()
+    for row in res.rows:
+        expected = min(
+            analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules).f_pt
+            for ds in (
+                theorem1_design(row.K, t_bar, "orderwise"),
+                theorem1_design(row.K, t_bar, "fallback"),
+            )
+        )
+        assert row.f_pt == expected
 
 
 def test_sweep_skips_out_of_range_points():
