@@ -367,7 +367,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                         args.K,
                         args.t,
                         ",".join(map(str, rec.grouping)),
-                        json.dumps(rec.rules_dict(), sort_keys=True),
+                        json.dumps(dict(rec.rules), sort_keys=True),
                         rec.f_pt if rec.f_pt is not None else "",
                         f_jcm,
                         ratio,
@@ -389,7 +389,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         summary["best"] = {
             "F_PT": f_pt,
             "grouping": list(ds.grouping_sizes),
-            "tx_rules": ds.rules_text(),
+            "tx_rules": engine.rules_json(ds.tx_rules),
         }
     _emit(summary, None)
     return EXIT_OK

@@ -45,13 +45,6 @@ class DesignSpec:
     expected_global_fs: tuple[int, ...] | None = None
     expected_f_pt: int | None = None
 
-    def rules_text(self) -> dict[str, object]:
-        out: dict[str, object] = {}
-        for gt in sorted(self.tx_rules, key=lambda v: v.flat, reverse=True):
-            sel = self.tx_rules[gt]
-            out[gt.text()] = "skip" if sel is None else sorted(sel)
-        return out
-
 
 def _us_index(st: MGroupStructure, block: int, cardinality: int) -> int:
     for idx, us in enumerate(st.unique_sets, start=1):

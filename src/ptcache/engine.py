@@ -30,7 +30,7 @@ from .typevec import (
     Grouping,
     MGroupStructure,
     TypeVector,
-    concrete_unique_sets,
+    canonical_type_order,
     enumerate_types,
     make_grouping,
     mgroup_structure,
@@ -108,6 +108,7 @@ class RuleAnalysis(SchemeLayout):
     touching actual file bytes.  Cheap even for large K."""
 
     K: int
+    tx_rules: Mapping[TypeVector, "frozenset[int] | None"]  # normalized
     fs_rows: tuple[tuple[FSEntry, ...], ...]  # aligned with rule_types
     rule_types: tuple[TypeVector, ...]  # group types that carry a row
     global_fs: GlobalFS
@@ -117,7 +118,7 @@ class RuleAnalysis(SchemeLayout):
     f_pt: int
 
     def factor_of(self, v: TypeVector) -> int:
-        return self.global_fs.factors[self.subfile_types.index(v)]
+        return self.global_fs.factors[self.col[v]]
 
 
 def _normalize_rules(
@@ -257,6 +258,7 @@ def analyze_layout(
     return RuleAnalysis(
         **{f.name: getattr(layout, f.name) for f in fields(SchemeLayout)},
         K=layout.grouping.K,
+        tx_rules=rules,
         fs_rows=tuple(rows),
         rule_types=tuple(rule_types),
         global_fs=gfs,
@@ -278,7 +280,6 @@ class SchemePlan:
     M: int
     t: int
     analysis: RuleAnalysis
-    tx_rules: Mapping[TypeVector, "frozenset[int] | None"]
     rate: Fraction
     # subset -> (first packet offset within a file, packet count), in offset order
     subset_map: Mapping[tuple[int, ...], tuple[int, int]]
@@ -307,8 +308,6 @@ def build_plan(
         )
     t = K * M // N
     analysis = analyze_rules(K, t, grouping_sizes, tx_rules)
-    rules = _normalize_rules(analysis.group_types, tx_rules)
-
     g = analysis.grouping
     # factor per profile: a subset's profile fixes its type
     factors: dict[tuple[int, ...], int] = {}
@@ -331,7 +330,6 @@ def build_plan(
         M=M,
         t=t,
         analysis=analysis,
-        tx_rules=rules,
         rate=Fraction(K * (N - M), N * t),
         subset_map=subset_map,
     )
@@ -388,9 +386,12 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
     """Everything delivery does that the demand does not change: the groups
     that send, in canonical order.  A group's type and transmitting unique
     sets depend only on its intersection size with each user group, so
-    they are worked out once per such profile, not once per group."""
+    they are worked out once per such profile, not once per group: a user
+    group transmits when its block and intersection size name a selected
+    unique set."""
     g = plan.grouping
-    skipped = plan.analysis.skipped_group_types
+    a = plan.analysis
+    structure_of = dict(zip(a.group_types, a.structures))
     subset_map = plan.subset_map
     # profile -> (z, user groups that transmit), None when skipped
     profiles: dict[tuple[int, ...], tuple[int, frozenset[int]] | None] = {}
@@ -399,21 +400,17 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
         key = profile(g, S)
         if key not in profiles:
             gtype = type_of(g, S)
-            sel = plan.tx_rules[gtype]
-            if gtype in skipped:
+            sel = a.tx_rules[gtype]
+            if gtype in a.skipped_group_types:
                 profiles[key] = None
             elif sel is None:
                 raise IntegrityError(f"group type {gtype} sends but is marked skip")
             else:
-                profiles[key] = (
-                    plan.analysis.z_of[gtype],
-                    frozenset(
-                        g.group_of[u]
-                        for i, us in enumerate(concrete_unique_sets(g, S), start=1)
-                        if i in sel
-                        for u in us.members
-                    ),
-                )
+                sets = structure_of[gtype].unique_sets
+                named = {(sets[i - 1].block, sets[i - 1].cardinality) for i in sel}
+                pairs = zip(g.block_of_group, key)  # (block, intersection) per group
+                tx = frozenset(gi for gi, p in enumerate(pairs) if p in named)
+                profiles[key] = (a.z_of[gtype], tx)
         sending = profiles[key]
         if sending is None:
             continue
@@ -805,10 +802,6 @@ def run_jcm(
 
 def plan_json(plan: SchemePlan) -> dict[str, object]:
     a = plan.analysis
-    rules: dict[str, object] = {}
-    for gt in a.group_types:
-        sel = plan.tx_rules[gt]
-        rules[gt.text()] = "skip" if sel is None else sorted(sel)
     return {
         "schema_version": SCHEMA_VERSION,
         "K": plan.K,
@@ -816,7 +809,7 @@ def plan_json(plan: SchemePlan) -> dict[str, object]:
         "M": plan.M,
         "t": plan.t,
         "grouping": list(a.grouping.sizes),
-        "tx_rules": rules,
+        "tx_rules": rules_json(a.tx_rules),
         "global_fs": {
             "subfile_types": [v.text() for v in a.subfile_types],
             "factors": list(a.global_fs.factors),
@@ -825,6 +818,15 @@ def plan_json(plan: SchemePlan) -> dict[str, object]:
         "F_PT": a.f_pt,
         "rate": f"{plan.rate.numerator}/{plan.rate.denominator}",
         "excluded_types": sorted(v.text() for v in a.excluded),
+    }
+
+
+def rules_json(rules: Mapping[TypeVector, "Iterable[int] | None"]) -> dict[str, object]:
+    """The JSON form of transmitter rules that :func:`rules_from_json` reads,
+    group types in canonical order."""
+    return {
+        gt.text(): "skip" if (sel := rules[gt]) is None else sorted(sel)
+        for gt in canonical_type_order(rules)
     }
 
 

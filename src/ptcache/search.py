@@ -10,7 +10,6 @@ already realizes the same scheme.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -44,9 +43,6 @@ class CandidateRecord:
     f_pt: int | None  # None when infeasible
     reason: str  # "" | "no_lcm" | "rate" | "mc"
 
-    def rules_dict(self) -> dict[str, list[int]]:
-        return {gt: sorted(sel) for gt, sel in self.rules}
-
 
 # (group type text, selection) of one group type in a record
 _Item = tuple[str, tuple[int, ...]]
@@ -56,18 +52,17 @@ _Space = tuple[tuple[int, ...], tuple[tuple[_Item, ...], ...]]
 _Verdict = tuple["int | None", str]
 
 
-class CandidateRecords(Sequence[CandidateRecord]):
-    """Every evaluated candidate in discovery order: a read-only sequence
-    that builds each record only when it is read.
+class CandidateRecords:
+    """Every evaluated candidate in discovery order: a lazy iterable that
+    builds each record only when it is read.
 
     The search visits each grouping's candidates in product order of its
     group types' selections, so record i is fixed by its grouping and its
     position there; only the verdicts (F_PT and reason) are stored, once
     per run of equal verdicts.  A subtree the LCM check cut is one such
     run, counted without visiting its leaves.  Iterating expands the
-    groupings with ``itertools.product``; indexing decodes one position.
-    Run and grouping starts are 8-byte integers, so it holds at most
-    MAX_BUDGET records.
+    groupings with ``itertools.product``.  Run and grouping starts are
+    8-byte integers, so it holds at most MAX_BUDGET records.
     """
 
     def __init__(self) -> None:
@@ -101,30 +96,6 @@ class CandidateRecords(Sequence[CandidateRecord]):
                     r += 1
                 yield CandidateRecord(sizes, rules, *verdicts[r])
                 i += 1
-
-    def _record(self, i: int) -> CandidateRecord:
-        g = bisect_right(self._grouping_starts, i) - 1
-        sizes, items = self._groupings[g]
-        pos = i - self._grouping_starts[g]
-        picked = []
-        for opts in reversed(items):  # the last depth varies fastest
-            pos, k = divmod(pos, len(opts))
-            picked.append(opts[k])
-        verdict = self._verdicts[bisect_right(self._verdict_starts, i) - 1]
-        return CandidateRecord(sizes, tuple(reversed(picked)), *verdict)
-
-    def __getitem__(self, index):  # type: ignore[override]
-        positions = range(self._len)[index]  # IndexError out of range
-        if isinstance(index, slice):
-            return [self._record(i) for i in positions]
-        return self._record(positions)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass

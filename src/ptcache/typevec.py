@@ -114,11 +114,6 @@ class TypeVector:
 
     def text(self) -> str:
         """Canonical text form, e.g. ``2|2,1|1,0,0`` (full padding kept)."""
-        return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        # cached: rejected search leaves put their types' text in messages
         return "|".join(",".join(str(e) for e in blk) for blk in self.blocks)
 
     @classmethod
@@ -226,43 +221,23 @@ class UniqueSet:
     """Users of one group type that are interchangeable with each other.
 
     Two users of a concrete group merge exactly when their groups lie in the
-    same block *and* the group intersections have the same cardinality.
+    same block *and* the group intersections have the same cardinality, so
+    (block, cardinality) names the set and ``size`` counts its users.
     Merging on cardinality alone would be wrong: dropping a user must yield
     the same subfile type for every member, and that only holds per block.
     """
 
     block: int
     cardinality: int
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def concrete_unique_sets(g: Grouping, S: Iterable[int]) -> tuple[UniqueSet, ...]:
-    """Unique sets of a concrete group, ordered (block asc, cardinality desc)."""
-    users = sorted(S)
-    per_group = profile(g, users)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for u in users:
-        gi = g.group_of[u]
-        key = (g.block_of_group[gi], per_group[gi])
-        buckets.setdefault(key, []).append(u)
-    out = []
-    for (bi, card) in sorted(buckets, key=lambda k: (k[0], -k[1])):
-        out.append(
-            UniqueSet(block=bi, cardinality=card, members=tuple(buckets[(bi, card)]))
-        )
-    return tuple(out)
+    size: int
 
 
 @dataclass(frozen=True)
 class MGroupStructure:
     """Structure of all concrete groups sharing one group type.
 
-    ``unique_sets`` uses a canonical representative group; ``involved`` is
-    aligned with it: entry i is the subfile type obtained by dropping any
+    ``unique_sets`` is in (block asc, cardinality desc) order; ``involved``
+    is aligned with it: entry i is the subfile type obtained by dropping any
     single member of unique set i+1, which is the type that unique set
     "owns" for delivery purposes.
     """
@@ -279,26 +254,18 @@ class MGroupStructure:
 def mgroup_structure(g: Grouping, gtype: TypeVector) -> MGroupStructure:
     """The structure of ``gtype``, derived from the type alone.
 
-    The representative group takes the first ``entry`` members of each
-    group.  Its users of one block and one intersection size form a unique
-    set, in (block asc, cardinality desc) order as
-    :func:`concrete_unique_sets` gives them.  Dropping a member of that set
-    lowers the last entry equal to its cardinality by one, which keeps the
-    block non-increasing: that is the set's involved type.
+    The users of a group type's groups that lie in one block and meet their
+    group in one intersection size form a unique set.  Dropping a member of
+    that set lowers the last entry equal to its cardinality by one, which
+    keeps the block non-increasing: that is the set's involved type.
     """
     if not is_realizable(g, gtype):
         raise ValueError(f"group type {gtype} is not realizable under {g}")
     unique_sets = []
     involved = []
-    for bi, (blk, gis) in enumerate(zip(gtype.blocks, g.block_groups)):
+    for bi, blk in enumerate(gtype.blocks):
         for card in sorted(set(blk) - {0}, reverse=True):
-            members = [
-                u
-                for entry, gi in zip(blk, gis)
-                if entry == card
-                for u in g.group_members[gi][:card]
-            ]
-            unique_sets.append(UniqueSet(bi, card, tuple(members)))
+            unique_sets.append(UniqueSet(bi, card, card * blk.count(card)))
             last = len(blk) - 1 - blk[::-1].index(card)
             lowered = blk[:last] + (card - 1,) + blk[last + 1 :]
             involved.append(

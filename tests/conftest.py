@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
@@ -23,6 +24,19 @@ def grouping_with_t(max_K: int = 8):
     return grouping_params(max_K).flatmap(
         lambda Ks: st.integers(1, Ks[0] - 1).map(lambda t: (Ks[0], Ks[1], t))
     )
+
+
+def unique_set_members(g, S):
+    """Brute-force unique sets of the concrete group S: its users bucketed by
+    (block of their user group, members of S in that group), as
+    ((block, cardinality), users) pairs in (block asc, cardinality desc)
+    order."""
+    count = Counter(g.group_of[u] for u in S)
+    buckets = {}
+    for u in sorted(S):
+        gi = g.group_of[u]
+        buckets.setdefault((g.block_of_group[gi], count[gi]), []).append(u)
+    return [(k, buckets[k]) for k in sorted(buckets, key=lambda k: (k[0], -k[1]))]
 
 
 def roundtrip_design(ds, N=None, M=None, bytes_per_packet=1, seed=0, demand=None,

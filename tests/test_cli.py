@@ -326,6 +326,36 @@ def test_search_summary_and_csv(tmp_path, capsys):
             assert r[8] in ("mc", "no_lcm", "rate")
 
 
+@pytest.mark.parametrize(
+    "argv,csv_out,digest",
+    [
+        (["search", "--K", "6", "--t", "3"], True,
+         "e19e047894166d151017ee2fad23e6f7da0e061e0b81ee8ae685dd82eaa71ee8"),
+        (["search", "--K", "6", "--t", "3", "--budget", "908"], True,
+         "7d0e3f933047f0a5ef0ab6cf00eb105126573689fb28ba6e992836e16179f6ec"),
+        (["search", "--K", "7", "--t", "4"], False,
+         "1c801dec76c2c2236776e30febbe9da0fbcf6d6ac1feb8d6e470c471c6a9a4dd"),
+        (["design", "--thm", "1", "--K", "8", "--tbar", "4", "--variant",
+          "fallback"], False,
+         "3e09d93ce0ce9bec2c6c5bee111d978c2e4cd5c58c60b5f3ec15fad08c0c9240"),
+        (["design", "--special", "k5_t3", "--K", "5"], False,
+         "b5ef76ce0239e00b4152c3925dc711fbc17c3daf8f6205b2b34adb62ad8885e8"),
+    ],
+)
+def test_records_and_rules_json_bytes_are_pinned(argv, csv_out, digest, tmp_path,
+                                                 capsys):
+    """Census CSVs (the 908 budget ends inside a subtree the LCM check cut),
+    and the rules JSON of a search's best scheme and of designs, byte for
+    byte."""
+    path = tmp_path / "census.csv"
+    code, out, _ = run_cli(argv + (["--out", str(path)] if csv_out else []), capsys)
+    assert code == EXIT_OK
+    if "--budget" in argv:
+        assert json.loads(out)["partial"] is True
+    data = path.read_bytes() if csv_out else out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 # ---------------------------------------------------------------- sweep
 
 

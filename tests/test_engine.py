@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ptcache
-from conftest import roundtrip_design
+from conftest import roundtrip_design, unique_set_members
 from ptcache.combinat import subsets
 from ptcache.designs import (
     dpda_specials,
@@ -30,6 +30,7 @@ from ptcache.designs import (
 )
 from ptcache.engine import (
     PlanError,
+    _compile_schedule,
     analyze_rules,
     build_plan,
     decode_and_verify,
@@ -588,6 +589,39 @@ def test_build_plan_types_each_subset_profile_once(monkeypatch):
     for T in subsets(ds.K, plan.t):
         _, alpha = plan.subset_map.get(T, (None, 0))
         assert alpha == plan.analysis.factor_of(type_of(g, T))
+
+
+def test_schedule_transmitters_match_concrete_unique_sets():
+    """The schedule picks each group's transmitters from the (block,
+    cardinality) names of its type's unique sets; a brute-force bucketing
+    of every sending group's own users must pick the same ones."""
+    designs = [
+        dpda_specials("t_km2", 7),
+        special_designs("k5_t3", 5),
+        special_designs("tbar3", 9),
+        theorem1_design(8, 4),
+        theorem2_design(8, 4),
+        theorem3_design(3, 3, 2),
+        dpda_specials("t2", 8),
+    ]
+    assert designs[0].grouping_sizes == (3, 2, 2)
+    checked = 0
+    for ds in designs:
+        plan = build_plan(ds.K, ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
+        g = plan.grouping
+        schedule = _compile_schedule(plan)
+        assert schedule
+        for S, gs in schedule.items():
+            sel = ds.tx_rules[type_of(g, S)]
+            chosen = {
+                u
+                for i, (_, users) in enumerate(unique_set_members(g, S), start=1)
+                if i in sel
+                for u in users
+            }
+            assert gs.transmitters == tuple(u for u in S if u in chosen)
+            checked += 1
+    assert checked == 289
 
 
 def test_src_holds_no_assert_statements():

@@ -14,11 +14,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import grouping_params, grouping_with_t
+from conftest import grouping_params, grouping_with_t, unique_set_members
 from ptcache.combinat import binomial, integer_partitions, subsets
 from ptcache.typevec import (
     TypeVector,
-    concrete_unique_sets,
     enumerate_types,
     is_realizable,
     make_grouping,
@@ -233,13 +232,13 @@ def test_structure_is_representative_independent(params, rnd):
     S = tuple(sorted(rnd.sample(range(1, K + 1), t)))
     gt = type_of(g, S)
     st_ = mgroup_structure(g, gt)
-    concrete = concrete_unique_sets(g, S)
-    assert [(u.block, u.cardinality, u.size) for u in concrete] == [
+    concrete = unique_set_members(g, S)
+    assert [(bi, card, len(users)) for (bi, card), users in concrete] == [
         (u.block, u.cardinality, u.size) for u in st_.unique_sets
     ]
     # removing any member of unique set i from S realizes involved type i
-    for us, want in zip(concrete, st_.involved):
-        for member in us.members:
+    for (_, users), want in zip(concrete, st_.involved):
+        for member in users:
             rest = tuple(x for x in S if x != member)
             assert type_of(g, rest) == want
 
