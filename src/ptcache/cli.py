@@ -43,6 +43,11 @@ EXIT_USAGE = 4
 
 # largest K a sweep accepts; checked before the K values are built
 SWEEP_MAX_K = 1000
+# largest library a simulation draws, N * F_PT * --bytes-per-packet bytes
+# (256 MiB); checked before any file is drawn
+MAX_LIBRARY_BYTES = 2**28
+# most demand vectors one simulation checks, counted or "all"
+MAX_DEMANDS = 65536
 
 
 class UsageError(Exception):
@@ -109,7 +114,8 @@ def _build_parser() -> _Parser:
     s.add_argument(
         "--demands",
         default="1",
-        help='"all", a count of random demand vectors, or an explicit "1,2,1"',
+        help=f'"all", a count of random demand vectors (either at most '
+        f'{MAX_DEMANDS}), or an explicit "1,2,1"',
     )
     s.add_argument("--transcript", help="write the delivery transcript (JSONL) here")
 
@@ -281,9 +287,9 @@ def _demand_vectors(
     ``rng`` one at a time."""
     if spec == "all":
         count = plan.N ** plan.K
-        if count > 65536:
+        if count > MAX_DEMANDS:
             raise UsageError(
-                f"--demands all would enumerate {count} vectors; cap is 65536"
+                f"--demands all would enumerate {count} vectors; cap is {MAX_DEMANDS}"
             )
         return product(range(1, plan.N + 1), repeat=plan.K)
     if "," in spec:
@@ -295,8 +301,8 @@ def _demand_vectors(
         count = int(spec)
     except ValueError as e:
         raise UsageError(f"bad --demands value {spec!r}") from e
-    if count < 1:
-        raise UsageError(f"--demands {count}: need at least one demand vector")
+    if not 1 <= count <= MAX_DEMANDS:
+        raise UsageError(f"--demands {count}: need 1 to {MAX_DEMANDS} demand vectors")
     return (
         tuple(rng.randrange(1, plan.N + 1) for _ in range(plan.K))
         for _ in range(count)
@@ -309,14 +315,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     plan = engine.build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
     if args.bytes_per_packet < 1:
         raise UsageError("--bytes-per-packet must be >= 1")
+    library = N * plan.f_pt * args.bytes_per_packet
+    if library > MAX_LIBRARY_BYTES:
+        raise UsageError(
+            f"--bytes-per-packet {args.bytes_per_packet}: {N} files of {plan.f_pt} "
+            f"packets would take {library:,} bytes; cap is {MAX_LIBRARY_BYTES:,}"
+        )
     rng = random.Random(args.seed)
+    # checked before any file is drawn; random demands are drawn lazily, after them
+    demands = _demand_vectors(args.demands, plan, rng)
     files = tuple(
         rng.randbytes(plan.f_pt * args.bytes_per_packet) for _ in range(N)
     )
 
     all_ok = True
     first = None
-    for checked, demand in enumerate(_demand_vectors(args.demands, plan, rng), 1):
+    for checked, demand in enumerate(demands, 1):
         session = engine.simulate(plan, files, demand)
         result = engine.decode_and_verify(session)
         meas = engine.measure(session)

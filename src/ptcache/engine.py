@@ -849,35 +849,6 @@ def rules_from_json(data: object) -> dict[TypeVector, "frozenset[int] | None"]:
     return rules
 
 
-def plan_from_json(data: Mapping[str, object]) -> SchemePlan:
-    """Rebuild a plan from :func:`plan_json` output.  A missing or mistyped
-    field, or a stored F_PT that the rebuild disagrees with, raises
-    ValueError naming the field."""
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
-    for name in ("tx_rules", "K", "N", "M", "grouping", "F_PT"):
-        if name not in data:
-            raise ValueError(f"plan JSON has no {name!r} field")
-    for name in ("K", "N", "M"):
-        if type(data[name]) is not int:
-            raise ValueError(f"plan field {name!r} must be an int, got {data[name]!r}")
-    sizes = data["grouping"]
-    if not (isinstance(sizes, list) and all(type(s) is int for s in sizes)):
-        raise ValueError(f"plan field 'grouping' must be an int list, got {sizes!r}")
-    plan = build_plan(
-        K=data["K"],  # type: ignore[arg-type]
-        N=data["N"],  # type: ignore[arg-type]
-        M=data["M"],  # type: ignore[arg-type]
-        grouping_sizes=sizes,
-        tx_rules=rules_from_json(data["tx_rules"]),
-    )
-    if plan.f_pt != data["F_PT"]:
-        raise ValueError(
-            f"stored subpacketization {data['F_PT']} disagrees with rebuilt {plan.f_pt}"
-        )
-    return plan
-
-
 def transcript_jsonl(transcript: Iterable[Message]) -> str:
     lines = []
     for m in transcript:

@@ -65,61 +65,68 @@ def local_fs(structure: MGroupStructure, d_tx: Iterable[int]) -> dict[TypeVector
 
 
 class RatioForest:
-    """Union-find over rows with exact rational scale ratios on the edges.
+    """Union-find over rows with exact rational scale ratios, kept flat.
 
-    ``scale(i) = num[i] / den[i] * scale(parent[i])``.  Union by size without
-    path compression keeps trees shallow and every union undoable, so a
-    depth-first search can add rows' constraints on the way down and
-    :meth:`rollback` to a :meth:`mark` on the way up.
+    Every row stores its component's root and its scale relative to it,
+    ``scale(i) = num[i] / den[i] * scale(root[i])``, so :meth:`find` is one
+    lookup.  A union relabels the smaller component onto the larger and
+    records the factor it scaled those rows by, so a depth-first search can
+    add rows' constraints on the way down and :meth:`rollback` to a
+    :meth:`mark` on the way up.  Scales are exact but not kept in lowest
+    terms.
     """
 
     def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+        self.root = list(range(n))
         self.num = [1] * n
         self.den = [1] * n
-        self.size = [1] * n
-        self._attached: list[int] = []  # roots hung below another, oldest first
+        self.members = [[i] for i in range(n)]  # valid for roots only
+        # per union: (kept root, relabelled root, x, y) with the relabelled
+        # rows' scales multiplied by x / y; undone by dividing, exactly
+        self._undo: list[tuple[int, int, int, int]] = []
 
     def find(self, i: int) -> tuple[int, int, int]:
         """``(root, n, d)`` with ``scale(i) = n / d * scale(root)``."""
-        n = d = 1
-        parent = self.parent
-        while parent[i] != i:
-            n *= self.num[i]
-            d *= self.den[i]
-            i = parent[i]
-        return i, n, d
+        return self.root[i], self.num[i], self.den[i]
 
     def relate(self, i: int, a: int, j: int, b: int) -> bool:
         """Impose ``scale(i) * a == scale(j) * b``; False on contradiction."""
-        ri, ni, di = self.find(i)
-        rj, nj, dj = self.find(j)
+        root, num, den = self.root, self.num, self.den
         # the constraint reads x * scale(ri) == y * scale(rj)
-        x = ni * a * dj
-        y = nj * b * di
+        x = num[i] * a * den[j]
+        y = num[j] * b * den[i]
+        ri, rj = root[i], root[j]
         if ri == rj:
             return x == y
-        if self.size[ri] < self.size[rj]:
-            ri, rj, x, y = rj, ri, y, x
+        moved, kept = self.members[rj], self.members[ri]
+        if len(moved) > len(kept):
+            ri, rj, x, y, moved, kept = rj, ri, y, x, kept, moved
         g = gcd(x, y)
-        self.parent[rj] = ri
-        self.num[rj] = x // g
-        self.den[rj] = y // g
-        self.size[ri] += self.size[rj]
-        self._attached.append(rj)
+        x //= g
+        y //= g
+        for m in moved:  # scale(rj) = x / y * scale(ri)
+            root[m] = ri
+            num[m] *= x
+            den[m] *= y
+        kept += moved
+        self._undo.append((ri, rj, x, y))
         return True
 
     def mark(self) -> int:
-        return len(self._attached)
+        return len(self._undo)
 
     def rollback(self, mark: int) -> None:
         """Undo every union made since ``mark``."""
-        attached = self._attached
-        while len(attached) > mark:
-            r = attached.pop()
-            self.size[self.parent[r]] -= self.size[r]
-            self.parent[r] = r
-            self.num[r] = self.den[r] = 1
+        undo = self._undo
+        root, num, den, members = self.root, self.num, self.den, self.members
+        while len(undo) > mark:
+            ri, rj, x, y = undo.pop()
+            moved = members[rj]
+            del members[ri][-len(moved):]
+            for m in moved:
+                root[m] = rj
+                num[m] //= x
+                den[m] //= y
 
 
 def vector_lcm(

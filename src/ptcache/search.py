@@ -9,27 +9,29 @@ already realizes the same scheme.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import prod
+from operator import mul
 from typing import Iterable
 
 from .combinat import binomial, integer_partitions
 from .designs import DesignSpec, theorem1_bound, theorem1_design, theorem2_design
 from .designs import special_designs, theorem3_design
 from .engine import PlanError, SchemeLayout, analyze_layout, analyze_rules
-from .engine import check_stages, rate_violation, scheme_layout
+from .engine import check_stages, scheme_layout
 from .fscalc import FSEntry, RatioForest
 from .typevec import TypeVector, make_grouping
 
 # Largest census searched without a candidate budget: it admits every
-# (K <= 9, t), (9,4) being the largest at 2.12e10 candidates.
+# (K <= 9, t), (9,4) being the largest at 2.12e10 candidates, about 80 s
+# in-process on a 2-vCPU x86-64 host.
 MAX_CANDIDATES = 10**11
-# Largest candidate budget: CandidateRecords stores positions as 8-byte ints.
+# Largest candidate budget: the records report their count through len(),
+# which Python caps at sys.maxsize (2^63 - 1 on 64-bit builds).
 MAX_BUDGET = 2**63 - 1
 # Largest K searched: laying out every grouping grows with the number of
 # partitions of K (0.22 s at K=16, 1.7 s at K=24 on a 2-vCPU x86-64 host).
@@ -46,56 +48,53 @@ class CandidateRecord:
 
 # (group type text, selection) of one group type in a record
 _Item = tuple[str, tuple[int, ...]]
-# a grouping's sizes and, per depth, the items of its selections
-_Space = tuple[tuple[int, ...], tuple[tuple[_Item, ...], ...]]
 # (F_PT, reason) of a record
 _Verdict = tuple["int | None", str]
+# (selection, local split-factor row, record item, mask of the columns the
+# row zeroes, mask of the columns the group type involves, mask of the
+# selection's column when it is one single-user unique set, else -1)
+_Option = tuple[frozenset[int], tuple[FSEntry, ...], _Item, int, int, int]
+
+# verdict of each stage a search candidate can fail, one object each
+_REJECTED: dict[str, _Verdict] = {
+    "lcm": (None, "no_lcm"), "rate": (None, "rate"), "mc": (None, "mc")
+}
 
 
 class CandidateRecords:
-    """Every evaluated candidate in discovery order: a lazy iterable that
-    builds each record only when it is read.
+    """Every evaluated candidate in canonical order: a lazy iterable that
+    stores nothing per candidate.
 
-    The search visits each grouping's candidates in product order of its
-    group types' selections, so record i is fixed by its grouping and its
-    position there; only the verdicts (F_PT and reason) are stored, once
-    per run of equal verdicts.  A subtree the LCM check cut is one such
-    run, counted without visiting its leaves.  Iterating expands the
-    groupings with ``itertools.product``.  Run and grouping starts are
-    8-byte integers, so it holds at most MAX_BUDGET records.
+    Canonical order takes the groupings in search order and, within one,
+    the product order of its group types' selections.  Iterating re-runs
+    the canonical depth-first search over the searched groupings and builds
+    each record as it is read, a subtree the LCM check cut as the product
+    of its remaining selections; it stops after ``len(self)`` records, so a
+    budgeted run reads back exactly the candidates it counted.
     """
 
-    def __init__(self) -> None:
-        self._groupings: list[_Space] = []
-        self._grouping_starts = array("q")
-        self._verdicts: list[_Verdict] = []
-        self._verdict_starts = array("q")
-        self._len = 0
-
-    def _start_grouping(self, space: _Space) -> None:
-        """Open the next grouping; its candidates follow."""
-        self._groupings.append(space)
-        self._grouping_starts.append(self._len)
-
-    def _extend(self, count: int, verdict: _Verdict) -> None:
-        """Append the next ``count`` candidates, all with one verdict."""
-        if not self._verdicts or self._verdicts[-1] != verdict:
-            self._verdicts.append(verdict)
-            self._verdict_starts.append(self._len)
-        self._len += count
+    def __init__(self, layouts: Sequence[SchemeLayout], length: int) -> None:
+        self._layouts = layouts
+        self._len = length
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[CandidateRecord]:
-        starts, verdicts = self._verdict_starts, self._verdicts
-        i = r = 0
-        for (sizes, items), first in zip(self._groupings, self._grouping_starts):
-            for rules in islice(product(*items), self._len - first):
-                while r + 1 < len(starts) and starts[r + 1] <= i:
-                    r += 1
-                yield CandidateRecord(sizes, rules, *verdicts[r])
-                i += 1
+        left = self._len
+        for layout in self._layouts:
+            sizes = layout.grouping.sizes
+            options = _options(layout)
+            items = [[o[2] for o in opts] for opts in options]
+            depth = len(options)
+            picks = [0] * depth
+            for d, count, verdict in _walk(layout, options, range(depth), picks):
+                head = tuple(items[i][picks[i]] for i in range(d))
+                for tail in islice(product(*items[d:]), left):
+                    yield CandidateRecord(sizes, head + tail, *verdict)
+                left -= min(count, left)
+                if not left:
+                    return
 
 
 @dataclass
@@ -104,111 +103,121 @@ class SearchResult:
     t: int
     best: "tuple[DesignSpec, int] | None"
     pareto: list[CandidateRecord]  # feasible candidates, ascending subpacketization
-    records: CandidateRecords  # everything evaluated, in discovery order
+    records: CandidateRecords  # everything evaluated, in canonical order
     explored: int
     infeasible: dict[str, int]
     partial: bool
 
 
-# (selection, local split-factor row, record item, mask of the columns the
-# row zeroes) of one group type
-_Option = tuple[frozenset[int], tuple[FSEntry, ...], _Item, int]
-
-# verdict of each stage a search candidate can fail, one object each so
-# that the records hold no copies
-_REJECTED: dict[str, _Verdict] = {
-    "lcm": (None, "no_lcm"), "rate": (None, "rate"), "mc": (None, "mc")
-}
-
-
-def _search_one_grouping(
-    layout: SchemeLayout,
-    budget: int | None,
-    records: CandidateRecords,
-    reasons: Counter[str],
-    feasible: list[CandidateRecord],
-) -> bool:
-    """Depth-first search over one grouping's transmitter selections.
-
-    Appends the candidates to ``records`` in discovery order, counts them
-    in ``reasons`` and the feasible ones in ``feasible``; True when
-    ``records`` reached ``budget`` candidates.
-
-    Depth i picks the selection of group type i.  The LCM stage is checked on
-    the way down, on the *final* columns only: those no chosen row has zeroed
-    and no later group type can still zero (a zero needs a single-user unique
-    set transmitting alone for its own type).  Final columns only grow along
-    a path and keep their entries, so a contradiction among them holds for
-    every leaf below; that subtree is "doomed" and becomes one run of
-    no_lcm records, counted in one step without visiting its leaves.
-    """
-    sizes = layout.grouping.sizes
-    vtypes, gtypes = layout.subfile_types, layout.group_types
-    structures = layout.structures
-    width, depth = len(vtypes), len(gtypes)
-
-    # Options per group type: every nonempty selection, smallest first, each
-    # with its precomputed local row, its record item and its zeroed columns.
+def _options(layout: SchemeLayout) -> list[list[_Option]]:
+    """Per group type, every nonempty selection, smallest first, with its
+    local row, record item and column masks."""
     options: list[list[_Option]] = []
-    for i, (gt, st) in enumerate(zip(gtypes, structures)):
+    for i, (gt, st) in enumerate(zip(layout.group_types, layout.structures)):
         n = st.num_unique_sets
         text = gt.text()
+        cols = [layout.col[v] for v in st.involved]
+        involved = sum(1 << j for j in cols)
         options.append([])
         for size in range(1, n + 1):
             for sel in combinations(range(1, n + 1), size):
                 row = layout.row(i, sel)
                 zeroes = sum(1 << j for j, e in enumerate(row) if e == 0)
-                options[i].append((frozenset(sel), row, (text, sel), zeroes))
-    items = tuple(tuple(o[2] for o in opts) for opts in options)
-    records._start_grouping((sizes, items))
-    # the leaves below a node at depth i
-    below = [prod(len(opts) for opts in options[i:]) for i in range(depth + 1)]
+                solo = -1
+                if size == 1 and st.unique_sets[sel[0] - 1].size == 1:
+                    solo = 1 << cols[sel[0] - 1]
+                options[i].append(
+                    (frozenset(sel), row, (text, sel), zeroes, involved, solo)
+                )
+    return options
 
-    # Column j can be zeroed only by the group types in zeroers[j]; it turns
-    # final at depth zeroers[j][-1] (from the start when there are none)
-    # unless zeroed by then.  The rows touching column j, in depth order, are
-    # rows_of[j]; a final column never holds a zero, so all of them are live.
-    zeroers: list[list[int]] = [[] for _ in range(width)]
+
+def _rate_fails(chosen: Iterable[_Option], zeroed: int) -> bool:
+    """The rate stage (``engine.rate_violation``) on bit masks, with the
+    columns in ``zeroed`` excluded.  A row fails when its excluded involved
+    columns are neither none, nor all, nor the lone single-user unique set
+    that transmits alone."""
+    for _, _, _, _, involved, solo in chosen:
+        dead = involved & zeroed
+        if dead and dead != involved and dead != solo:
+            return True
+    return False
+
+
+def _walk(
+    layout: SchemeLayout,
+    options: Sequence[Sequence[_Option]],
+    order: Sequence[int],
+    picks: list[int],
+) -> Iterator[tuple[int, int, _Verdict]]:
+    """Depth-first search over one grouping's transmitter selections.
+
+    Walk depth d picks the selection of group type ``order[d]``, writing its
+    option index to ``picks[d]``.  Yields ``(d, count, verdict)`` for each
+    run of candidates: the ``count`` candidates that share ``picks[:d]``, a
+    single leaf when d is the depth.  Counts, verdicts and the set of
+    feasible leaves do not depend on ``order``; record order does.
+
+    The LCM stage is checked on the way down, on the *final* columns only:
+    those no chosen row has zeroed and no later group type can still zero
+    (a zero needs a single-user unique set transmitting alone for its own
+    type).  Final columns only grow along a path and keep their entries, so
+    a contradiction among them holds for every leaf below; that subtree is
+    "doomed" and is one no_lcm run, counted without visiting its leaves.
+    """
+    structures = layout.structures
+    width, depth = len(layout.subfile_types), len(order)
+    walked = [options[c] for c in order]
+    n_opts = [len(opts) for opts in walked]
+    below = [prod(n_opts[d:]) for d in range(depth + 1)]
+    at = {c: d for d, c in enumerate(order)}  # walk depth of group type c
+
+    # Column j can be zeroed only by the rows in zeroers; it turns final at
+    # the last of them (from the start when there are none) unless zeroed
+    # by then.  A final column never holds a zero, so all its rows are live.
     rows_of: list[list[int]] = [[] for _ in range(width)]
-    for i, st in enumerate(structures):
+    zeroers: list[list[int]] = [[] for _ in range(width)]
+    for c, st in enumerate(structures):
         for us, v in zip(st.unique_sets, st.involved):
-            rows_of[layout.col[v]].append(i)
+            rows_of[layout.col[v]].append(at[c])
             if us.size == 1:
-                zeroers[layout.col[v]].append(i)
-    final_at: list[list[int]] = [[] for _ in gtypes]
+                zeroers[layout.col[v]].append(at[c])
+    # per depth: the columns turning final there, with their rows so far,
+    # and the columns the row touches, with the first row touching them
+    final_at: list[list[tuple[int, list[int]]]] = [[] for _ in range(depth)]
+    touched: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
     initial_final = 0
-    for j, zs in enumerate(zeroers):
-        if zs:
-            final_at[zs[-1]].append(j)
+    for j, rows in enumerate(rows_of):
+        rows.sort()
+        if zeroers[j]:
+            last = max(zeroers[j])
+            final_at[last].append((j, [k for k in rows if k <= last]))
         else:
             initial_final |= 1 << j
-    # Per depth: the columns the row touches, with the column's first row.
-    touched = [
-        [(j, rows_of[j][0]) for j in range(width) if i in rows_of[j]]
-        for i in range(depth)
-    ]
+        for k in rows[1:]:
+            touched[k].append((j, rows[0]))
     all_columns = (1 << width) - 1
-    excluded_of: dict[int, frozenset[TypeVector]] = {}
 
     forest = RatioForest(depth)
-    chosen: list[_Option] = []
+    relate = forest.relate
+    chosen: list[_Option] = [walked[d][0] for d in range(depth)]
+    rows = [opt[1] for opt in chosen]  # the chosen options' rows
 
-    def consistent(i: int, final: int) -> int | None:
-        """Add row i's constraints on final columns to the forest; the new
+    def consistent(d: int, final: int, zeroed: int) -> int | None:
+        """Add row d's constraints on final columns to the forest; the new
         final-column mask, or None on a contradiction."""
-        row = chosen[i][1]
-        for j, first in touched[i]:
-            if final >> j & 1 and first != i:
-                if not forest.relate(first, chosen[first][1][j], i, row[j]):
-                    return None
-        for j in final_at[i]:
-            ks = [k for k in rows_of[j] if k <= i]
-            entries = [chosen[k][1][j] for k in ks]
-            if 0 in entries:
+        row = rows[d]
+        for j, first in touched[d]:
+            if final >> j & 1 and not relate(first, rows[first][j], d, row[j]):
+                return None
+        for j, ks in final_at[d]:
+            if zeroed >> j & 1:
                 continue  # excluded on this whole subtree
             final |= 1 << j
-            for k, e in zip(ks[1:], entries[1:]):
-                if not forest.relate(ks[0], entries[0], k, e):
+            k0 = ks[0]
+            e0 = rows[k0][j]
+            for k in ks[1:]:
+                if not relate(k0, e0, k, rows[k][j]):
                     return None
         return final
 
@@ -217,56 +226,49 @@ def _search_one_grouping(
         column is in ``zeroed``, so the LCM passes and excludes exactly
         ``zeroed`` (each column has a row: a subset of type v plus one more
         user is a group that involves v).  So the rate stage can run first,
-        and only the leaves it passes reach the LCM and memory stages."""
+        on bit masks, and only the leaves it passes reach ``check_stages``."""
         if zeroed == all_columns:
             return _REJECTED["lcm"]  # every subfile type excluded
-        excluded = excluded_of.get(zeroed)
-        if excluded is None:
-            excluded = frozenset(v for j, v in enumerate(vtypes) if zeroed >> j & 1)
-            excluded_of[zeroed] = excluded
-        for st, (sel, _, _, _) in zip(structures, chosen):
-            if rate_violation(st, sel, excluded):
-                return _REJECTED["rate"]
+        if _rate_fails(chosen, zeroed):
+            return _REJECTED["rate"]
+        canonical = [chosen[at[c]] for c in range(depth)]
         try:
             _, _, f_pt = check_stages(
-                layout, [o[0] for o in chosen], [o[1] for o in chosen]
+                layout, [o[0] for o in canonical], [o[1] for o in canonical]
             )
         except PlanError as e:
             return _REJECTED[e.stage]
         return f_pt, ""
 
-    def emit(count: int, verdict: _Verdict) -> bool:
-        """Append the next ``count`` candidates, cut to the budget; False
-        once the budget is spent."""
-        if budget is not None:
-            count = min(count, budget - len(records))
-        records._extend(count, verdict)
-        reasons[verdict[1]] += count
-        if verdict[0] is not None:
-            rules = tuple(o[2] for o in chosen)
-            feasible.append(CandidateRecord(sizes, rules, *verdict))
-        return budget is None or len(records) < budget
-
-    def dfs(i: int, final: int, zeroed: int) -> bool:
-        """``final`` and ``zeroed`` are the masks of the final columns and
-        of the columns a chosen row zeroes."""
-        if i == depth:
-            return emit(1, evaluate(zeroed))
-        for opt in options[i]:
-            chosen.append(opt)
-            mark = forest.mark()
-            nxt = consistent(i, final)
-            if nxt is None:
-                alive = emit(below[i + 1], _REJECTED["lcm"])
-            else:
-                alive = dfs(i + 1, nxt, zeroed | opt[3])
-            forest.rollback(mark)
-            chosen.pop()
-            if not alive:
-                return False
-        return True
-
-    return not dfs(0, initial_final, 0)
+    finals = [initial_final] * (depth + 1)
+    zeroeds = [0] * (depth + 1)
+    marks = [0] * depth
+    d = 0
+    picks[0] = 0
+    while True:
+        k = picks[d]
+        if k == n_opts[d]:  # depth d exhausted: back up
+            if d == 0:
+                return
+            d -= 1
+            forest.rollback(marks[d])
+            picks[d] += 1
+            continue
+        opt = chosen[d] = walked[d][k]
+        rows[d] = opt[1]
+        zeroed = zeroeds[d] | opt[3]
+        final = consistent(d, finals[d], zeroed)
+        if final is None:
+            yield d + 1, below[d + 1], _REJECTED["lcm"]
+        elif d + 1 == depth:
+            yield depth, 1, evaluate(zeroed)
+        else:
+            d += 1
+            finals[d], zeroeds[d], marks[d] = final, zeroed, forest.mark()
+            picks[d] = 0
+            continue
+        forest.rollback(marks[d])
+        picks[d] += 1
 
 
 def search_space(K: int, t: int) -> tuple[int, list[SchemeLayout]]:
@@ -290,11 +292,16 @@ def exhaustive_search(
 ) -> SearchResult:
     """Search every (grouping, transmitter rules) candidate at (K, t).
 
-    Deterministic: groupings in reverse-lexicographic order, selections
-    smallest-first; ``best`` is the first-discovered minimum.  With a budget
-    the result holds the first ``max_candidates`` candidates of that order.
-    Without one, a census of more than MAX_CANDIDATES candidates is refused
-    before it starts; K is at most MAX_K either way.
+    Deterministic.  Canonical order takes groupings in reverse-lexicographic
+    order and, within one, the product order of its group types'
+    selections, smallest first.  ``best`` is the least (F_PT, canonical
+    position), the first minimum in canonical order.  Without a budget, a
+    census of more than MAX_CANDIDATES candidates is refused before it
+    starts, and each grouping's group types are walked last first: that
+    cuts contradicted subtrees nearer the root and changes no count.  With
+    a budget the walk is canonical and the result holds the first
+    ``max_candidates`` candidates.  ``records`` re-runs the canonical walk
+    whenever it is read.  K is at most MAX_K either way.
     """
     if not 1 <= t <= K - 1:
         raise ValueError(f"need 1 <= t <= K-1, got K={K}, t={t}")
@@ -317,33 +324,52 @@ def exhaustive_search(
         layouts = (
             scheme_layout(make_grouping(K, s), t) for s in integer_partitions(K)
         )
-    records = CandidateRecords()
+    searched: list[SchemeLayout] = []
     reasons: Counter[str] = Counter()
-    feasible: list[CandidateRecord] = []
-    partial = False
+    # (F_PT, canonical position, record) of each feasible candidate
+    feasible: list[tuple[int, int, CandidateRecord]] = []
+    explored = 0
     for layout in layouts:
-        partial = _search_one_grouping(
-            layout, max_candidates, records, reasons, feasible
-        )
-        if partial:
+        searched.append(layout)
+        options = _options(layout)
+        depth = len(options)
+        order = range(depth - 1, -1, -1) if max_candidates is None else range(depth)
+        at = [order.index(c) for c in range(depth)]  # walk depth of group type c
+        # a leaf's canonical position: the grouping's start plus the mixed
+        # radix index of its selections
+        start = explored
+        radix = [prod(map(len, options[c + 1:])) for c in range(depth)]
+        picks = [0] * depth
+        for _, count, verdict in _walk(layout, options, order, picks):
+            if max_candidates is not None:
+                count = min(count, max_candidates - explored)
+            reasons[verdict[1]] += count
+            explored += count
+            if verdict[0] is not None:
+                index = [picks[d] for d in at]
+                rules = tuple(opts[k][2] for opts, k in zip(options, index))
+                rec = CandidateRecord(layout.grouping.sizes, rules, *verdict)
+                position = start + sum(map(mul, index, radix))
+                feasible.append((verdict[0], position, rec))
+            if explored == max_candidates:
+                break
+        if explored == max_candidates:
             break
 
-    # the first-discovered minimum
-    best_rec = min(feasible, key=lambda r: r.f_pt, default=None)  # type: ignore
-    best = None
-    if best_rec is not None:
-        best = (candidate_to_design(K, t, best_rec), best_rec.f_pt)  # type: ignore[arg-type]
-
-    pareto = sorted(feasible, key=lambda r: (r.f_pt, r.grouping, r.rules))
+    # positions are unique, so no two entries tie on (F_PT, position)
+    best = min(feasible, default=None)
     return SearchResult(
         K=K,
         t=t,
-        best=best,
-        pareto=pareto,
-        records=records,
-        explored=len(records),
+        best=None if best is None else (candidate_to_design(K, t, best[2]), best[0]),
+        pareto=sorted(
+            (rec for _, _, rec in feasible),
+            key=lambda r: (r.f_pt, r.grouping, r.rules),
+        ),
+        records=CandidateRecords(searched, explored),
+        explored=explored,
         infeasible={k: reasons[k] for k in ("no_lcm", "rate", "mc")},
-        partial=partial,
+        partial=explored == max_candidates,
     )
 
 

@@ -10,14 +10,16 @@ import csv
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ptcache.engine
 from ptcache.cli import (
@@ -25,6 +27,8 @@ from ptcache.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_DEMANDS,
+    MAX_LIBRARY_BYTES,
     main,
 )
 from ptcache.engine import VerifyResult
@@ -356,6 +360,41 @@ def test_records_and_rules_json_bytes_are_pinned(argv, csv_out, digest, tmp_path
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# sha256 of `search --K K --t t` stdout for every census with K <= 7
+SEARCH_STDOUT = {
+    (2, 1): "715462eabb1f04e5effd551111725abff9ab285862440d93151d93a94f7244c3",
+    (3, 1): "da4848151027ec5d1cbf758213c415fd59153ea4013e877d891a4af171ca3926",
+    (3, 2): "dc723c468de4bc99fbfa3d34affcad175fe6a002d5baed70c55c4a433cd29442",
+    (4, 1): "990ea75b2d6d792433805eaa571cf508773d11c3fc36be284ae618b330a40047",
+    (4, 2): "f72b0ce0e4f6fd427c8dd08543fa67ae2939c123d6fe8e790848dbfce26d5c79",
+    (4, 3): "2d0ef4af7da98761b8ccf00e1ce43fd55c8d647e1665fd9928d8aa7347b8896f",
+    (5, 1): "cfaa1bf1110a1ec3ee7e8878fa55bb7b146cbde56d21fee3742be4cb9377069a",
+    (5, 2): "c7fa6adbfc4aa8d07b80b8b2d0772f6b655f141e726d27ee9a60249f460a2da3",
+    (5, 3): "90325a19209b318d0b9ec0884ead446bce89ae0ad0b1f12d38fd817a6072c38f",
+    (5, 4): "c57756ebbf0b467a9a6a54370d5820dfcae5195f8c22caae0270ed688c7e270e",
+    (6, 1): "45f99369067d4fd89d87177da5cdf2fdff4db3fa8e4ecfd803e6b6677fdeba1a",
+    (6, 2): "7363c21bd784ad9a7794ad5cc6d6740e33bb0bbe06dbfef2f87fe2143493c5a7",
+    (6, 3): "44add74708d94d9a132a0d8ec1d9c5cb2ed047a6410d8e179fa71f3f3b1e12f1",
+    (6, 4): "be68d600209bd80a6695f7a19013b9f1d7d849a428f6387fffd137b496a21fab",
+    (6, 5): "601777ef4aca6018963772d676425abe34bafda1b61ab8be5aeea1ba9f729c85",
+    (7, 1): "8e82fcbd73ebec685ec7870cfb376d2070639cb2119fb2a6b68cc168d284724e",
+    (7, 2): "e9513ff0173f0caac5f17ead84aa8d80216d280403358a06f968c06015afb4b4",
+    (7, 3): "301c51c1304e7e6d043944ce322facace11a52b97109827a27f35cc318aaf11a",
+    (7, 4): "1c801dec76c2c2236776e30febbe9da0fbcf6d6ac1feb8d6e470c471c6a9a4dd",
+    (7, 5): "205c950fc45ffcc0e5739b83cde4388475ad467329ced04f78a81661308d59ee",
+    (7, 6): "460357635807ed422e5ecb24ae79f1189ba677d5b9757c821e99995dd27d5514",
+}
+
+
+@pytest.mark.parametrize("K,t", sorted(SEARCH_STDOUT))
+def test_census_summaries_are_pinned(K, t, capsys):
+    """Counts, feasible total and the best scheme of every small census,
+    byte for byte, whatever order the search walks its candidates in."""
+    code, out, _ = run_cli(["search", "--K", str(K), "--t", str(t)], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_STDOUT[(K, t)]
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -634,6 +673,57 @@ def test_malformed_rules_keep_the_exit_code_contract(command, rules):
         [command, "--grouping", "2,2", "--K", "4", "--t", "2", "--rules", "RULES"],
         rules,
     )
+
+
+class _DrewFiles(Exception):
+    """Raised by a patched randbytes: the simulation started drawing files."""
+
+
+def _refuse_randbytes(self, n):
+    raise _DrewFiles(n)
+
+
+# the jcm K=4, t=2 library: 4 files of 12 packets, 48 bytes a packet byte
+JCM_4_2_LIBRARY = 4 * 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bytes_per_packet=st.one_of(
+        st.just(1),
+        st.integers(MAX_LIBRARY_BYTES // JCM_4_2_LIBRARY + 1, 10**40),
+    ),
+    demands=st.one_of(st.just(1), st.integers(MAX_DEMANDS + 1, 10**40)),
+)
+def test_simulate_refuses_oversized_work_before_drawing_files(
+    bytes_per_packet, demands
+):
+    """A library above MAX_LIBRARY_BYTES or a demand count above MAX_DEMANDS
+    exits 4 before a single file byte is drawn."""
+    assume(bytes_per_packet > 1 or demands > 1)
+    argv = ["simulate", "--jcm", "--K", "4", "--t", "2",
+            "--bytes-per-packet", str(bytes_per_packet), "--demands", str(demands)]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(random.Random, "randbytes", _refuse_randbytes), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == EXIT_USAGE
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+
+
+def test_simulate_library_cap_is_inclusive(capsys):
+    """Both caps are inclusive: at the largest library and demand count
+    they admit, the simulation goes on to draw its files."""
+    B = MAX_LIBRARY_BYTES // JCM_4_2_LIBRARY
+    base = ["simulate", "--jcm", "--K", "4", "--t", "2"]
+    with mock.patch.object(random.Random, "randbytes", _refuse_randbytes):
+        with pytest.raises(_DrewFiles):
+            main(base + ["--bytes-per-packet", str(B)])
+        assert main(base + ["--bytes-per-packet", str(B + 1)]) == EXIT_USAGE
+        with pytest.raises(_DrewFiles):
+            main(base + ["--demands", str(MAX_DEMANDS)])
+    capsys.readouterr()
 
 
 def test_module_runs_as_subprocess():

@@ -162,17 +162,91 @@ def test_vector_lcm_idempotent():
 def test_ratio_forest_rollback_forgets_later_constraints():
     f = RatioForest(4)
     assert f.relate(0, 2, 1, 3)  # 2 s0 = 3 s1
-    fresh = (list(f.parent), list(f.num), list(f.den), list(f.size))
+    fresh = [f.find(i) for i in range(4)]
     m = f.mark()
     assert f.relate(1, 1, 2, 2)  # s1 = 2 s2, so s0 = 3 s2
     assert not f.relate(0, 1, 2, 1)
     assert f.relate(3, 1, 2, 1) and f.relate(0, 1, 3, 3)
     f.rollback(m)
-    assert (f.parent, f.num, f.den, f.size) == fresh
+    assert [f.find(i) for i in range(4)] == fresh
     assert f.relate(0, 1, 2, 1)  # s2 is free again
     root, n, d = f.find(1)
     root0, n0, d0 = f.find(0)
     assert root == root0 and Fraction(n, d) / Fraction(n0, d0) == Fraction(2, 3)
+
+
+class _FractionForest:
+    """Reference for RatioForest: one Fraction scale per row relative to a
+    component label, components merged by relabelling every row."""
+
+    def __init__(self, n):
+        self.comp = list(range(n))
+        self.scale = [Fraction(1)] * n
+
+    def relate(self, i, a, j, b):
+        ratio = self.scale[i] * a / (self.scale[j] * b)  # scale(j) / scale(i)
+        if self.comp[i] == self.comp[j]:
+            return ratio == 1
+        old = self.comp[j]
+        for k, c in enumerate(self.comp):
+            if c == old:
+                self.comp[k] = self.comp[i]
+                self.scale[k] *= ratio
+        return True
+
+    def copy(self):
+        other = _FractionForest(0)
+        other.comp, other.scale = list(self.comp), list(self.scale)
+        return other
+
+
+def _same_ratios(forest, ref):
+    """Rows share a root exactly when they share a component, at the same
+    scale ratio."""
+    n = len(ref.comp)
+    found = [forest.find(i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            ri, ni, di = found[i]
+            rj, nj, dj = found[j]
+            assert (ri == rj) == (ref.comp[i] == ref.comp[j])
+            if ri == rj:
+                assert Fraction(ni, di) / Fraction(nj, dj) == (
+                    ref.scale[i] / ref.scale[j]
+                )
+
+
+FOREST_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("relate"), st.integers(0, 5), st.integers(1, 6),
+            st.integers(0, 5), st.integers(1, 6),
+        ),
+        st.just(("mark",)),
+        st.just(("rollback",)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FOREST_OPS)
+def test_ratio_forest_matches_a_fraction_reference(ops):
+    """Every relate verdict, and every row's ratio after each rollback,
+    agree with exact Fraction bookkeeping."""
+    forest, ref = RatioForest(6), _FractionForest(6)
+    marks = []
+    for op in ops:
+        if op[0] == "relate":
+            _, i, a, j, b = op
+            assert forest.relate(i, a, j, b) == ref.relate(i, a, j, b)
+        elif op[0] == "mark":
+            marks.append((forest.mark(), ref.copy()))
+        elif marks:
+            m, ref = marks.pop()
+            forest.rollback(m)
+            _same_ratios(forest, ref)
+    _same_ratios(forest, ref)
 
 
 # ---------------------------------------------------------------- MC check

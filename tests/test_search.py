@@ -22,11 +22,14 @@ from ptcache.engine import (
     build_plan,
     decode_and_verify,
     measure,
+    rate_violation,
     rules_json,
     simulate,
 )
 from ptcache.search import (
     CandidateRecord,
+    _options,
+    _rate_fails,
     candidate_to_design,
     exhaustive_search,
     search_space,
@@ -261,6 +264,70 @@ def test_candidates_round_trip_through_the_engine():
             files = tuple(rng.randbytes(plan.f_pt) for _ in range(K))
             demand = tuple(rng.randrange(1, K + 1) for _ in range(K))
             assert decode_and_verify(simulate(plan, files, demand)).ok
+
+
+@pytest.mark.parametrize("K", range(2, 8))
+def test_mask_rate_test_agrees_with_rate_violation(K):
+    """For every option of every layout with this K, and every set of
+    zeroed columns, the search's bit-mask rate test gives the verdict of
+    the engine's rate stage."""
+    for t in range(1, K):
+        for layout in search_space(K, t)[1]:
+            width = len(layout.subfile_types)
+            for st, opts in zip(layout.structures, _options(layout)):
+                for zeroed in range(1 << width):
+                    excluded = {
+                        v for j, v in enumerate(layout.subfile_types)
+                        if zeroed >> j & 1
+                    }
+                    for opt in opts:
+                        want = bool(rate_violation(st, opt[0], excluded))
+                        assert _rate_fails([opt], zeroed) == want
+
+
+def _first_minimum(records):
+    """The first record of least F_PT, scanning in record order."""
+    best = None
+    for rec in records:
+        if rec.f_pt is not None and (best is None or rec.f_pt < best.f_pt):
+            best = rec
+    return best
+
+
+@pytest.mark.parametrize("K", range(2, 8))
+def test_best_is_the_first_minimum_in_canonical_order(K):
+    """The census walks group types in another order, yet ``best`` is the
+    first minimum F_PT met while reading the canonical records."""
+    for t in range(1, K):
+        r = exhaustive_search(K, t)
+        first = _first_minimum(r.records)
+        ds, f_pt = r.best
+        assert f_pt == first.f_pt
+        assert ds.grouping_sizes == first.grouping
+        assert rules_json(ds.tx_rules) == rules_json(
+            {TypeVector.parse(g): sel for g, sel in first.rules}
+        )
+
+
+@pytest.mark.parametrize("K,t", [(6, 2), (7, 5), (8, 2)])
+def test_best_breaks_ties_inside_a_grouping_canonically(K, t, monkeypatch):
+    """Each grouping searched alone: where several of its candidates share
+    the least F_PT, ``best`` is still the first of them in canonical
+    order, although the census walks its group types in another order."""
+    count, layouts = search_space(K, t)
+    for layout in layouts:
+        monkeypatch.setattr(
+            ptcache.search, "search_space", lambda K, t: (count, [layout])
+        )
+        r = exhaustive_search(K, t)
+        first = _first_minimum(r.records)
+        if first is None:
+            assert r.best is None
+            continue
+        assert r.best[1] == first.f_pt
+        assert rules_json(r.best[0].tx_rules) == rules_json(
+            {TypeVector.parse(g): sel for g, sel in first.rules}
+        )
 
 
 # ------------------------------------------------------------------ sweeps
