@@ -144,7 +144,10 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _resolve_design(args: argparse.Namespace) -> DesignSpec:
+def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSpec:
+    """The design the selector arguments name.  With ``bounded``, a plan of
+    more than engine.MAX_SUBSETS subsets is refused before the design is
+    built, since building one takes time and memory that grow with K and t."""
     chosen = [
         args.thm is not None,
         args.special is not None,
@@ -156,32 +159,51 @@ def _resolve_design(args: argparse.Namespace) -> DesignSpec:
         raise UsageError(
             "pick exactly one of --thm / --special / --dpda / --jcm / --grouping"
         )
+
+    def sized(K: int, t: int | None) -> None:
+        if not bounded:
+            return
+        if t is not None:
+            engine.check_plan_size(K, t)
+        elif K > engine.MAX_SUBSETS:  # a special design: K fixes t
+            raise UsageError(
+                f"--K {K}: every cache level has at least K t-subsets; the cap "
+                f"is {engine.MAX_SUBSETS:,}"
+            )
+
     if args.thm == 1:
         if args.K is None or args.t_bar is None:
             raise UsageError("--thm 1 needs --K and --tbar")
+        sized(args.K, args.K - args.t_bar)
         return theorem1_design(args.K, args.t_bar, args.variant)
     if args.thm == 2:
         if args.K is None or args.t is None:
             raise UsageError("--thm 2 needs --K and --t")
+        sized(args.K, args.t)
         return theorem2_design(args.K, args.t)
     if args.thm == 3:
         if args.m is None or args.q is None or args.t is None:
             raise UsageError("--thm 3 needs --m, --q and --t")
+        sized(args.m * args.q, args.t)
         return theorem3_design(args.m, args.q, args.t)
     if args.special is not None:
         if args.K is None:
             raise UsageError("--special needs --K")
+        sized(args.K, None)
         return special_designs(args.special, args.K, q=args.q)
     if args.dpda is not None:
         if args.K is None:
             raise UsageError("--dpda needs --K")
+        sized(args.K, None)
         return dpda_specials(args.dpda.replace("-", "_"), args.K)
     if args.jcm:
         if args.K is None or args.t is None:
             raise UsageError("--jcm needs --K and --t")
+        sized(args.K, args.t)
         return jcm_design(args.K, args.t)
     if args.rules_path is None or args.K is None or args.t is None:
         raise UsageError("--grouping needs --K, --t and --rules FILE")
+    sized(args.K, args.t)
     with open(args.rules_path) as fh:
         rules = engine.rules_from_json(json.load(fh))
     return DesignSpec(
@@ -235,7 +257,7 @@ def _plan_report(ds: DesignSpec, plan: engine.SchemePlan) -> dict[str, object]:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    ds = _resolve_design(args)
+    ds = _resolve_design(args, bounded=True)
     N, M = _memory_point(args, ds)
     plan = engine.build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
     _emit(_plan_report(ds, plan), args.out)
@@ -281,21 +303,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _demand_vectors(
-    spec: str, plan: engine.SchemePlan, rng: random.Random
+    spec: str, K: int, N: int, rng: random.Random
 ) -> Iterable[tuple[int, ...]]:
     """The demand vectors --demands names, checked up front and drawn from
     ``rng`` one at a time."""
     if spec == "all":
-        count = plan.N ** plan.K
+        count = N ** K
         if count > MAX_DEMANDS:
             raise UsageError(
                 f"--demands all would enumerate {count} vectors; cap is {MAX_DEMANDS}"
             )
-        return product(range(1, plan.N + 1), repeat=plan.K)
+        return product(range(1, N + 1), repeat=K)
     if "," in spec:
         vec = _parse_int_list(spec)
-        if len(vec) != plan.K or any(not 1 <= d <= plan.N for d in vec):
-            raise UsageError(f"demand vector must list {plan.K} files in 1..{plan.N}")
+        if len(vec) != K or any(not 1 <= d <= N for d in vec):
+            raise UsageError(f"demand vector must list {K} files in 1..{N}")
         return [vec]
     try:
         count = int(spec)
@@ -304,26 +326,31 @@ def _demand_vectors(
     if not 1 <= count <= MAX_DEMANDS:
         raise UsageError(f"--demands {count}: need 1 to {MAX_DEMANDS} demand vectors")
     return (
-        tuple(rng.randrange(1, plan.N + 1) for _ in range(plan.K))
+        tuple(rng.randrange(1, N + 1) for _ in range(K))
         for _ in range(count)
     )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    ds = _resolve_design(args)
+    ds = _resolve_design(args, bounded=True)
     N, M = _memory_point(args, ds)
-    plan = engine.build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
+    # every cap is checked before the packet map is walked or a file drawn
+    engine.check_plan_size(ds.K, ds.t)
+    analysis = engine.analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
     if args.bytes_per_packet < 1:
         raise UsageError("--bytes-per-packet must be >= 1")
-    library = N * plan.f_pt * args.bytes_per_packet
+    library = N * analysis.f_pt * args.bytes_per_packet
     if library > MAX_LIBRARY_BYTES:
         raise UsageError(
-            f"--bytes-per-packet {args.bytes_per_packet}: {N} files of {plan.f_pt} "
+            f"--bytes-per-packet {args.bytes_per_packet}: {N} files of {analysis.f_pt} "
             f"packets would take {library:,} bytes; cap is {MAX_LIBRARY_BYTES:,}"
         )
     rng = random.Random(args.seed)
-    # checked before any file is drawn; random demands are drawn lazily, after them
-    demands = _demand_vectors(args.demands, plan, rng)
+    # random demands are drawn lazily, after the files
+    demands = _demand_vectors(args.demands, ds.K, N, rng)
+    plan = engine.build_plan(
+        ds.K, N, M, ds.grouping_sizes, ds.tx_rules, analysis=analysis
+    )
     files = tuple(
         rng.randbytes(plan.f_pt * args.bytes_per_packet) for _ in range(N)
     )

@@ -25,6 +25,25 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def binomial_exceeds(n: int, k: int, cap: int) -> bool:
+    """Whether C(n, k) > cap, without computing a C(n, k) far above it.
+
+    C(n, 1), C(n, 2), ... up to k or n - k, whichever is smaller, grow by a
+    factor of at least (n - i) / (i + 1) >= 1 each, so the walk stops at the
+    first partial product above ``cap``: about log2(cap) steps, however large
+    n and k are.  Out-of-range k counts as C(n, k) = 0.
+    """
+    k = min(k, n - k)
+    if k < 0:
+        return False  # C(n, k) = 0
+    c = 1
+    for i in range(k):
+        if c > cap:
+            return True
+        c = c * (n - i) // (i + 1)
+    return c > cap
+
+
 def multinomial(counts: Sequence[int]) -> int:
     """Number of distinct orderings of a multiset with the given multiplicities."""
     total = 0

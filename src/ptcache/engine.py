@@ -14,8 +14,9 @@ import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import itemgetter
 
-from .combinat import binomial, subsets
+from .combinat import binomial, binomial_exceeds, subsets
 from .fscalc import (
     STAR,
     FSEntry,
@@ -40,6 +41,12 @@ from .typevec import (
 )
 
 SCHEMA_VERSION = "1"
+# Most t-subsets a plan's packet map holds, and most groups of t + 1 users
+# its delivery schedule walks.  A simulation needs about 3 KB per group for
+# the schedule and the transcript (0.4 GB at the cap) and a packet map about
+# 0.2 KB per t-subset; thm2(14,6), with C(14, 7) = 3,432 groups, simulates in
+# 0.3 s on a 2-vCPU x86-64 host.
+MAX_SUBSETS = 2**17
 
 # (file index 1-based, subset as sorted tuple, packet index 1-based)
 PacketKey = tuple[int, tuple[int, ...], int]
@@ -293,13 +300,32 @@ class SchemePlan:
         return self.analysis.grouping
 
 
+def check_plan_size(K: int, t: int) -> None:
+    """Refuse, with PlanError("size"), a plan whose packet map would hold
+    more than MAX_SUBSETS t-subsets or whose delivery schedule would walk
+    more than MAX_SUBSETS groups of t + 1 users.  It takes a few dozen
+    multiplications at most, whatever K and t are."""
+    for n, what in ((t, "t-subsets"), (t + 1, "groups")):
+        if binomial_exceeds(K, n, MAX_SUBSETS):
+            raise PlanError(
+                "size",
+                f"K={K}, t={t} has C({K}, {n}) {what}; the cap is {MAX_SUBSETS:,}",
+            )
+
+
 def build_plan(
     K: int,
     N: int,
     M: int,
     grouping_sizes: Iterable[int],
     tx_rules: Mapping[TypeVector, "Iterable[int] | None"],
+    *,
+    analysis: RuleAnalysis | None = None,
 ) -> SchemePlan:
+    """The plan of a scheme: its analysis and its packet map.  ``analysis``,
+    when the caller already has it, is ``analyze_rules`` of the same
+    arguments, and is used rather than run again.  The size cap is checked
+    before either is built."""
     if N < 1 or M < 1 or M > N:
         raise PlanError("params", f"need 1 <= M <= N, got N={N}, M={M}")
     if (K * M) % N:
@@ -307,7 +333,9 @@ def build_plan(
             "params", f"K*M/N = {K}*{M}/{N} is not an integer cache level"
         )
     t = K * M // N
-    analysis = analyze_rules(K, t, grouping_sizes, tx_rules)
+    check_plan_size(K, t)
+    if analysis is None:
+        analysis = analyze_rules(K, t, grouping_sizes, tx_rules)
     g = analysis.grouping
     # factor per profile: a subset's profile fixes its type
     factors: dict[tuple[int, ...], int] = {}
@@ -335,7 +363,7 @@ def build_plan(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     tx: int
     group: tuple[int, ...]
@@ -346,6 +374,7 @@ class Message:
 
 # (receiver k, its desired subset S minus k, first packet, packet count)
 ScheduleEntry = tuple[int, tuple[int, ...], int, int]
+_subset = itemgetter(1)  # a term's or a schedule entry's subset
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,14 +389,16 @@ class GroupSchedule:
     entries: tuple[ScheduleEntry, ...]
 
     def replay(
-        self, tx: int, counters: list[int]
-    ) -> tuple[list[tuple[int, tuple[int, ...], int]], list[int]]:
-        """The (receiver, subset, counter) terms of the message ``tx`` sends
-        and the file's packet index each term starts at, consuming one of
-        ``counters`` (aligned with ``entries``) per term."""
+        self, tx: int, counters: list[int], wanted: Sequence[bytes], B: int
+    ) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
+        """The (receiver, subset, counter) terms of the message ``tx`` sends,
+        consuming one of ``counters`` (aligned with ``entries``) per term,
+        and the XOR of the packets they carry as one int: each receiver k's
+        next z packets of ``wanted[k - 1]``, of ``B`` bytes each."""
         z = self.z
+        size = z * B
         terms = []
-        firsts = []
+        acc = 0
         for j, (k, T, base, alpha) in enumerate(self.entries):
             if k == tx:
                 continue
@@ -378,8 +409,9 @@ class GroupSchedule:
                 )
             counters[j] = c + 1
             terms.append((k, T, c))
-            firsts.append(base + c * z)
-        return terms, firsts
+            p = (base + c * z) * B
+            acc ^= int.from_bytes(wanted[k - 1][p : p + size], "big")
+        return terms, acc
 
 
 def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
@@ -392,7 +424,10 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
     g = plan.grouping
     a = plan.analysis
     structure_of = dict(zip(a.group_types, a.structures))
-    subset_map = plan.subset_map
+    # subset -> (subset, first packet, packet count), the subset being the
+    # packet map's own key, which the cache views hold too: set lookups of a
+    # scheduled subset then compare by identity
+    span_of = {T: (T, *span) for T, span in plan.subset_map.items()}
     # profile -> (z, user groups that transmit), None when skipped
     profiles: dict[tuple[int, ...], tuple[int, frozenset[int]] | None] = {}
     groups: dict[tuple[int, ...], GroupSchedule] = {}
@@ -417,9 +452,9 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
         z, tx_groups = sending
         entries = []
         for i, k in enumerate(S):
-            T = S[:i] + S[i + 1 :]
-            if T in subset_map:
-                entries.append((k, T, *subset_map[T]))
+            span = span_of.get(S[:i] + S[i + 1 :])
+            if span is not None:
+                entries.append((k, *span))
         groups[S] = GroupSchedule(
             z, tuple(u for u in S if g.group_of[u] in tx_groups), tuple(entries)
         )
@@ -513,7 +548,12 @@ def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
         )
     files_t = tuple(bytes(f) for f in files)
     held: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, plan.K + 1)}
-    for T in plan.subset_map:
+    for T, (base, alpha) in plan.subset_map.items():
+        if base < 0 or base + alpha > plan.f_pt:
+            raise IntegrityError(
+                f"subfile {T} spans packets {base}..{base + alpha} of a file of "
+                f"{plan.f_pt}"
+            )
         for k in T:
             held[k].append(T)
     return {
@@ -540,29 +580,16 @@ def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
         if rng:
             rng.shuffle(txs)
         for tx in txs:
-            terms, firsts = gs.replay(tx, counters)
+            terms, xor = gs.replay(tx, counters, wanted, B)
             if not terms:
                 continue  # vacuous message: every other user's type excluded
             held = session.caches[tx].held
-            for _, T, _ in terms:
-                if T not in held:
-                    raise IntegrityError(f"transmitter {tx} does not cache subfile {T}")
-            payload = _xor(
-                *(
-                    wanted[k - 1][p * B : p * B + size]
-                    for (k, _, _), p in zip(terms, firsts)
-                )
-            )
+            if not held.issuperset(map(_subset, terms)):
+                T = next(T for _, T, _ in terms if T not in held)
+                raise IntegrityError(f"transmitter {tx} does not cache subfile {T}")
             i = S.index(tx)
-            out.append(
-                Message(
-                    tx=tx,
-                    group=S,
-                    rx=S[:i] + S[i + 1 :],
-                    terms=tuple(terms),
-                    payload=payload,
-                )
-            )
+            rx = S[:i] + S[i + 1 :]
+            out.append(Message(tx, S, rx, tuple(terms), xor.to_bytes(size, "big")))
     session.transcript = out
     return out
 
@@ -593,20 +620,22 @@ def decode_and_verify(session: Session) -> VerifyResult:
     """Replay the transcript at every user and check bit-exact recovery.
 
     Counters are replayed from the transcript sequence itself, so any
-    delivery order the sender used is reproduced faithfully.  Each message's
-    terms are read once; receiver i recovers its packets as the payload XOR
-    the terms before i XOR the terms after i, so the XOR work is O(terms)
-    per message (checking that each receiver holds the other terms' subsets
-    stays O(terms^2) set lookups).  Each recovered packet is compared with
-    the demanded file where it lands; counters never repeat, so no packet
-    is recovered twice, and the file is not reassembled.
+    delivery order the sender used is reproduced faithfully.  The replay
+    reads each message's terms once and XORs the packets they carry, as
+    every cache view that holds them reads them.  Receiver k recovers its
+    packets as the payload XOR the other terms, which equal its demanded
+    packets exactly when the payload equals the XOR of all terms; so one
+    comparison per message checks every receiver.  Each receiver must not
+    cache its own subset and must cache every other one: one set
+    difference.  Counters never repeat and each group's count up from 0, so
+    the packets recovered are marked once per schedule entry after the
+    pass, and the file is not reassembled.
     """
     plan = session.plan
     demand = session.demand
     B = session.bytes_per_packet
     wanted = [session.files[n - 1] for n in demand]  # user k's at k-1
     users = range(1, plan.K + 1)
-    got = {k: bytearray(plan.f_pt) for k in users}  # a flag per packet recovered
     wrong: set[int] = set()  # users that recovered some packet incorrectly
     counter_state: dict[tuple[int, ...], list[int]] = {}
     held_of = {k: cache.held for k, cache in session.caches.items()}
@@ -619,40 +648,32 @@ def decode_and_verify(session: Session) -> VerifyResult:
         cnt = counter_state.get(S)
         if cnt is None:
             cnt = counter_state[S] = [0] * len(gs.entries)
-        terms, firsts = gs.replay(msg.tx, cnt)
-        z = gs.z
-        size = z * B
-        if len(msg.payload) != size:
+        terms, xor = gs.replay(msg.tx, cnt, wanted, B)
+        if len(msg.payload) != gs.z * B:
             raise IntegrityError(
-                f"message of {len(msg.payload)} bytes in a group sending {size}"
+                f"message of {len(msg.payload)} bytes in a group sending {gs.z * B}"
             )
-        # each term's packets, as read by every cache view that holds them
-        vals = [
-            int.from_bytes(wanted[k - 1][p * B : p * B + size], "big")
-            for (k, _, _), p in zip(terms, firsts)
-        ]
-        suffix = vals + [0]  # suffix[i]: XOR of the terms i, i+1, ...
-        for i in range(len(vals) - 2, -1, -1):
-            suffix[i] ^= suffix[i + 1]
-        sent = [T for _, T, _ in terms]
-        ones = b"\1" * z
-        acc = int.from_bytes(msg.payload, "big")  # payload XOR the terms before i
-        for i, (k, T_own, _) in enumerate(terms):
+        sent = set(map(_subset, terms))
+        for k, T_own, _ in terms:
             held = held_of[k]
-            if T_own in held:
-                raise IntegrityError(
-                    f"user {k} decoded subfile {T_own} of file {demand[k - 1]}, "
-                    f"already cached"
-                )
-            if not held.issuperset(sent[:i] + sent[i + 1 :]):
+            if sent - held != {T_own}:  # k must cache every subset sent but its own
+                if T_own in held:
+                    raise IntegrityError(
+                        f"user {k} decoded subfile {T_own} of file {demand[k - 1]}, "
+                        f"already cached"
+                    )
                 raise IntegrityError(
                     f"user {k} lacks side information for the message {msg.tx} "
                     f"sends in group {S}"
                 )
-            if acc ^ suffix[i + 1] != vals[i]:
-                wrong.add(k)
-            got[k][firsts[i] : firsts[i] + z] = ones
-            acc ^= vals[i]
+        if int.from_bytes(msg.payload, "big") != xor:
+            wrong.update(k for k, _, _ in terms)
+
+    got = {k: bytearray(plan.f_pt) for k in users}  # a flag per packet recovered
+    for S, cnt in counter_state.items():
+        gs = session.schedule[S]
+        for (k, _, base, _), c in zip(gs.entries, cnt):
+            got[k][base : base + c * gs.z] = b"\1" * (c * gs.z)
 
     per_user: dict[int, bool] = {}
     missing: dict[int, list[PacketKey]] = {}

@@ -10,6 +10,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -257,6 +258,40 @@ def test_simulate_same_seed_same_bytes(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert other.read_bytes() != outs[0][1]  # different seed, different payloads
+
+
+@pytest.mark.parametrize(
+    "argv,stdout_digest,transcript_digest",
+    [
+        # the simulate-thm2-k14 benchmark job with one fixed demand and seed
+        (["simulate", "--thm", "2", "--K", "14", "--t", "6", "--N", "7", "--M", "3",
+          "--bytes-per-packet", "16", "--demands", "3,1,4,1,5,2,6,5,3,5,7,2,7,1",
+          "--seed", "2026"],
+         "1a3f006dc419aa85635a33c7d6c39bae4e0c623aaf895eb7a2ff6016b133ee0a",
+         "732f0adbd083a0a137560492e3894ac6e250d64719800361d84c55fd70fa0358"),
+        (["simulate", "--special", "tbar3", "--K", "9", "--N", "3", "--M", "2",
+          "--demands", "5", "--seed", "7"],
+         "7ef10b5fd499ac1ab8ef9ebde2e0fa6bee8a9dbbe5bf883d9d078b7e23673bb6",
+         "b29315f15b2f85a381a15086c3fc1908355c3a669c744ebe938c712bb14931cb"),
+        (["simulate", "--thm", "2", "--K", "8", "--t", "4", "--bytes-per-packet", "3",
+          "--demands", "3", "--seed", "1"],
+         "b558892db5d3d6c03fb5bff84561ec832f7d302a0e9fd5e262ab83b82cb9359a",
+         "89527b0fe86c0a65b3c2fe672fd6ebae7f8bfabf45bc490358e34c439884fbaf"),
+        (["simulate", "--thm", "3", "--m", "3", "--q", "3", "--t", "2",
+          "--demands", "2", "--seed", "3"],
+         "6a75920755193e75cf9509a5221b1f6cc4c58292ab91edd78e95f7f885a69eec",
+         "26b1c31d145fd77755212de860fde7e2eb0d619d8325cf8b85ece3683b1e0c6b"),
+    ],
+)
+def test_simulate_bytes_are_pinned(argv, stdout_digest, transcript_digest,
+                                   tmp_path, capsys):
+    """The simulate report and the transcript of its last demand, byte for
+    byte."""
+    path = tmp_path / "log.jsonl"
+    code, out, _ = run_cli(argv + ["--transcript", str(path)], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == transcript_digest
 
 
 def test_simulate_decode_failure_exit_code(monkeypatch, capsys):
@@ -724,6 +759,119 @@ def test_simulate_library_cap_is_inclusive(capsys):
         with pytest.raises(_DrewFiles):
             main(base + ["--demands", str(MAX_DEMANDS)])
     capsys.readouterr()
+
+
+class _Walked(Exception):
+    """Raised by a patched ``subsets``: the packet map or the schedule
+    started walking subsets."""
+
+
+def _refuse_walk(n, k):
+    raise _Walked(n, k)
+
+
+THM2_K14 = ["simulate", "--thm", "2", "--K", "14", "--t", "6", "--N", "7", "--M", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["simulate", "--thm", "2", "--K", "30", "--t", "6",
+          "--bytes-per-packet", "100000000000"], "C(30, 6) t-subsets"),
+        (THM2_K14 + ["--bytes-per-packet", "100000000000"], "6909 packets"),
+        (THM2_K14 + ["--demands", str(MAX_DEMANDS + 1)], "demand vectors"),
+        (["design", "--thm", "2", "--K", "60", "--t", "10"], "C(60, 10) t-subsets"),
+        (["design", "--jcm", "--K", "20", "--t", "8"], "C(20, 9) groups"),
+    ],
+)
+def test_caps_are_checked_before_any_subset_is_walked(argv, names, capsys):
+    """The subset, library and demand caps take F_PT from the analysis and
+    refuse before the packet map or the schedule walks a single subset."""
+    with mock.patch.object(ptcache.engine, "subsets", _refuse_walk), \
+            mock.patch.object(random.Random, "randbytes", _refuse_randbytes):
+        code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and names in err, err
+
+
+def test_simulate_analyzes_the_rules_once(monkeypatch, capsys):
+    """The plan reuses the analysis the library cap read F_PT from."""
+    calls = []
+    analyze = ptcache.engine.analyze_rules
+
+    def counting(*args):
+        calls.append(args)
+        return analyze(*args)
+
+    monkeypatch.setattr(ptcache.engine, "analyze_rules", counting)
+    code, out, _ = run_cli(THM2_K14, capsys)
+    assert code == EXIT_OK and json.loads(out)["all_decoded"] is True
+    assert len(calls) == 1
+
+
+def test_subset_cap_is_inclusive(capsys):
+    """At K=20 the cap of 2^17 = 131,072 admits t=7, with C(20, 8) = 125,970
+    groups, and refuses t=8, with C(20, 9) = 167,960."""
+    assert ptcache.engine.MAX_SUBSETS == 2**17
+    with mock.patch.object(ptcache.engine, "subsets", _refuse_walk):
+        with pytest.raises(_Walked):
+            main(["design", "--jcm", "--K", "20", "--t", "7"])
+        with pytest.raises(_Walked):
+            main(["design", "--jcm", "--K", "20", "--t", "12"])  # C(20, 12) t-subsets
+        assert main(["design", "--jcm", "--K", "20", "--t", "8"]) == EXIT_USAGE
+        assert main(["design", "--jcm", "--K", "20", "--t", "11"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+BIG = st.one_of(st.integers(-2, 40), st.integers(41, 10**6), st.integers(10**6, 10**40))
+
+
+@st.composite
+def large_plan_argv(draw):
+    """design or simulate argv naming plans of any size, up to K = 10^40."""
+    argv = [draw(st.sampled_from(["design", "simulate"]))]
+    selector = draw(st.sampled_from(["thm1", "thm2", "thm3", "jcm", "special", "dpda"]))
+    K, t = draw(BIG), draw(BIG)
+    if selector == "thm1":
+        argv += ["--thm", "1", "--K", str(K), "--tbar", str(t)]
+    elif selector == "thm2":
+        argv += ["--thm", "2", "--K", str(K), "--t", str(t)]
+    elif selector == "thm3":
+        argv += ["--thm", "3", "--m", str(K), "--q", str(draw(BIG)), "--t", str(t)]
+    elif selector == "jcm":
+        argv += ["--jcm", "--K", str(K), "--t", str(t)]
+    elif selector == "special":
+        kind = draw(st.sampled_from(["tbar3", "lemma2", "t3_halfsplit", "odd_k_tbar2"]))
+        argv += ["--special", kind, "--K", str(K), "--q", str(t)]
+    else:
+        argv += ["--dpda", draw(st.sampled_from(["t2", "t-km2"])), "--K", str(K)]
+    if draw(st.booleans()):
+        argv += ["--N", str(draw(BIG)), "--M", str(draw(BIG))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=large_plan_argv())
+def test_large_plans_are_refused_before_the_work_starts(argv):
+    """Plans of any size keep the exit-code contract; a plan above the
+    subset cap is refused before its design is built or a subset walked, so
+    only plans within the cap ever reach the walk."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(ptcache.engine, "subsets", _refuse_walk), \
+            mock.patch.object(random.Random, "randbytes", _refuse_randbytes), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except _Walked as walk:  # the packet map's walk, of C(K, t) t-subsets
+            K, t = walk.args
+            assert math.comb(K, t) <= ptcache.engine.MAX_SUBSETS
+            assert math.comb(K, t + 1) <= ptcache.engine.MAX_SUBSETS
+            return
+    assert code in (EXIT_INFEASIBLE, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error: "), err.getvalue()
 
 
 def test_module_runs_as_subprocess():

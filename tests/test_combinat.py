@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from ptcache.combinat import (
     binomial,
+    binomial_exceeds,
     integer_partitions,
     multinomial,
     subsets,
@@ -60,6 +61,22 @@ def test_binomial_frozen_values():
     assert binomial(9, 6) == 84
     assert binomial(12, 6) == 924
     assert binomial(40, 20) == 137846528820
+
+
+@given(
+    n=st.integers(-3, 70), k=st.integers(-3, 70), cap=st.integers(0, 2**40)
+)
+def test_binomial_exceeds_matches_the_exact_count(n, k, cap):
+    exact = math.comb(n, k) if 0 <= k <= n else 0
+    assert binomial_exceeds(n, k, cap) == (exact > cap)
+
+
+def test_binomial_exceeds_stops_early_on_huge_arguments():
+    """C(10^40, 5 * 10^39) has about 10^40 bits; the check needs two steps."""
+    assert binomial_exceeds(10**40, 5 * 10**39, 2**17)
+    assert binomial_exceeds(10**40, 10**40 - 1, 2**17)
+    assert not binomial_exceeds(10**40, 10**40, 2**17)
+    assert not binomial_exceeds(10**40, 10**40 + 1, 2**17)
 
 
 def test_binomial_out_of_range():

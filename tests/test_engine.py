@@ -29,7 +29,9 @@ from ptcache.designs import (
     theorem3_design,
 )
 from ptcache.engine import (
+    IntegrityError,
     PlanError,
+    VerifyResult,
     _compile_schedule,
     analyze_rules,
     build_plan,
@@ -332,6 +334,12 @@ def test_transcript_jsonl_shape():
          "c0878229596396b0d798ac24e71d9f6c04f1f7d705f751a0f2ff011cace52a70"),
         (special_designs("tbar3", 9), 3, 2, 5,
          "7fba9cee86da50a2dfc2bcd8c62c971ba1ded9dc80f8904184c273acf6ef3ac5"),
+        (special_designs("tbar3", 9), 3, 2, 4,
+         "07ae79f07e837695d6dcc227e4f00cb621fbe9756497acf919c45d84a874728c"),
+        (theorem2_design(8, 4), 8, 4, None,
+         "4f6d35c88123ef7ed63df02aad9558fbae28a2bd57461eae7df628f57d08c695"),
+        (theorem2_design(8, 4), 8, 4, 4,
+         "f64e5d763e74996c972ec92437a0cce7b456248da7989cb572566655d9f14687"),
     ],
 )
 def test_transcript_bytes_are_pinned(ds, N, M, order_seed, digest):
@@ -513,6 +521,143 @@ def test_flipped_payload_byte_fails_exactly_its_receivers(ds, N, M, _):
     assert res.missing == {}
 
 
+def reference_decode(session):
+    """The per-message, per-receiver decoder that ``decode_and_verify``
+    replaced: its own counter replay, and each receiver's packets recovered
+    as the payload XOR every other term, checked against its demanded file."""
+    plan, demand, B = session.plan, session.demand, session.bytes_per_packet
+    wanted = [session.files[n - 1] for n in demand]
+    got = {k: bytearray(plan.f_pt) for k in range(1, plan.K + 1)}
+    wrong = set()
+    counters = {}
+    for msg in session.transcript:
+        gs = session.schedule.get(msg.group)
+        if gs is None:
+            raise IntegrityError(f"unserved group {msg.group}")
+        cnt = counters.setdefault(msg.group, [0] * len(gs.entries))
+        terms = []  # (receiver, subset, first packet)
+        for j, (k, T, base, alpha) in enumerate(gs.entries):
+            if k != msg.tx:
+                if (cnt[j] + 1) * gs.z > alpha:
+                    raise IntegrityError(f"counter overran {T}")
+                terms.append((k, T, base + cnt[j] * gs.z))
+                cnt[j] += 1
+        size = gs.z * B
+        if len(msg.payload) != size:
+            raise IntegrityError("payload length")
+
+        def packets(k, first):
+            return int.from_bytes(wanted[k - 1][first * B : first * B + size], "big")
+
+        for k, T_own, first in terms:
+            held = session.caches[k].held
+            if T_own in held:
+                raise IntegrityError(f"user {k} already caches {T_own}")
+            acc = int.from_bytes(msg.payload, "big")
+            for k2, T, f2 in terms:
+                if k2 != k:
+                    if T not in held:
+                        raise IntegrityError(f"user {k} lacks {T}")
+                    acc ^= packets(k2, f2)
+            if acc != packets(k, first):
+                wrong.add(k)
+            got[k][first : first + gs.z] = b"\1" * gs.z
+    per_user, missing = {}, {}
+    for k in range(1, plan.K + 1):
+        for T in session.caches[k].held:
+            base, alpha = plan.subset_map[T]
+            got[k][base : base + alpha] = b"\1" * alpha
+        if 0 in got[k]:
+            missing[k] = [
+                (demand[k - 1], T, i + 1)
+                for T, (base, alpha) in plan.subset_map.items()
+                for i in range(alpha)
+                if not got[k][base + i]
+            ]
+        per_user[k] = k not in missing and k not in wrong
+    return VerifyResult(ok=all(per_user.values()), per_user=per_user, missing=missing)
+
+
+EDIT_SESSIONS = {
+    name: data_plane_session(ds, N, M)
+    for name, ds, N, M in [
+        ("tbar3-K9", special_designs("tbar3", 9), 3, 2),
+        ("thm2-K8-t4", theorem2_design(8, 4), 8, 4),
+        ("thm3-m3-q3-t2", theorem3_design(3, 3, 2), 9, 2),  # 3-transmitter groups
+    ]
+}
+
+
+@st.composite
+def edited_session(draw):
+    """A fresh copy of one of EDIT_SESSIONS with one to three edits: a message
+    dropped (first, middle, last or any), duplicated or swapped with another,
+    a payload byte flipped, a payload truncated, or a subset removed from a
+    user's cache."""
+    base = EDIT_SESSIONS[draw(st.sampled_from(sorted(EDIT_SESSIONS)))]
+    s = dataclasses.replace(
+        base,
+        transcript=list(base.transcript),
+        caches={k: dataclasses.replace(c) for k, c in base.caches.items()},
+    )
+    msgs = s.transcript
+    for _ in range(draw(st.integers(1, 3))):
+        if not msgs:
+            break
+        n = len(msgs)
+        i = draw(st.one_of(st.sampled_from([0, n // 2, n - 1]), st.integers(0, n - 1)))
+        edit = draw(st.sampled_from(
+            ["drop", "duplicate", "swap", "flip", "truncate", "forget"]
+        ))
+        if edit == "drop":
+            del msgs[i]
+        elif edit == "duplicate":
+            msgs.insert(draw(st.integers(0, n)), msgs[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, n - 1))
+            msgs[i], msgs[j] = msgs[j], msgs[i]
+        elif edit in ("flip", "truncate") and not msgs[i].payload:
+            continue  # truncated to nothing by an earlier edit
+        elif edit == "flip":
+            p = msgs[i].payload
+            at = draw(st.integers(0, len(p) - 1))
+            bit = 1 << draw(st.integers(0, 7))
+            flipped = p[:at] + bytes([p[at] ^ bit]) + p[at + 1 :]
+            msgs[i] = dataclasses.replace(msgs[i], payload=flipped)
+        elif edit == "truncate":
+            p = msgs[i].payload
+            msgs[i] = dataclasses.replace(
+                msgs[i], payload=p[: draw(st.integers(0, len(p) - 1))]
+            )
+        else:  # a receiver of message i forgets a subset it holds
+            k = draw(st.sampled_from([k for k, _, _ in msgs[i].terms]))
+            cache = s.caches[k]
+            cache.held = cache.held - {draw(st.sampled_from(sorted(cache.held)))}
+    return s
+
+
+def outcome(decode, session):
+    try:
+        return decode(session)
+    except Exception as e:  # compared by class
+        return type(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(session=edited_session())
+def test_decoder_agrees_with_reference_on_edited_transcripts(session):
+    """On any edited transcript or cache, ``decode_and_verify`` returns the
+    reference decoder's VerifyResult or raises the exception it raises."""
+    assert outcome(decode_and_verify, session) == outcome(reference_decode, session)
+
+
+@pytest.mark.parametrize("name", sorted(EDIT_SESSIONS))
+def test_reference_decoder_accepts_the_unedited_transcripts(name):
+    session = EDIT_SESSIONS[name]
+    assert reference_decode(session) == decode_and_verify(session)
+    assert reference_decode(session).ok
+
+
 def test_schedule_types_each_intersection_profile_once(monkeypatch):
     """Each simulation compiles its delivery schedule typing one group per
     intersection profile (the number of members in each user group), not
@@ -626,36 +771,54 @@ def test_src_holds_no_assert_statements():
 
 _TAMPER = """
 import dataclasses, random
-from ptcache.designs import theorem2_design
-from ptcache.engine import IntegrityError, build_plan, decode_and_verify, simulate
+from ptcache.designs import theorem2_design, theorem3_design
+from ptcache.engine import (
+    IntegrityError, build_plan, decode_and_verify, deliver, simulate,
+)
 
-ds = theorem2_design(4, 2)
-plan = build_plan(4, 2, 1, ds.grouping_sizes, ds.tx_rules)
-files = [random.Random(3).randbytes(plan.f_pt * 2) for _ in range(2)]
-
-def fresh():
-    return simulate(plan, files, (1, 2, 2, 1))
-
-def raises(fn):
+def raises(fn, why):
     try:
         fn()
-    except IntegrityError:
-        return True
+    except IntegrityError as e:
+        return why in str(e)
     return False
 
-s = fresh()  # a truncated payload
-s.transcript[0] = dataclasses.replace(s.transcript[0], payload=s.transcript[0].payload[:1])
-ok = [raises(lambda: decode_and_verify(s))]
+ok = []
+# thm3(3,3,2) has groups of three transmitters and groups with z = 2
+for ds, N, M in [(theorem2_design(4, 2), 2, 1), (theorem3_design(3, 3, 2), 9, 2)]:
+    plan = build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
+    files = [random.Random(3).randbytes(plan.f_pt * 2) for _ in range(N)]
+    demand = [1 + k % N for k in range(ds.K)]
 
-s = fresh()  # the packet a message carries is already in the receiver's cache
-k, T, c = s.transcript[0].terms[0]
-s.caches[k].held |= {T}
-ok.append(raises(lambda: decode_and_verify(s)))
+    def fresh():
+        return simulate(plan, files, demand)
 
-s = fresh()  # a subfile shorter than the delivery counters need
-T = next(iter(plan.subset_map))
-plan.subset_map[T] = (plan.subset_map[T][0], 0)
-ok.append(raises(lambda: simulate(plan, files, (1, 2, 2, 1))))
+    s = fresh()  # a truncated payload
+    m = s.transcript[-1]
+    s.transcript[-1] = dataclasses.replace(m, payload=m.payload[:-1])
+    ok.append(raises(lambda: decode_and_verify(s), "bytes in a group sending"))
+
+    s = fresh()  # a message for a group the plan never serves
+    m = s.transcript[0]
+    s.transcript[0] = dataclasses.replace(m, group=m.group[:-1])
+    ok.append(raises(lambda: decode_and_verify(s), "never serves"))
+
+    s = fresh()  # the packet a message carries is already in the receiver's cache
+    k, T, c = s.transcript[-1].terms[-1]
+    s.caches[k].held |= {T}
+    ok.append(raises(lambda: decode_and_verify(s), "already cached"))
+
+    s = fresh()  # a transmitter that does not cache a subfile it sends
+    m = s.transcript[-1]
+    s.caches[m.tx].held -= {m.terms[-1][1]}
+    ok.append(raises(lambda: deliver(s), "does not cache"))
+
+    T, (base, alpha) = next(iter(plan.subset_map.items()))
+    plan.subset_map[T] = (base + plan.f_pt, alpha)  # packets past the file's end
+    ok.append(raises(lambda: simulate(plan, files, demand), "spans packets"))
+
+    plan.subset_map[T] = (base, 0)  # shorter than the delivery counters need
+    ok.append(raises(lambda: simulate(plan, files, demand), "overran"))
 print(ok)
 """
 
@@ -677,31 +840,35 @@ def run_optimized(script):
 def test_integrity_checks_survive_optimized_mode():
     """Tampered sessions raise IntegrityError even under ``python -O``,
     which strips assert statements."""
-    assert run_optimized(_TAMPER) == "[True, True, True]"
+    assert run_optimized(_TAMPER) == str([True] * 12)
 
 
 _MISSING_SIDE = """
 import random
-from ptcache.designs import theorem2_design
+from ptcache.designs import theorem2_design, theorem3_design
 from ptcache.engine import IntegrityError, build_plan, decode_and_verify, simulate
 
-ds = theorem2_design(4, 2)
-plan = build_plan(4, 2, 1, ds.grouping_sizes, ds.tx_rules)
-files = [random.Random(3).randbytes(plan.f_pt * 2) for _ in range(2)]
-two_terms = [
-    i for i, m in enumerate(simulate(plan, files, (1, 2, 2, 1)).transcript)
-    if len(m.terms) == 2
-]
 ok = []
-for i in (two_terms[0], two_terms[-1]):
-    s = simulate(plan, files, (1, 2, 2, 1))
-    (k, _, _), (_, T_side, _) = s.transcript[i].terms
-    s.caches[k].held -= {T_side}  # receiver k no longer caches its side information
-    try:
-        decode_and_verify(s)
-        ok.append(False)
-    except IntegrityError:
-        ok.append(True)
+# thm3(3,3,2) has groups of three transmitters, whose messages carry two terms
+for ds, N, M in [(theorem2_design(4, 2), 2, 1), (theorem3_design(3, 3, 2), 9, 2)]:
+    plan = build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
+    files = [random.Random(3).randbytes(plan.f_pt * 2) for _ in range(N)]
+    demand = [1 + k % N for k in range(ds.K)]
+    several = [
+        i for i, m in enumerate(simulate(plan, files, demand).transcript)
+        if len(m.terms) >= 2
+    ]
+    for i in (several[0], several[-1]):
+        for lacking, side in ((0, -1), (-1, 0)):  # first or last receiver
+            s = simulate(plan, files, demand)
+            terms = s.transcript[i].terms
+            k, T_side = terms[lacking][0], terms[side][1]
+            s.caches[k].held -= {T_side}  # k no longer caches its side information
+            try:
+                decode_and_verify(s)
+                ok.append(False)
+            except IntegrityError as e:
+                ok.append("lacks side information" in str(e))
 print(ok)
 """
 
@@ -709,7 +876,7 @@ print(ok)
 def test_missing_side_information_is_an_integrity_error():
     """A receiver lacking a subset that a message XORs into its packet
     raises IntegrityError, also under ``python -O``."""
-    assert run_optimized(_MISSING_SIDE) == "[True, True]"
+    assert run_optimized(_MISSING_SIDE) == str([True] * 8)
 
 
 _UNEVEN_CACHES = """
