@@ -41,8 +41,10 @@ EXIT_INFEASIBLE = 2
 EXIT_DECODE = 3
 EXIT_USAGE = 4
 
-# largest K a sweep accepts; checked before the K values are built
-SWEEP_MAX_K = 1000
+# largest K that analyze and sweep lay out: both enumerate types, not
+# subsets, so the plan-size cap does not bound them; checked before the
+# design or the K values are built
+LAYOUT_MAX_K = 1000
 # largest library a simulation draws, N * F_PT * --bytes-per-packet bytes
 # (256 MiB); checked before any file is drawn
 MAX_LIBRARY_BYTES = 2**28
@@ -66,7 +68,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
-    """Accept "4..40", a single value, or a comma list, each K <= SWEEP_MAX_K."""
+    """Accept "4..40", a single value, or a comma list, each K <= LAYOUT_MAX_K."""
     if ".." in text:
         lo, top = (int(x) for x in text.split("..", 1))
         values: Sequence[int] = range(lo, top + 1)
@@ -75,8 +77,8 @@ def _parse_range(text: str) -> tuple[int, ...]:
         top = max(values, default=0)
     if not values:
         raise UsageError(f"--K {text!r} names no value")
-    if top > SWEEP_MAX_K:
-        raise UsageError(f"--K {text!r} goes above the cap K={SWEEP_MAX_K}")
+    if top > LAYOUT_MAX_K:
+        raise UsageError(f"--K {text!r} goes above the cap K={LAYOUT_MAX_K}")
     return tuple(values)
 
 
@@ -134,7 +136,7 @@ def _build_parser() -> _Parser:
     sw = sub.add_parser("sweep", help="ratio curves along K for one family")
     sw.add_argument("--family", required=True, choices=("thm1", "thm2", "thm3"))
     sw.add_argument("--K", dest="K_range", type=_parse_range, required=True,
-                    help=f'K range, e.g. "4..40" or "8,12,16"; K <= {SWEEP_MAX_K}')
+                    help=f'K range, e.g. "4..40" or "8,12,16"; K <= {LAYOUT_MAX_K}')
     sw.add_argument("--tbar", dest="t_bar_list", type=_parse_int_list, default=(),
                     help="comma list of t_bar values (thm1)")
     sw.add_argument("--t", dest="t_list", type=_parse_int_list, default=(),
@@ -147,7 +149,8 @@ def _build_parser() -> _Parser:
 def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSpec:
     """The design the selector arguments name.  With ``bounded``, a plan of
     more than engine.MAX_SUBSETS subsets is refused before the design is
-    built, since building one takes time and memory that grow with K and t."""
+    built, since building one takes time and memory that grow with K and t;
+    without it, K above LAYOUT_MAX_K is."""
     chosen = [
         args.thm is not None,
         args.special is not None,
@@ -162,6 +165,8 @@ def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSp
 
     def sized(K: int, t: int | None) -> None:
         if not bounded:
+            if K > LAYOUT_MAX_K:
+                raise UsageError(f"K={K} goes above the cap K={LAYOUT_MAX_K}")
             return
         if t is not None:
             engine.check_plan_size(K, t)

@@ -80,6 +80,7 @@ class SchemeLayout:
     structures: tuple[MGroupStructure, ...]  # aligned with group_types
     col: Mapping[TypeVector, int]  # subfile type -> column
     mc_rows: tuple[tuple[int, ...], ...]
+    involved_masks: tuple[int, ...]  # per group type, the columns it involves
 
     def row(self, i: int, selection: Iterable[int]) -> tuple[FSEntry, ...]:
         """Full-width local split-factor row of group type i transmitting
@@ -89,22 +90,44 @@ class SchemeLayout:
             row[self.col[v]] = a
         return tuple(row)
 
+    def rate_masks(
+        self, i: int, selection: "frozenset[int] | None"
+    ) -> tuple[int, int]:
+        """The column masks the rate stage reads for group type i sending
+        with ``selection``: the columns it involves, and the column of
+        ``selection`` when that is one single-user unique set (else -1,
+        which equals no mask).  A skip involves nothing."""
+        if selection is None:
+            return 0, -1
+        st = self.structures[i]
+        solo = -1
+        if len(selection) == 1:
+            (k,) = selection
+            if st.unique_sets[k - 1].size == 1:
+                solo = 1 << self.col[st.involved[k - 1]]
+        return self.involved_masks[i], solo
+
 
 def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
     typed = enumerate_types(g, t)
     vtypes = tuple(v for v, _ in typed)
     gtypes = tuple(v for v, _ in enumerate_types(g, t + 1))
+    col = {v: j for j, v in enumerate(vtypes)}
+    structures = tuple(mgroup_structure(g, gt) for gt in gtypes)
     return SchemeLayout(
         grouping=g,
         t=t,
         subfile_types=vtypes,
         type_counts=tuple(c for _, c in typed),
         group_types=gtypes,
-        structures=tuple(mgroup_structure(g, gt) for gt in gtypes),
-        col={v: j for j, v in enumerate(vtypes)},
+        structures=structures,
+        col=col,
         mc_rows=tuple(
             tuple(per_user_count(g, v, bi) for v in vtypes)
             for bi in range(1, len(g.blocks) + 1)
+        ),
+        involved_masks=tuple(
+            sum(1 << col[v] for v in st.involved) for st in structures
         ),
     )
 
@@ -148,78 +171,89 @@ def _normalize_rules(
     return out
 
 
-def rate_violation(
-    structure: MGroupStructure,
-    selection: frozenset[int],
-    excluded: frozenset[TypeVector] | set[TypeVector],
-) -> list[int]:
-    """The "rate" stage for one transmitting group type.
+def rate_failure(masks: Iterable[tuple[int, int]], zeroed: int) -> int:
+    """The "rate" stage on column masks: the index of the first group type
+    that fails it, or -1.
 
-    Every transmission must serve t receivers.  A group member whose desired
-    type is excluded receives nothing, so it may appear in a transmitting
-    group type only as the lone transmitter; otherwise some message carries
-    fewer than t payload terms and the delivery overshoots the K(1-M/N)/t
-    rate.  Returns the 1-based unique-set indices of the offending members,
-    or [] when the group type sends at full rate or sends nothing at all.
+    ``masks`` holds each group type's ``SchemeLayout.rate_masks`` and
+    ``zeroed`` the excluded columns.  Every transmission must serve t
+    receivers.  A group member whose desired type is excluded receives
+    nothing, so it may appear in a transmitting group type only as the lone
+    transmitter; otherwise some message carries fewer than t payload terms
+    and the delivery overshoots the K(1-M/N)/t rate.  So a group type fails
+    when its excluded columns are neither none, nor all it involves (it then
+    sends nothing), nor the lone single-user unique set that transmits.
     """
-    dead = [i for i, v in enumerate(structure.involved, 1) if v in excluded]
-    if len(dead) == len(structure.involved):
-        return []  # every involved type excluded: the group type is skipped
-    n_dead = sum(structure.unique_sets[i - 1].size for i in dead)
-    if n_dead == 0 or (n_dead == 1 and selection == frozenset(dead)):
-        return []
-    return dead
+    for k, (involved, solo) in enumerate(masks):
+        dead = involved & zeroed
+        if dead and dead != involved and dead != solo:
+            return k
+    return -1
+
+
+def reconcile(rows: Sequence[Sequence[FSEntry]]) -> GlobalFS:
+    """The lcm stage: the global split factors of the rows of one set of
+    rules, or PlanError when no row scaling reconciles them."""
+    try:
+        return vector_lcm(rows, zero_policy="exclude")
+    except NoLcmError as e:
+        raise PlanError("lcm", f"no consistent global split factors: {e}") from e
 
 
 def check_stages(
     layout: SchemeLayout,
     selections: Sequence["frozenset[int] | None"],
-    rows: Sequence[Sequence[FSEntry]],
-) -> tuple[GlobalFS, frozenset[TypeVector], int]:
-    """Run the lcm, skip, rate and memory stages on one set of rules.
+    gfs: GlobalFS,
+) -> int:
+    """Run the all-excluded, skip, rate and memory stages on one set of rules
+    and its reconciled split factors ``gfs`` (what ``reconcile`` returns
+    for the rules' rows).
 
     ``selections`` is aligned with ``layout.group_types`` (None marks a
-    skip); ``rows`` holds the rows of the selections that are not None, in
-    the same order.  Returns the global split factors, the excluded subfile
-    types and the subpacketization F_PT, or raises PlanError naming the
-    first stage that rejects the rules.
+    skip).  Returns the subpacketization F_PT, or raises PlanError naming
+    the first stage that rejects the rules.
     """
-    try:
-        gfs = vector_lcm(rows, zero_policy="exclude")
-    except NoLcmError as e:
-        raise PlanError("lcm", f"no consistent global split factors: {e}") from e
-    if not any(gfs.factors):
+    factors = gfs.factors
+    if not any(factors):
         raise PlanError("lcm", "all subfile types excluded; nothing would be stored")
-    excluded = frozenset(v for v, f in zip(layout.subfile_types, gfs.factors) if f == 0)
+    zeroed = sum(1 << j for j, f in enumerate(factors) if not f)
+
+    def involved(i: int, excluded: bool) -> list[str]:
+        """The types group type i involves that are excluded, or live."""
+        col = layout.col
+        return [
+            v.text() for v in layout.structures[i].involved
+            if (zeroed >> col[v] & 1) == excluded
+        ]
 
     if None in selections:  # the search never skips: keep this loop off its path
-        for gt, st, sel in zip(layout.group_types, layout.structures, selections):
-            if sel is None and not all(v in excluded for v in st.involved):
+        for i, (gt, sel) in enumerate(zip(layout.group_types, selections)):
+            if sel is None and layout.involved_masks[i] & ~zeroed:
                 raise PlanError(
                     "skip",
                     f"group type {gt} is marked skip but involves live subfile "
-                    f"type(s) {[v.text() for v in st.involved if v not in excluded]}",
+                    f"type(s) {involved(i, False)}",
                 )
 
-    for gt, st, sel in zip(layout.group_types, layout.structures, selections):
-        dead = [] if sel is None else rate_violation(st, sel, excluded)
-        if dead:
-            raise PlanError(
-                "rate",
-                f"group type {gt}: transmissions would reach receivers with "
-                f"nothing to decode (excluded desired type(s) "
-                f"{[st.involved[i - 1].text() for i in dead]}); such members "
-                f"must transmit alone",
-            )
+    failed = rate_failure(
+        [layout.rate_masks(i, sel) for i, sel in enumerate(selections)], zeroed
+    )
+    if failed >= 0:
+        raise PlanError(
+            "rate",
+            f"group type {layout.group_types[failed]}: transmissions would reach "
+            f"receivers with nothing to decode (excluded desired type(s) "
+            f"{involved(failed, True)}); such members must transmit alone",
+        )
 
-    mc = mc_check(gfs.factors, layout.mc_rows)
+    mc = mc_check(factors, layout.mc_rows)
     if not mc.ok:
         raise PlanError(
             "mc",
             f"user classes {mc.fail_index} and {mc.fail_index + 1} would cache "
             f"unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
         )
-    return gfs, excluded, subpacketization(gfs.factors, layout.type_counts)
+    return subpacketization(factors, layout.type_counts)
 
 
 def analyze_rules(
@@ -261,7 +295,9 @@ def analyze_layout(
     if not rows:
         raise PlanError("rules", "every group type is marked skip; nothing to send")
 
-    gfs, excluded, f_pt = check_stages(layout, selections, rows)
+    gfs = reconcile(rows)
+    f_pt = check_stages(layout, selections, gfs)
+    excluded = frozenset(v for v, f in zip(layout.subfile_types, gfs.factors) if not f)
     return RuleAnalysis(
         **{f.name: getattr(layout, f.name) for f in fields(SchemeLayout)},
         K=layout.grouping.K,

@@ -68,12 +68,12 @@ class RatioForest:
     """Union-find over rows with exact rational scale ratios, kept flat.
 
     Every row stores its component's root and its scale relative to it,
-    ``scale(i) = num[i] / den[i] * scale(root[i])``, so :meth:`find` is one
-    lookup.  A union relabels the smaller component onto the larger and
-    records the factor it scaled those rows by, so a depth-first search can
-    add rows' constraints on the way down and :meth:`rollback` to a
-    :meth:`mark` on the way up.  Scales are exact but not kept in lowest
-    terms.
+    ``scale(i) = num[i] / den[i] * scale(root[i])``.  A union relabels the
+    smaller component onto the larger and records the factor it scaled
+    those rows by, so a depth-first search can add rows' constraints on the
+    way down and :meth:`rollback` to a :meth:`mark` on the way up.  Scales
+    are exact but not kept in lowest terms; :meth:`scales` gives the least
+    integer ones.
     """
 
     def __init__(self, n: int) -> None:
@@ -84,10 +84,6 @@ class RatioForest:
         # per union: (kept root, relabelled root, x, y) with the relabelled
         # rows' scales multiplied by x / y; undone by dividing, exactly
         self._undo: list[tuple[int, int, int, int]] = []
-
-    def find(self, i: int) -> tuple[int, int, int]:
-        """``(root, n, d)`` with ``scale(i) = n / d * scale(root)``."""
-        return self.root[i], self.num[i], self.den[i]
 
     def relate(self, i: int, a: int, j: int, b: int) -> bool:
         """Impose ``scale(i) * a == scale(j) * b``; False on contradiction."""
@@ -114,6 +110,21 @@ class RatioForest:
 
     def mark(self) -> int:
         return len(self._undo)
+
+    def scales(self) -> list[int]:
+        """The least positive integer scale of each row: per component, the
+        exact ratios over their common denominator, divided by their gcd."""
+        root, num, den = self.root, self.num, self.den
+        out = [1] * len(root)
+        for r, members in enumerate(self.members):
+            if root[r] != r or len(members) == 1:
+                continue
+            denom = lcm(*(den[i] for i in members))
+            nums = [num[i] * (denom // den[i]) for i in members]
+            g = gcd(*nums)
+            for i, n in zip(members, nums):
+                out[i] = n // g
+        return out
 
     def rollback(self, mark: int) -> None:
         """Undo every union made since ``mark``."""
@@ -143,8 +154,8 @@ def vector_lcm(
     0 denotes "unconstrained", never by the scheme pipeline.
 
     Scales are the componentwise-minimal positive integers: exact rational
-    ratios are solved per connected component of a :class:`RatioForest`,
-    written over the common denominator, and divided by their gcd.
+    ratios are solved per connected component of a :class:`RatioForest`
+    and normalised by :meth:`RatioForest.scales`.
     """
     if zero_policy not in ("exclude", "wildcard"):
         raise ValueError(f"unknown zero_policy {zero_policy!r}")
@@ -181,21 +192,7 @@ def vector_lcm(
                     f"column {j}: rows {i1} and {i2} need incompatible scales"
                 )
 
-    # scale(i) = n / d * scale(root): over the component's common
-    # denominator, divided by the gcd, these are the minimal integers
-    roots: dict[int, list[tuple[int, int, int]]] = {}
-    for i in range(len(rows)):
-        root, n, d = forest.find(i)
-        roots.setdefault(root, []).append((i, n, d))
-
-    scales = [1] * len(rows)
-    for members in roots.values():
-        denom = lcm(*(d for _, _, d in members))
-        nums = [n * (denom // d) for _, n, d in members]
-        g = gcd(*nums)
-        for (i, _, _), n in zip(members, nums):
-            scales[i] = n // g
-
+    scales = forest.scales()
     factors = []
     for j in range(width):
         if j in excluded:

@@ -22,12 +22,12 @@ from .combinat import binomial, integer_partitions
 from .designs import DesignSpec, theorem1_bound, theorem1_design, theorem2_design
 from .designs import special_designs, theorem3_design
 from .engine import PlanError, SchemeLayout, analyze_layout, analyze_rules
-from .engine import check_stages, scheme_layout
-from .fscalc import FSEntry, RatioForest
+from .engine import check_stages, rate_failure, scheme_layout
+from .fscalc import FSEntry, GlobalFS, RatioForest
 from .typevec import TypeVector, make_grouping
 
 # Largest census searched without a candidate budget: it admits every
-# (K <= 9, t), (9,4) being the largest at 2.12e10 candidates, about 80 s
+# (K <= 9, t), (9,4) being the largest at 2.12e10 candidates, about 60 s
 # in-process on a 2-vCPU x86-64 host.
 MAX_CANDIDATES = 10**11
 # Largest candidate budget: the records report their count through len(),
@@ -51,9 +51,8 @@ _Item = tuple[str, tuple[int, ...]]
 # (F_PT, reason) of a record
 _Verdict = tuple["int | None", str]
 # (selection, local split-factor row, record item, mask of the columns the
-# row zeroes, mask of the columns the group type involves, mask of the
-# selection's column when it is one single-user unique set, else -1)
-_Option = tuple[frozenset[int], tuple[FSEntry, ...], _Item, int, int, int]
+# row zeroes, the selection's rate masks)
+_Option = tuple[frozenset[int], tuple[FSEntry, ...], _Item, int, tuple[int, int]]
 
 # verdict of each stage a search candidate can fail, one object each
 _REJECTED: dict[str, _Verdict] = {
@@ -116,32 +115,16 @@ def _options(layout: SchemeLayout) -> list[list[_Option]]:
     for i, (gt, st) in enumerate(zip(layout.group_types, layout.structures)):
         n = st.num_unique_sets
         text = gt.text()
-        cols = [layout.col[v] for v in st.involved]
-        involved = sum(1 << j for j in cols)
         options.append([])
         for size in range(1, n + 1):
             for sel in combinations(range(1, n + 1), size):
                 row = layout.row(i, sel)
                 zeroes = sum(1 << j for j, e in enumerate(row) if e == 0)
-                solo = -1
-                if size == 1 and st.unique_sets[sel[0] - 1].size == 1:
-                    solo = 1 << cols[sel[0] - 1]
+                chosen = frozenset(sel)
                 options[i].append(
-                    (frozenset(sel), row, (text, sel), zeroes, involved, solo)
+                    (chosen, row, (text, sel), zeroes, layout.rate_masks(i, chosen))
                 )
     return options
-
-
-def _rate_fails(chosen: Iterable[_Option], zeroed: int) -> bool:
-    """The rate stage (``engine.rate_violation``) on bit masks, with the
-    columns in ``zeroed`` excluded.  A row fails when its excluded involved
-    columns are neither none, nor all, nor the lone single-user unique set
-    that transmits alone."""
-    for _, _, _, _, involved, solo in chosen:
-        dead = involved & zeroed
-        if dead and dead != involved and dead != solo:
-            return True
-    return False
 
 
 def _walk(
@@ -170,7 +153,7 @@ def _walk(
     walked = [options[c] for c in order]
     n_opts = [len(opts) for opts in walked]
     below = [prod(n_opts[d:]) for d in range(depth + 1)]
-    at = {c: d for d, c in enumerate(order)}  # walk depth of group type c
+    at = [order.index(c) for c in range(depth)]  # walk depth of group type c
 
     # Column j can be zeroed only by the rows in zeroers; it turns final at
     # the last of them (from the start when there are none) unless zeroed
@@ -196,12 +179,14 @@ def _walk(
             initial_final |= 1 << j
         for k in rows[1:]:
             touched[k].append((j, rows[0]))
+    first_of = [rows[0] for rows in rows_of]  # first row in column j
     all_columns = (1 << width) - 1
 
     forest = RatioForest(depth)
     relate = forest.relate
     chosen: list[_Option] = [walked[d][0] for d in range(depth)]
     rows = [opt[1] for opt in chosen]  # the chosen options' rows
+    rates = [opt[4] for opt in chosen]  # and their rate masks
 
     def consistent(d: int, final: int, zeroed: int) -> int | None:
         """Add row d's constraints on final columns to the forest; the new
@@ -225,17 +210,24 @@ def _walk(
         """Verdict of a leaf whose final columns reconcile.  Every other
         column is in ``zeroed``, so the LCM passes and excludes exactly
         ``zeroed`` (each column has a row: a subset of type v plus one more
-        user is a group that involves v).  So the rate stage can run first,
-        on bit masks, and only the leaves it passes reach ``check_stages``."""
+        user is a group that involves v), and the forest holds its row
+        scales.  So the rate stage can run first, on bit masks, and only the
+        leaves it passes build their global split factors off the forest
+        for ``check_stages``."""
         if zeroed == all_columns:
             return _REJECTED["lcm"]  # every subfile type excluded
-        if _rate_fails(chosen, zeroed):
+        if rate_failure(rates, zeroed) >= 0:
             return _REJECTED["rate"]
-        canonical = [chosen[at[c]] for c in range(depth)]
+        scales = forest.scales()
+        gfs = GlobalFS(
+            factors=tuple(
+                0 if zeroed >> j & 1 else scales[d] * rows[d][j]
+                for j, d in enumerate(first_of)
+            ),
+            row_scales=tuple(scales[d] for d in at),
+        )
         try:
-            _, _, f_pt = check_stages(
-                layout, [o[0] for o in canonical], [o[1] for o in canonical]
-            )
+            f_pt = check_stages(layout, [chosen[d][0] for d in at], gfs)
         except PlanError as e:
             return _REJECTED[e.stage]
         return f_pt, ""
@@ -255,7 +247,7 @@ def _walk(
             picks[d] += 1
             continue
         opt = chosen[d] = walked[d][k]
-        rows[d] = opt[1]
+        rows[d], rates[d] = opt[1], opt[4]
         zeroed = zeroeds[d] | opt[3]
         final = consistent(d, finals[d], zeroed)
         if final is None:

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -395,7 +396,8 @@ def test_records_and_rules_json_bytes_are_pinned(argv, csv_out, digest, tmp_path
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-# sha256 of `search --K K --t t` stdout for every census with K <= 7
+# sha256 of `search --K K --t t` stdout for every census with K <= 7, and
+# for (8,4) (about 1 s), so the search's leaves are pinned above K = 7 too
 SEARCH_STDOUT = {
     (2, 1): "715462eabb1f04e5effd551111725abff9ab285862440d93151d93a94f7244c3",
     (3, 1): "da4848151027ec5d1cbf758213c415fd59153ea4013e877d891a4af171ca3926",
@@ -418,6 +420,7 @@ SEARCH_STDOUT = {
     (7, 4): "1c801dec76c2c2236776e30febbe9da0fbcf6d6ac1feb8d6e470c471c6a9a4dd",
     (7, 5): "205c950fc45ffcc0e5739b83cde4388475ad467329ced04f78a81661308d59ee",
     (7, 6): "460357635807ed422e5ecb24ae79f1189ba677d5b9757c821e99995dd27d5514",
+    (8, 4): "b7669cd43c3fae104607711468b4dbc7b51e3bf144bbbee19a29488e2cbdd7dd",
 }
 
 
@@ -586,6 +589,13 @@ def test_bad_arguments_exit_usage(argv, capsys):
     assert code == EXIT_USAGE
 
 
+# analyses whose type enumeration would overflow the recursion limit
+ANALYZE_ABOVE_CAP = [
+    ["analyze", "--special", "tbar3", "--K", "3000"],
+    ["analyze", "--thm", "1", "--K", "1998", "--tbar", "2"],
+]
+
+
 @pytest.mark.parametrize(
     "argv,rules",
     [
@@ -615,6 +625,9 @@ def test_bad_arguments_exit_usage(argv, capsys):
         (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], {}),
         (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], {"2,1": "skip"}),
         (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], {"2,1": [7]}),
+        # an analysis above the K cap, refused before its design is built
+        (ANALYZE_ABOVE_CAP[0], None),
+        (ANALYZE_ABOVE_CAP[1], None),
     ],
 )
 def test_malformed_input_is_a_usage_error(argv, rules, tmp_path, capsys):
@@ -872,6 +885,20 @@ def test_large_plans_are_refused_before_the_work_starts(argv):
     assert "Traceback" not in err.getvalue()
     if code == EXIT_USAGE:
         assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", ANALYZE_ABOVE_CAP)
+def test_analyze_above_the_cap_is_a_usage_error_in_optimized_mode(argv):
+    """The K cap is no assert: ``python -O`` refuses the same analyses."""
+    src = os.path.dirname(os.path.dirname(ptcache.engine.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ptcache.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_module_runs_as_subprocess():

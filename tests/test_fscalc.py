@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ptcache.combinat import binomial
 from ptcache.fscalc import (
@@ -159,19 +159,24 @@ def test_vector_lcm_idempotent():
     assert again.factors == first.factors
 
 
+def _find(forest, i):
+    """``(root, n, d)`` with ``scale(i) = n / d * scale(root)``."""
+    return forest.root[i], forest.num[i], forest.den[i]
+
+
 def test_ratio_forest_rollback_forgets_later_constraints():
     f = RatioForest(4)
     assert f.relate(0, 2, 1, 3)  # 2 s0 = 3 s1
-    fresh = [f.find(i) for i in range(4)]
+    fresh = [_find(f, i) for i in range(4)]
     m = f.mark()
     assert f.relate(1, 1, 2, 2)  # s1 = 2 s2, so s0 = 3 s2
     assert not f.relate(0, 1, 2, 1)
     assert f.relate(3, 1, 2, 1) and f.relate(0, 1, 3, 3)
     f.rollback(m)
-    assert [f.find(i) for i in range(4)] == fresh
+    assert [_find(f, i) for i in range(4)] == fresh
     assert f.relate(0, 1, 2, 1)  # s2 is free again
-    root, n, d = f.find(1)
-    root0, n0, d0 = f.find(0)
+    root, n, d = _find(f, 1)
+    root0, n0, d0 = _find(f, 0)
     assert root == root0 and Fraction(n, d) / Fraction(n0, d0) == Fraction(2, 3)
 
 
@@ -204,7 +209,7 @@ def _same_ratios(forest, ref):
     """Rows share a root exactly when they share a component, at the same
     scale ratio."""
     n = len(ref.comp)
-    found = [forest.find(i) for i in range(n)]
+    found = [_find(forest, i) for i in range(n)]
     for i in range(n):
         for j in range(n):
             ri, ni, di = found[i]
@@ -214,6 +219,23 @@ def _same_ratios(forest, ref):
                 assert Fraction(ni, di) / Fraction(nj, dj) == (
                     ref.scale[i] / ref.scale[j]
                 )
+
+
+def _least_scales(forest, ref, relations):
+    """``scales()`` holds every relation in force, keeps the reference's
+    ratio within each component, and is the least positive integer vector
+    doing so: its gcd over each component is 1."""
+    scales = forest.scales()
+    assert all(isinstance(s, int) and s > 0 for s in scales)
+    for i, a, j, b in relations:
+        assert scales[i] * a == scales[j] * b
+    for comp in set(ref.comp):
+        rows = [i for i, c in enumerate(ref.comp) if c == comp]
+        assert math.gcd(*(scales[i] for i in rows)) == 1
+        first = rows[0]
+        for i in rows[1:]:
+            want = ref.scale[i] / ref.scale[first]
+            assert Fraction(scales[i], scales[first]) == want
 
 
 FOREST_OPS = st.lists(
@@ -231,21 +253,31 @@ FOREST_OPS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(FOREST_OPS)
+# a component whose exact ratios, over their common denominator, share a
+# factor 2 that the least scales divide out
+@example([("relate", 0, 4, 2, 3), ("relate", 3, 3, 1, 4), ("relate", 1, 1, 0, 2)])
 def test_ratio_forest_matches_a_fraction_reference(ops):
     """Every relate verdict, and every row's ratio after each rollback,
-    agree with exact Fraction bookkeeping."""
+    agree with exact Fraction bookkeeping; after every step the least
+    integer scales hold each relation in force."""
     forest, ref = RatioForest(6), _FractionForest(6)
     marks = []
+    relations = []  # the relations in force
     for op in ops:
         if op[0] == "relate":
             _, i, a, j, b = op
-            assert forest.relate(i, a, j, b) == ref.relate(i, a, j, b)
+            held = forest.relate(i, a, j, b)
+            assert held == ref.relate(i, a, j, b)
+            if held:
+                relations.append(op[1:])
         elif op[0] == "mark":
-            marks.append((forest.mark(), ref.copy()))
+            marks.append((forest.mark(), ref.copy(), len(relations)))
         elif marks:
-            m, ref = marks.pop()
+            m, ref, n = marks.pop()
             forest.rollback(m)
+            del relations[n:]
             _same_ratios(forest, ref)
+        _least_scales(forest, ref, relations)
     _same_ratios(forest, ref)
 
 

@@ -22,14 +22,15 @@ from ptcache.engine import (
     build_plan,
     decode_and_verify,
     measure,
-    rate_violation,
+    rate_failure,
     rules_json,
     simulate,
 )
+from ptcache.fscalc import NoLcmError, mc_check, subpacketization, vector_lcm
 from ptcache.search import (
     CandidateRecord,
     _options,
-    _rate_fails,
+    _walk,
     candidate_to_design,
     exhaustive_search,
     search_space,
@@ -266,15 +267,33 @@ def test_candidates_round_trip_through_the_engine():
             assert decode_and_verify(simulate(plan, files, demand)).ok
 
 
+def rate_violation(structure, selection, excluded):
+    """Reference for the rate stage, on sets of types: the 1-based indices
+    of the unique sets whose desired type is excluded, or [] when the group
+    type sends at full rate or sends nothing at all.  A member whose desired
+    type is excluded receives nothing, so it may appear in a transmitting
+    group type only as the lone transmitter."""
+    dead = [i for i, v in enumerate(structure.involved, 1) if v in excluded]
+    if len(dead) == len(structure.involved):
+        return []  # every involved type excluded: the group type is skipped
+    n_dead = sum(structure.unique_sets[i - 1].size for i in dead)
+    if n_dead == 0 or (n_dead == 1 and selection == frozenset(dead)):
+        return []
+    return dead
+
+
 @pytest.mark.parametrize("K", range(2, 8))
 def test_mask_rate_test_agrees_with_rate_violation(K):
     """For every option of every layout with this K, and every set of
-    zeroed columns, the search's bit-mask rate test gives the verdict of
-    the engine's rate stage."""
+    zeroed columns, the rate stage on column masks, which the engine and
+    the search's leaf pre-filter both run, gives the verdict of the
+    set-based reference."""
     for t in range(1, K):
         for layout in search_space(K, t)[1]:
             width = len(layout.subfile_types)
-            for st, opts in zip(layout.structures, _options(layout)):
+            for i, (st, opts) in enumerate(zip(layout.structures, _options(layout))):
+                for opt in opts:
+                    assert opt[4] == layout.rate_masks(i, opt[0])
                 for zeroed in range(1 << width):
                     excluded = {
                         v for j, v in enumerate(layout.subfile_types)
@@ -282,7 +301,63 @@ def test_mask_rate_test_agrees_with_rate_violation(K):
                     }
                     for opt in opts:
                         want = bool(rate_violation(st, opt[0], excluded))
-                        assert _rate_fails([opt], zeroed) == want
+                        assert (rate_failure([opt[4]], zeroed) == 0) == want
+
+
+def _vector_lcm_verdict(layout, selections):
+    """A leaf's verdict the way the engine reached it before the search read
+    split factors off its forest: ``vector_lcm`` on the canonical rows, then
+    the all-excluded, rate (the set-based reference) and memory stages."""
+    rows = [layout.row(i, sel) for i, sel in enumerate(selections)]
+    try:
+        gfs = vector_lcm(rows, "exclude")
+    except NoLcmError:
+        return None, "no_lcm"
+    if not any(gfs.factors):
+        return None, "no_lcm"
+    excluded = {v for v, f in zip(layout.subfile_types, gfs.factors) if f == 0}
+    for st, sel in zip(layout.structures, selections):
+        if rate_violation(st, sel, excluded):
+            return None, "rate"
+    if not mc_check(gfs.factors, layout.mc_rows).ok:
+        return None, "mc"
+    return subpacketization(gfs.factors, layout.type_counts), ""
+
+
+@pytest.mark.parametrize("K", range(2, 8))
+def test_leaf_split_factors_from_the_forest_match_vector_lcm(K, monkeypatch):
+    """Every leaf of every census at this K, walked in census order: the
+    global split factors and row scales a live leaf reads off the search's
+    ratio forest equal ``vector_lcm`` of its canonical rows, and every
+    leaf's verdict is the one ``vector_lcm`` and the stages give.  Only
+    the leaves that end feasible or fail the memory stage read the forest:
+    the others are settled on column masks."""
+    read = []
+
+    def check_stages(layout, selections, gfs):
+        rows = [layout.row(i, sel) for i, sel in enumerate(selections)]
+        assert gfs == vector_lcm(rows, "exclude")
+        read.append(gfs)
+        return ptcache.engine.check_stages(layout, selections, gfs)
+
+    monkeypatch.setattr(ptcache.search, "check_stages", check_stages)
+    for t in range(1, K):
+        live = 0
+        for layout in search_space(K, t)[1]:
+            options = _options(layout)
+            depth = len(options)
+            order = range(depth - 1, -1, -1)
+            picks = [0] * depth
+            for d, _, verdict in _walk(layout, options, order, picks):
+                if d < depth:
+                    continue  # a doomed subtree above the leaves
+                selections = [
+                    options[c][picks[depth - 1 - c]][0] for c in range(depth)
+                ]
+                assert verdict == _vector_lcm_verdict(layout, selections)
+                live += verdict[1] in ("", "mc")
+        assert len(read) == live
+        read.clear()
 
 
 def _first_minimum(records):
