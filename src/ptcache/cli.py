@@ -19,7 +19,6 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from . import engine
-from .combinat import binomial
 from .designs import (
     DPDA_MODES,
     SPECIAL_KINDS,
@@ -397,7 +396,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     result = exhaustive_search(args.K, args.t, max_candidates=args.budget)
     if args.out:
-        f_jcm = args.t * binomial(args.K, args.t)
+        f_jcm, _ = jcm_baseline(args.K, args.t)
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(

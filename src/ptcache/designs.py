@@ -15,6 +15,7 @@ from math import gcd, prod
 from typing import Mapping
 
 from .combinat import binomial
+from .fscalc import jcm_baseline
 from .typevec import (
     Grouping,
     MGroupStructure,
@@ -82,7 +83,7 @@ def jcm_design(K: int, t: int) -> DesignSpec:
         tx_rules=rules,
         type_order=order,
         expected_global_fs=(t,),
-        expected_f_pt=t * binomial(K, t),
+        expected_f_pt=jcm_baseline(K, t)[0],
     )
 
 

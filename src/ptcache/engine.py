@@ -47,6 +47,11 @@ SCHEMA_VERSION = "1"
 # 0.2 KB per t-subset; thm2(14,6), with C(14, 7) = 3,432 groups, simulates in
 # 0.3 s on a 2-vCPU x86-64 host.
 MAX_SUBSETS = 2**17
+# Most entries, group types times subfile types, in the split-factor table
+# of one analysis.  analyze of thm3(31, 31, 20), 496,584 entries, takes
+# 0.8 s and prints 7.2 MB on a 2-vCPU x86-64 host; thm3(31, 31, 30), 38M
+# entries, took 42 s and printed 539 MB.
+MAX_TABLE_ENTRIES = 2**20
 
 # (file index 1-based, subset as sorted tuple, packet index 1-based)
 PacketKey = tuple[int, tuple[int, ...], int]
@@ -191,71 +196,6 @@ def rate_failure(masks: Iterable[tuple[int, int]], zeroed: int) -> int:
     return -1
 
 
-def reconcile(rows: Sequence[Sequence[FSEntry]]) -> GlobalFS:
-    """The lcm stage: the global split factors of the rows of one set of
-    rules, or PlanError when no row scaling reconciles them."""
-    try:
-        return vector_lcm(rows, zero_policy="exclude")
-    except NoLcmError as e:
-        raise PlanError("lcm", f"no consistent global split factors: {e}") from e
-
-
-def check_stages(
-    layout: SchemeLayout,
-    selections: Sequence["frozenset[int] | None"],
-    gfs: GlobalFS,
-) -> int:
-    """Run the all-excluded, skip, rate and memory stages on one set of rules
-    and its reconciled split factors ``gfs`` (what ``reconcile`` returns
-    for the rules' rows).
-
-    ``selections`` is aligned with ``layout.group_types`` (None marks a
-    skip).  Returns the subpacketization F_PT, or raises PlanError naming
-    the first stage that rejects the rules.
-    """
-    factors = gfs.factors
-    if not any(factors):
-        raise PlanError("lcm", "all subfile types excluded; nothing would be stored")
-    zeroed = sum(1 << j for j, f in enumerate(factors) if not f)
-
-    def involved(i: int, excluded: bool) -> list[str]:
-        """The types group type i involves that are excluded, or live."""
-        col = layout.col
-        return [
-            v.text() for v in layout.structures[i].involved
-            if (zeroed >> col[v] & 1) == excluded
-        ]
-
-    if None in selections:  # the search never skips: keep this loop off its path
-        for i, (gt, sel) in enumerate(zip(layout.group_types, selections)):
-            if sel is None and layout.involved_masks[i] & ~zeroed:
-                raise PlanError(
-                    "skip",
-                    f"group type {gt} is marked skip but involves live subfile "
-                    f"type(s) {involved(i, False)}",
-                )
-
-    failed = rate_failure(
-        [layout.rate_masks(i, sel) for i, sel in enumerate(selections)], zeroed
-    )
-    if failed >= 0:
-        raise PlanError(
-            "rate",
-            f"group type {layout.group_types[failed]}: transmissions would reach "
-            f"receivers with nothing to decode (excluded desired type(s) "
-            f"{involved(failed, True)}); such members must transmit alone",
-        )
-
-    mc = mc_check(factors, layout.mc_rows)
-    if not mc.ok:
-        raise PlanError(
-            "mc",
-            f"user classes {mc.fail_index} and {mc.fail_index + 1} would cache "
-            f"unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
-        )
-    return subpacketization(factors, layout.type_counts)
-
-
 def analyze_rules(
     K: int,
     t: int,
@@ -278,8 +218,17 @@ def analyze_layout(
     tx_rules: Mapping[TypeVector, "Iterable[int] | None"],
 ) -> RuleAnalysis:
     """Check one set of transmitter rules against a layout built once for its
-    (grouping, t), so that several rule sets can share it; raise PlanError
-    when any stage rejects the rules."""
+    (grouping, t), so that several rule sets can share it.  The stages run
+    in order (lcm, then all excluded, skip, rate and mc) and the first that
+    rejects the rules raises PlanError; a table above MAX_TABLE_ENTRIES is
+    refused before any row is built."""
+    entries = len(layout.group_types) * len(layout.subfile_types)
+    if entries > MAX_TABLE_ENTRIES:
+        raise PlanError(
+            "size",
+            f"the split-factor table would hold {entries:,} entries; the cap "
+            f"is {MAX_TABLE_ENTRIES:,}",
+        )
     rules = _normalize_rules(layout.group_types, tx_rules)
     selections = [rules[gt] for gt in layout.group_types]
     rows: list[tuple[FSEntry, ...]] = []
@@ -295,9 +244,46 @@ def analyze_layout(
     if not rows:
         raise PlanError("rules", "every group type is marked skip; nothing to send")
 
-    gfs = reconcile(rows)
-    f_pt = check_stages(layout, selections, gfs)
-    excluded = frozenset(v for v, f in zip(layout.subfile_types, gfs.factors) if not f)
+    try:
+        gfs = vector_lcm(rows, zero_policy="exclude")
+    except NoLcmError as e:
+        raise PlanError("lcm", f"no consistent global split factors: {e}") from e
+    factors = gfs.factors
+    if not any(factors):
+        raise PlanError("lcm", "all subfile types excluded; nothing would be stored")
+    excluded = frozenset(v for v, f in zip(layout.subfile_types, factors) if not f)
+    zeroed = sum(1 << j for j, f in enumerate(factors) if not f)
+
+    def involved(i: int, dead: bool) -> list[str]:
+        """The types group type i involves that are excluded, or live."""
+        return [
+            v.text() for v in layout.structures[i].involved if (v in excluded) == dead
+        ]
+
+    for i, (gt, sel) in enumerate(zip(layout.group_types, selections)):
+        if sel is None and layout.involved_masks[i] & ~zeroed:
+            raise PlanError(
+                "skip",
+                f"group type {gt} is marked skip but involves live subfile "
+                f"type(s) {involved(i, False)}",
+            )
+    failed = rate_failure(
+        [layout.rate_masks(i, sel) for i, sel in enumerate(selections)], zeroed
+    )
+    if failed >= 0:
+        raise PlanError(
+            "rate",
+            f"group type {layout.group_types[failed]}: transmissions would reach "
+            f"receivers with nothing to decode (excluded desired type(s) "
+            f"{involved(failed, True)}); such members must transmit alone",
+        )
+    mc = mc_check(factors, layout.mc_rows)
+    if not mc.ok:
+        raise PlanError(
+            "mc",
+            f"user classes {mc.fail_index} and {mc.fail_index + 1} would cache "
+            f"unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
+        )
     return RuleAnalysis(
         **{f.name: getattr(layout, f.name) for f in fields(SchemeLayout)},
         K=layout.grouping.K,
@@ -309,10 +295,10 @@ def analyze_layout(
         excluded=excluded,
         skipped_group_types=frozenset(
             gt
-            for gt, st in zip(layout.group_types, layout.structures)
-            if all(v in excluded for v in st.involved)
+            for gt, mask in zip(layout.group_types, layout.involved_masks)
+            if not mask & ~zeroed
         ),
-        f_pt=f_pt,
+        f_pt=subpacketization(factors, layout.type_counts),
     )
 
 

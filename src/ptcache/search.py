@@ -18,12 +18,12 @@ from math import prod
 from operator import mul
 from typing import Iterable
 
-from .combinat import binomial, integer_partitions
+from .combinat import integer_partitions
 from .designs import DesignSpec, theorem1_bound, theorem1_design, theorem2_design
 from .designs import special_designs, theorem3_design
-from .engine import PlanError, SchemeLayout, analyze_layout, analyze_rules
-from .engine import check_stages, rate_failure, scheme_layout
-from .fscalc import FSEntry, GlobalFS, RatioForest
+from .engine import SchemeLayout, analyze_layout, analyze_rules
+from .engine import rate_failure, scheme_layout
+from .fscalc import FSEntry, RatioForest, jcm_baseline, mc_check, subpacketization
 from .typevec import TypeVector, make_grouping
 
 # Largest census searched without a candidate budget: it admits every
@@ -50,9 +50,9 @@ class CandidateRecord:
 _Item = tuple[str, tuple[int, ...]]
 # (F_PT, reason) of a record
 _Verdict = tuple["int | None", str]
-# (selection, local split-factor row, record item, mask of the columns the
-# row zeroes, the selection's rate masks)
-_Option = tuple[frozenset[int], tuple[FSEntry, ...], _Item, int, tuple[int, int]]
+# (local split-factor row, record item, mask of the columns the row zeroes,
+# the selection's rate masks)
+_Option = tuple[tuple[FSEntry, ...], _Item, int, tuple[int, int]]
 
 # verdict of each stage a search candidate can fail, one object each
 _REJECTED: dict[str, _Verdict] = {
@@ -84,7 +84,7 @@ class CandidateRecords:
         for layout in self._layouts:
             sizes = layout.grouping.sizes
             options = _options(layout)
-            items = [[o[2] for o in opts] for opts in options]
+            items = [[o[1] for o in opts] for opts in options]
             depth = len(options)
             picks = [0] * depth
             for d, count, verdict in _walk(layout, options, range(depth), picks):
@@ -120,9 +120,8 @@ def _options(layout: SchemeLayout) -> list[list[_Option]]:
             for sel in combinations(range(1, n + 1), size):
                 row = layout.row(i, sel)
                 zeroes = sum(1 << j for j, e in enumerate(row) if e == 0)
-                chosen = frozenset(sel)
                 options[i].append(
-                    (chosen, row, (text, sel), zeroes, layout.rate_masks(i, chosen))
+                    (row, (text, sel), zeroes, layout.rate_masks(i, frozenset(sel)))
                 )
     return options
 
@@ -184,9 +183,8 @@ def _walk(
 
     forest = RatioForest(depth)
     relate = forest.relate
-    chosen: list[_Option] = [walked[d][0] for d in range(depth)]
-    rows = [opt[1] for opt in chosen]  # the chosen options' rows
-    rates = [opt[4] for opt in chosen]  # and their rate masks
+    rows = [opts[0][0] for opts in walked]  # the chosen options' rows
+    rates = [opts[0][3] for opts in walked]  # and their rate masks
 
     def consistent(d: int, final: int, zeroed: int) -> int | None:
         """Add row d's constraints on final columns to the forest; the new
@@ -212,25 +210,20 @@ def _walk(
         ``zeroed`` (each column has a row: a subset of type v plus one more
         user is a group that involves v), and the forest holds its row
         scales.  So the rate stage can run first, on bit masks, and only the
-        leaves it passes build their global split factors off the forest
-        for ``check_stages``."""
+        leaves it passes read their global split factors off the forest for
+        the memory stage."""
         if zeroed == all_columns:
             return _REJECTED["lcm"]  # every subfile type excluded
         if rate_failure(rates, zeroed) >= 0:
             return _REJECTED["rate"]
         scales = forest.scales()
-        gfs = GlobalFS(
-            factors=tuple(
-                0 if zeroed >> j & 1 else scales[d] * rows[d][j]
-                for j, d in enumerate(first_of)
-            ),
-            row_scales=tuple(scales[d] for d in at),
-        )
-        try:
-            f_pt = check_stages(layout, [chosen[d][0] for d in at], gfs)
-        except PlanError as e:
-            return _REJECTED[e.stage]
-        return f_pt, ""
+        factors = [
+            0 if zeroed >> j & 1 else scales[d] * rows[d][j]
+            for j, d in enumerate(first_of)
+        ]
+        if not mc_check(factors, layout.mc_rows).ok:
+            return _REJECTED["mc"]
+        return subpacketization(factors, layout.type_counts), ""
 
     finals = [initial_final] * (depth + 1)
     zeroeds = [0] * (depth + 1)
@@ -246,9 +239,9 @@ def _walk(
             forest.rollback(marks[d])
             picks[d] += 1
             continue
-        opt = chosen[d] = walked[d][k]
-        rows[d], rates[d] = opt[1], opt[4]
-        zeroed = zeroeds[d] | opt[3]
+        opt = walked[d][k]
+        rows[d], rates[d] = opt[0], opt[3]
+        zeroed = zeroeds[d] | opt[2]
         final = consistent(d, finals[d], zeroed)
         if final is None:
             yield d + 1, below[d + 1], _REJECTED["lcm"]
@@ -339,7 +332,7 @@ def exhaustive_search(
             explored += count
             if verdict[0] is not None:
                 index = [picks[d] for d in at]
-                rules = tuple(opts[k][2] for opts, k in zip(options, index))
+                rules = tuple(opts[k][1] for opts, k in zip(options, index))
                 rec = CandidateRecord(layout.grouping.sizes, rules, *verdict)
                 position = start + sum(map(mul, index, radix))
                 feasible.append((verdict[0], position, rec))
@@ -482,8 +475,7 @@ def sweep_ratios(
         except ValueError as e:
             skipped.append((K, str(e)))
             continue
-        tt = designs[0].t
-        f_jcm = tt * binomial(K, tt)
+        f_jcm, _ = jcm_baseline(K, designs[0].t)
         rows.append(
             SweepRow(
                 family=family,

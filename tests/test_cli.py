@@ -559,6 +559,36 @@ def test_all_skip_rules_rejected_as_usage(tmp_path, capsys):
     assert "marked skip" in err
 
 
+def test_valid_skip_matches_the_selection_it_replaces(tmp_path, capsys):
+    """t3_halfsplit at K=8 excludes every subfile type its group type 4,0
+    involves.  Marking 4,0 "skip" rather than selecting [1] keeps F_PT, the
+    global factors, the simulate report and the transcript, and drops only
+    the 4,0 row from the analyze table."""
+    seen = {}
+    for name, sel in (("skip", "skip"), ("select", [1])):
+        rules = tmp_path / f"{name}.json"
+        rules.write_text(json.dumps({"4,0": sel, "3,1": [2], "2,2": [1]}))
+        design = ["--grouping", "4,4", "--K", "8", "--t", "3", "--rules", str(rules)]
+        code, analyzed, _ = run_cli(["analyze", *design], capsys)
+        assert code == EXIT_OK
+        transcript = tmp_path / f"{name}.jsonl"
+        code, simulated, _ = run_cli(
+            ["simulate", *design, "--demands", "3", "--seed", "5",
+             "--transcript", str(transcript)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        seen[name] = json.loads(analyzed), simulated, transcript.read_bytes()
+    skip, select = seen["skip"], seen["select"]
+    assert skip[0]["F_PT"] == select[0]["F_PT"] == 144
+    assert skip[0]["subfile_types"] == select[0]["subfile_types"]
+    assert skip[0]["skipped_group_types"] == select[0]["skipped_group_types"] == ["4,0"]
+    assert skip[1:] == select[1:]
+    table = dict(select[0]["fs_table"])
+    del table["4,0"]
+    assert skip[0]["fs_table"] == table
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -887,9 +917,42 @@ def test_large_plans_are_refused_before_the_work_starts(argv):
         assert err.getvalue().startswith("error: "), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", ANALYZE_ABOVE_CAP)
+# thm3(31, 31, 30): a split-factor table of 6,842 group types x 5,604
+# subfile types, above MAX_TABLE_ENTRIES
+TABLE_ABOVE_CAP = ["analyze", "--thm", "3", "--m", "31", "--q", "31", "--t", "30"]
+
+
+class _RowBuilt(Exception):
+    """Raised by a patched ``SchemeLayout.row``: a table row was built."""
+
+
+def _refuse_row(self, i, selection):
+    raise _RowBuilt(i)
+
+
+def test_table_cap_refuses_before_any_row_is_built(capsys):
+    """The table cap is checked once the layout is built: the analysis exits
+    4 in a few seconds with nothing on stdout (42 s and 539 MB without it),
+    and a sweep notes the K it skips."""
+    assert ptcache.engine.MAX_TABLE_ENTRIES == 2**20
+    start = time.perf_counter()
+    with mock.patch.object(ptcache.engine.SchemeLayout, "row", _refuse_row):
+        code, out, err = run_cli(TABLE_ABOVE_CAP, capsys)
+        assert time.perf_counter() - start < 20
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "38,342,568 entries" in err, err
+        code, out, err = run_cli(
+            ["sweep", "--family", "thm3", "--m", "31", "--t", "30", "--K", "961"],
+            capsys,
+        )
+    assert code == EXIT_OK
+    assert out.splitlines() == ["family,label,K,F_PT,F_JCM,ratio,bound"]
+    assert err.startswith("note: skipped K=961: ") and "the cap is" in err, err
+
+
+@pytest.mark.parametrize("argv", ANALYZE_ABOVE_CAP + [TABLE_ABOVE_CAP])
 def test_analyze_above_the_cap_is_a_usage_error_in_optimized_mode(argv):
-    """The K cap is no assert: ``python -O`` refuses the same analyses."""
+    """The caps are no asserts: ``python -O`` refuses the same analyses."""
     src = os.path.dirname(os.path.dirname(ptcache.engine.__file__))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "ptcache.cli", *argv],

@@ -769,6 +769,59 @@ def test_src_holds_no_assert_statements():
     assert found == []
 
 
+def _names_read(tree):
+    """Every name a module reads: loaded names, plus the names inside the
+    quoted annotations and quoted type arguments that ``from __future__
+    import annotations`` or a forward reference leaves as strings."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            hints = [node.returns] + [
+                a.annotation
+                for a in args.posonlyargs + args.args + args.kwonlyargs
+                + [args.vararg, args.kwarg] if a is not None
+            ]
+        elif isinstance(node, ast.AnnAssign):
+            hints = [node.annotation]
+        elif isinstance(node, ast.Subscript):
+            hints = [node.slice]
+        else:
+            continue
+        for hint in filter(None, hints):
+            for const in ast.walk(hint):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    try:
+                        read |= _names_read(ast.parse(const.value, mode="eval"))
+                    except SyntaxError:  # a string key, not a type
+                        pass
+    return read
+
+
+def test_src_reads_every_name_it_imports():
+    """An import no code in its module reads is left over from a removed
+    caller; ``__init__.py`` imports only to re-export."""
+    pkg = os.path.dirname(ptcache.__file__)
+    unread = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{name}:{node.lineno} {bound}")
+    assert unread == []
+
+
 _TAMPER = """
 import dataclasses, random
 from ptcache.designs import theorem2_design, theorem3_design

@@ -293,15 +293,15 @@ def test_mask_rate_test_agrees_with_rate_violation(K):
             width = len(layout.subfile_types)
             for i, (st, opts) in enumerate(zip(layout.structures, _options(layout))):
                 for opt in opts:
-                    assert opt[4] == layout.rate_masks(i, opt[0])
+                    assert opt[3] == layout.rate_masks(i, frozenset(opt[1][1]))
                 for zeroed in range(1 << width):
                     excluded = {
                         v for j, v in enumerate(layout.subfile_types)
                         if zeroed >> j & 1
                     }
                     for opt in opts:
-                        want = bool(rate_violation(st, opt[0], excluded))
-                        assert (rate_failure([opt[4]], zeroed) == 0) == want
+                        want = bool(rate_violation(st, frozenset(opt[1][1]), excluded))
+                        assert (rate_failure([opt[3]], zeroed) == 0) == want
 
 
 def _vector_lcm_verdict(layout, selections):
@@ -327,22 +327,20 @@ def _vector_lcm_verdict(layout, selections):
 @pytest.mark.parametrize("K", range(2, 8))
 def test_leaf_split_factors_from_the_forest_match_vector_lcm(K, monkeypatch):
     """Every leaf of every census at this K, walked in census order: the
-    global split factors and row scales a live leaf reads off the search's
-    ratio forest equal ``vector_lcm`` of its canonical rows, and every
-    leaf's verdict is the one ``vector_lcm`` and the stages give.  Only
-    the leaves that end feasible or fail the memory stage read the forest:
-    the others are settled on column masks."""
+    global split factors a live leaf reads off the search's ratio forest
+    and hands to the memory stage equal ``vector_lcm`` of its canonical
+    rows, and every leaf's verdict is the one ``vector_lcm`` and the stages
+    give.  Only the leaves that end feasible or fail the memory stage read
+    the forest: the others are settled on column masks."""
     read = []
 
-    def check_stages(layout, selections, gfs):
-        rows = [layout.row(i, sel) for i, sel in enumerate(selections)]
-        assert gfs == vector_lcm(rows, "exclude")
-        read.append(gfs)
-        return ptcache.engine.check_stages(layout, selections, gfs)
+    def spy(factors, user_counts):
+        read.append(tuple(factors))
+        return mc_check(factors, user_counts)
 
-    monkeypatch.setattr(ptcache.search, "check_stages", check_stages)
+    monkeypatch.setattr(ptcache.search, "mc_check", spy)
     for t in range(1, K):
-        live = 0
+        live = reads = 0
         for layout in search_space(K, t)[1]:
             options = _options(layout)
             depth = len(options)
@@ -350,14 +348,20 @@ def test_leaf_split_factors_from_the_forest_match_vector_lcm(K, monkeypatch):
             picks = [0] * depth
             for d, _, verdict in _walk(layout, options, order, picks):
                 if d < depth:
-                    continue  # a doomed subtree above the leaves
+                    assert read == []  # a doomed subtree above the leaves
+                    continue
                 selections = [
-                    options[c][picks[depth - 1 - c]][0] for c in range(depth)
+                    frozenset(options[c][picks[depth - 1 - c]][1][1])
+                    for c in range(depth)
                 ]
+                if read:
+                    rows = [layout.row(i, sel) for i, sel in enumerate(selections)]
+                    assert read == [vector_lcm(rows, "exclude").factors]
+                    reads += 1
+                    read.clear()
                 assert verdict == _vector_lcm_verdict(layout, selections)
                 live += verdict[1] in ("", "mc")
-        assert len(read) == live
-        read.clear()
+        assert reads == live
 
 
 def _first_minimum(records):
