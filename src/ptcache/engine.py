@@ -14,7 +14,6 @@ import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from operator import itemgetter
 
 from .combinat import binomial, binomial_exceeds, subsets
 from .fscalc import (
@@ -44,8 +43,8 @@ SCHEMA_VERSION = "1"
 # Most t-subsets a plan's packet map holds, and most groups of t + 1 users
 # its delivery schedule walks.  A simulation needs about 3 KB per group for
 # the schedule and the transcript (0.4 GB at the cap) and a packet map about
-# 0.2 KB per t-subset; thm2(14,6), with C(14, 7) = 3,432 groups, simulates in
-# 0.3 s on a 2-vCPU x86-64 host.
+# 0.2 KB per t-subset; thm2(14,6), with C(14, 7) = 3,432 groups, simulates
+# and decodes in 0.2 s on a 2-vCPU x86-64 host.
 MAX_SUBSETS = 2**17
 # Most entries, group types times subfile types, in the split-factor table
 # of one analysis.  analyze of thm3(31, 31, 20), 496,584 entries, takes
@@ -114,9 +113,18 @@ class SchemeLayout:
 
 
 def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
+    """The layout of (g, t); a split-factor table above MAX_TABLE_ENTRIES is
+    refused once the types are enumerated, before their structures and the
+    memory-check table are built."""
     typed = enumerate_types(g, t)
     vtypes = tuple(v for v, _ in typed)
     gtypes = tuple(v for v, _ in enumerate_types(g, t + 1))
+    if len(gtypes) * len(vtypes) > MAX_TABLE_ENTRIES:
+        raise PlanError(
+            "size",
+            f"the split-factor table would hold {len(gtypes) * len(vtypes):,} "
+            f"entries; the cap is {MAX_TABLE_ENTRIES:,}",
+        )
     col = {v: j for j, v in enumerate(vtypes)}
     structures = tuple(mgroup_structure(g, gt) for gt in gtypes)
     return SchemeLayout(
@@ -220,15 +228,7 @@ def analyze_layout(
     """Check one set of transmitter rules against a layout built once for its
     (grouping, t), so that several rule sets can share it.  The stages run
     in order (lcm, then all excluded, skip, rate and mc) and the first that
-    rejects the rules raises PlanError; a table above MAX_TABLE_ENTRIES is
-    refused before any row is built."""
-    entries = len(layout.group_types) * len(layout.subfile_types)
-    if entries > MAX_TABLE_ENTRIES:
-        raise PlanError(
-            "size",
-            f"the split-factor table would hold {entries:,} entries; the cap "
-            f"is {MAX_TABLE_ENTRIES:,}",
-        )
+    rejects the rules raises PlanError."""
     rules = _normalize_rules(layout.group_types, tx_rules)
     selections = [rules[gt] for gt in layout.group_types]
     rows: list[tuple[FSEntry, ...]] = []
@@ -396,7 +396,6 @@ class Message:
 
 # (receiver k, its desired subset S minus k, first packet, packet count)
 ScheduleEntry = tuple[int, tuple[int, ...], int, int]
-_subset = itemgetter(1)  # a term's or a schedule entry's subset
 
 
 @dataclass(frozen=True, slots=True)
@@ -410,30 +409,32 @@ class GroupSchedule:
     transmitters: tuple[int, ...]
     entries: tuple[ScheduleEntry, ...]
 
-    def replay(
-        self, tx: int, counters: list[int], wanted: Sequence[bytes], B: int
-    ) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
-        """The (receiver, subset, counter) terms of the message ``tx`` sends,
-        consuming one of ``counters`` (aligned with ``entries``) per term,
-        and the XOR of the packets they carry as one int: each receiver k's
-        next z packets of ``wanted[k - 1]``, of ``B`` bytes each."""
+    def payloads(
+        self, senders: Sequence[int], wanted: Sequence[bytes], B: int
+    ) -> tuple[int, list[int]]:
+        """The payloads of the messages ``senders`` send in turn, z * ``B``
+        bytes each, concatenated as one int, and the number of chunks of z
+        packets each entry gave.  The entry of receiver k adds one slice of
+        ``wanted[k - 1]``, with a zero chunk wherever k is the sender."""
         z = self.z
         size = z * B
-        terms = []
+        n = len(senders)
         acc = 0
-        for j, (k, T, base, alpha) in enumerate(self.entries):
-            if k == tx:
-                continue
-            c = counters[j]
-            if (c + 1) * z > alpha:
+        chunks = []
+        for k, T, base, alpha in self.entries:
+            c = n - senders.count(k)
+            if c * z > alpha:
                 raise IntegrityError(
                     f"delivery counter overran subfile {T} ({alpha} packets)"
                 )
-            counters[j] = c + 1
-            terms.append((k, T, c))
-            p = (base + c * z) * B
-            acc ^= int.from_bytes(wanted[k - 1][p : p + size], "big")
-        return terms, acc
+            chunks.append(c)
+            blob = wanted[k - 1][base * B : base * B + c * size]
+            if c < n:
+                for at, u in enumerate(senders):
+                    if u == k:
+                        blob = blob[: at * size] + bytes(size) + blob[at * size :]
+            acc ^= int.from_bytes(blob, "big")
+        return acc, chunks
 
 
 def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
@@ -446,10 +447,13 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
     g = plan.grouping
     a = plan.analysis
     structure_of = dict(zip(a.group_types, a.structures))
-    # subset -> (subset, first packet, packet count), the subset being the
-    # packet map's own key, which the cache views hold too: set lookups of a
-    # scheduled subset then compare by identity
-    span_of = {T: (T, *span) for T, span in plan.subset_map.items()}
+    bit = [1 << u for u in range(plan.K + 1)]
+    # subset mask -> (subset, first packet, packet count), the subset being
+    # the packet map's own key, which the cache views hold too: set lookups
+    # of a scheduled subset then compare by identity
+    span_of = {
+        sum(map(bit.__getitem__, T)): (T, *span) for T, span in plan.subset_map.items()
+    }
     # profile -> (z, user groups that transmit), None when skipped
     profiles: dict[tuple[int, ...], tuple[int, frozenset[int]] | None] = {}
     groups: dict[tuple[int, ...], GroupSchedule] = {}
@@ -472,9 +476,10 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
         if sending is None:
             continue
         z, tx_groups = sending
+        mask = sum(map(bit.__getitem__, S))
         entries = []
-        for i, k in enumerate(S):
-            span = span_of.get(S[:i] + S[i + 1 :])
+        for k in S:
+            span = span_of.get(mask ^ bit[k])
             if span is not None:
                 entries.append((k, *span))
         groups[S] = GroupSchedule(
@@ -584,6 +589,20 @@ def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
     }
 
 
+def _side_information(session: Session) -> tuple[dict, dict]:
+    """Per user k, the packet map's subsets with k that its cache lacks, and
+    the subsets without k that it holds.  Both are empty for the caches
+    ``place`` builds; only a user with one that is not can lack a subset it
+    sends or decodes with, or hold the subset it decodes."""
+    caches = session.caches
+    lacking: dict[int, set] = {k: set() for k in caches}
+    for T in session.plan.subset_map:
+        for k in T:
+            if T not in caches[k].held:
+                lacking[k].add(T)
+    return lacking, {k: {T for T in c.held if k not in T} for k, c in caches.items()}
+
+
 def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
     """Generate the broadcast.  ``order_seed`` shuffles group and transmitter
     order (decoding is order-independent); None keeps the canonical ascending
@@ -591,27 +610,36 @@ def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
     groups = list(session.schedule.items())
     B = session.bytes_per_packet
     wanted = [session.files[n - 1] for n in session.demand]  # user k's at k-1
+    lacking = _side_information(session)[0]
     out: list[Message] = []
     rng = random.Random(order_seed) if order_seed is not None else None
     if rng:
         rng.shuffle(groups)
     for S, gs in groups:
-        size = gs.z * B
-        counters = [0] * len(gs.entries)
         txs = list(gs.transmitters)
         if rng:
             rng.shuffle(txs)
-        for tx in txs:
-            terms, xor = gs.replay(tx, counters, wanted, B)
+        size = gs.z * B
+        sent = gs.payloads(txs, wanted, B)[0].to_bytes(len(txs) * size, "big")
+        counters = [0] * len(gs.entries)
+        for i, tx in enumerate(txs):
+            terms = []
+            for j, (k, T, _, _) in enumerate(gs.entries):
+                if k != tx:
+                    terms.append((k, T, counters[j]))
+                    counters[j] += 1
             if not terms:
                 continue  # vacuous message: every other user's type excluded
-            held = session.caches[tx].held
-            if not held.issuperset(map(_subset, terms)):
-                T = next(T for _, T, _ in terms if T not in held)
-                raise IntegrityError(f"transmitter {tx} does not cache subfile {T}")
-            i = S.index(tx)
-            rx = S[:i] + S[i + 1 :]
-            out.append(Message(tx, S, rx, tuple(terms), xor.to_bytes(size, "big")))
+            if lacking[tx]:
+                for _, T, _ in terms:
+                    if T in lacking[tx]:
+                        raise IntegrityError(
+                            f"transmitter {tx} does not cache subfile {T}"
+                        )
+            j = S.index(tx)
+            rx = S[:j] + S[j + 1 :]
+            payload = sent[i * size : (i + 1) * size]
+            out.append(Message(tx, S, rx, tuple(terms), payload))
     session.transcript = out
     return out
 
@@ -641,17 +669,14 @@ def simulate(
 def decode_and_verify(session: Session) -> VerifyResult:
     """Replay the transcript at every user and check bit-exact recovery.
 
-    Counters are replayed from the transcript sequence itself, so any
-    delivery order the sender used is reproduced faithfully.  The replay
-    reads each message's terms once and XORs the packets they carry, as
-    every cache view that holds them reads them.  Receiver k recovers its
-    packets as the payload XOR the other terms, which equal its demanded
-    packets exactly when the payload equals the XOR of all terms; so one
-    comparison per message checks every receiver.  Each receiver must not
-    cache its own subset and must cache every other one: one set
-    difference.  Counters never repeat and each group's count up from 0, so
-    the packets recovered are marked once per schedule entry after the
-    pass, and the file is not reassembled.
+    Counters depend only on the messages of the same group before, so the
+    transcript is replayed group by group, in transcript order within each.
+    Receiver k recovers the payload XOR the other terms, its demanded
+    packets exactly when the payload is the XOR of all terms: so comparing a
+    group's payloads with ``GroupSchedule.payloads`` checks every receiver,
+    and wrong messages are sought only when that fails.  Only users whose
+    cache breaks the placement rule have side information checked per
+    message.  Recovered packets are marked once per schedule entry.
     """
     plan = session.plan
     demand = session.demand
@@ -659,42 +684,47 @@ def decode_and_verify(session: Session) -> VerifyResult:
     wanted = [session.files[n - 1] for n in demand]  # user k's at k-1
     users = range(1, plan.K + 1)
     wrong: set[int] = set()  # users that recovered some packet incorrectly
-    counter_state: dict[tuple[int, ...], list[int]] = {}
-    held_of = {k: cache.held for k, cache in session.caches.items()}
-
+    lacking, foreign = _side_information(session)
+    deviant = {k for k in lacking if lacking[k] or foreign[k]}
+    by_group: dict[tuple[int, ...], list[Message]] = {}
     for msg in session.transcript:
-        S = msg.group
-        gs = session.schedule.get(S)
-        if gs is None:
-            raise IntegrityError(f"message for group {S}, which the plan never serves")
-        cnt = counter_state.get(S)
-        if cnt is None:
-            cnt = counter_state[S] = [0] * len(gs.entries)
-        terms, xor = gs.replay(msg.tx, cnt, wanted, B)
-        if len(msg.payload) != gs.z * B:
+        if msg.group not in session.schedule:
             raise IntegrityError(
-                f"message of {len(msg.payload)} bytes in a group sending {gs.z * B}"
+                f"message for group {msg.group}, which the plan never serves"
             )
-        sent = set(map(_subset, terms))
-        for k, T_own, _ in terms:
-            held = held_of[k]
-            if sent - held != {T_own}:  # k must cache every subset sent but its own
-                if T_own in held:
+        by_group.setdefault(msg.group, []).append(msg)
+
+    got = {k: bytearray(plan.f_pt) for k in users}  # a flag per packet recovered
+    for S, msgs in by_group.items():
+        gs = session.schedule[S]
+        size = gs.z * B
+        for msg in msgs:
+            if len(msg.payload) != size:
+                raise IntegrityError(
+                    f"message of {len(msg.payload)} bytes in a group sending {size}"
+                )
+            if not deviant:
+                continue
+            for k, T_own, _, _ in gs.entries:
+                if k == msg.tx or k not in deviant:
+                    continue
+                if T_own in foreign[k]:
                     raise IntegrityError(
                         f"user {k} decoded subfile {T_own} of file {demand[k - 1]}, "
                         f"already cached"
                     )
-                raise IntegrityError(
-                    f"user {k} lacks side information for the message {msg.tx} "
-                    f"sends in group {S}"
-                )
-        if int.from_bytes(msg.payload, "big") != xor:
-            wrong.update(k for k, _, _ in terms)
-
-    got = {k: bytearray(plan.f_pt) for k in users}  # a flag per packet recovered
-    for S, cnt in counter_state.items():
-        gs = session.schedule[S]
-        for (k, _, base, _), c in zip(gs.entries, cnt):
+                if any(T in lacking[k] for u, T, _, _ in gs.entries if u != msg.tx):
+                    raise IntegrityError(
+                        f"user {k} lacks side information for the message {msg.tx} "
+                        f"sends in group {S}"
+                    )
+        acc, chunks = gs.payloads([msg.tx for msg in msgs], wanted, B)
+        expected = acc.to_bytes(len(msgs) * size, "big")
+        if b"".join([msg.payload for msg in msgs]) != expected:
+            for i, msg in enumerate(msgs):
+                if msg.payload != expected[i * size : (i + 1) * size]:
+                    wrong.update(k for k, _, _, _ in gs.entries if k != msg.tx)
+        for (k, _, base, _), c in zip(gs.entries, chunks):
             got[k][base : base + c * gs.z] = b"\1" * (c * gs.z)
 
     per_user: dict[int, bool] = {}
@@ -702,7 +732,7 @@ def decode_and_verify(session: Session) -> VerifyResult:
     for k in users:
         want = demand[k - 1]
         flags = got[k]
-        for T in held_of[k]:
+        for T in session.caches[k].held:
             base, alpha = plan.subset_map[T]
             flags[base : base + alpha] = b"\1" * alpha
         if 0 in flags:

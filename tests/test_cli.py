@@ -923,20 +923,25 @@ TABLE_ABOVE_CAP = ["analyze", "--thm", "3", "--m", "31", "--q", "31", "--t", "30
 
 
 class _RowBuilt(Exception):
-    """Raised by a patched ``SchemeLayout.row``: a table row was built."""
+    """Raised by a patched ``SchemeLayout.row``, ``mgroup_structure`` or
+    ``per_user_count``: a table row, a group type's structure or a row of
+    the memory-check table was built."""
 
 
-def _refuse_row(self, i, selection):
-    raise _RowBuilt(i)
+def _refuse_row(*args):
+    raise _RowBuilt(*args)
 
 
 def test_table_cap_refuses_before_any_row_is_built(capsys):
-    """The table cap is checked once the layout is built: the analysis exits
-    4 in a few seconds with nothing on stdout (42 s and 539 MB without it),
-    and a sweep notes the K it skips."""
+    """The table cap is checked once the types are enumerated, before any
+    group type's structure, memory-check entry or split-factor row is
+    built: the analysis exits 4 in a few seconds with nothing on stdout
+    (42 s and 539 MB without it), and a sweep notes the K it skips."""
     assert ptcache.engine.MAX_TABLE_ENTRIES == 2**20
     start = time.perf_counter()
-    with mock.patch.object(ptcache.engine.SchemeLayout, "row", _refuse_row):
+    with mock.patch.object(ptcache.engine.SchemeLayout, "row", _refuse_row), \
+            mock.patch.object(ptcache.engine, "mgroup_structure", _refuse_row), \
+            mock.patch.object(ptcache.engine, "per_user_count", _refuse_row):
         code, out, err = run_cli(TABLE_ABOVE_CAP, capsys)
         assert time.perf_counter() - start < 20
         assert (code, out) == (EXIT_USAGE, "")

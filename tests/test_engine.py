@@ -29,6 +29,7 @@ from ptcache.designs import (
     theorem3_design,
 )
 from ptcache.engine import (
+    GroupSchedule,
     IntegrityError,
     PlanError,
     VerifyResult,
@@ -36,6 +37,7 @@ from ptcache.engine import (
     analyze_rules,
     build_plan,
     decode_and_verify,
+    deliver,
     measure,
     place,
     plan_json,
@@ -462,11 +464,11 @@ DATA_PLANE_CASES = [
 ]
 
 
-def data_plane_session(ds, N, M):
+def data_plane_session(ds, N, M, order_seed=None):
     plan = build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
     files = make_files(N, 2 * plan.f_pt)
     demand = tuple((k % N) + 1 for k in range(ds.K))
-    return simulate(plan, files, demand)
+    return simulate(plan, files, demand, order_seed=order_seed)
 
 
 @pytest.mark.parametrize("ds,N,M,_", DATA_PLANE_CASES)
@@ -579,11 +581,14 @@ def reference_decode(session):
 
 
 EDIT_SESSIONS = {
-    name: data_plane_session(ds, N, M)
-    for name, ds, N, M in [
-        ("tbar3-K9", special_designs("tbar3", 9), 3, 2),
-        ("thm2-K8-t4", theorem2_design(8, 4), 8, 4),
-        ("thm3-m3-q3-t2", theorem3_design(3, 3, 2), 9, 2),  # 3-transmitter groups
+    name: data_plane_session(ds, N, M, order_seed)
+    for name, ds, N, M, order_seed in [
+        ("tbar3-K9", special_designs("tbar3", 9), 3, 2, None),
+        ("thm2-K8-t4", theorem2_design(8, 4), 8, 4, None),
+        # 3-transmitter groups
+        ("thm3-m3-q3-t2", theorem3_design(3, 3, 2), 9, 2, None),
+        # groups and transmitters in shuffled order
+        ("thm3-m3-q3-t2-shuffled", theorem3_design(3, 3, 2), 9, 2, 6),
     ]
 }
 
@@ -592,8 +597,8 @@ EDIT_SESSIONS = {
 def edited_session(draw):
     """A fresh copy of one of EDIT_SESSIONS with one to three edits: a message
     dropped (first, middle, last or any), duplicated or swapped with another,
-    a payload byte flipped, a payload truncated, or a subset removed from a
-    user's cache."""
+    a payload byte flipped, a payload truncated, a subset removed from a
+    user's cache, or a packet-map subset without the user added to it."""
     base = EDIT_SESSIONS[draw(st.sampled_from(sorted(EDIT_SESSIONS)))]
     s = dataclasses.replace(
         base,
@@ -607,7 +612,7 @@ def edited_session(draw):
         n = len(msgs)
         i = draw(st.one_of(st.sampled_from([0, n // 2, n - 1]), st.integers(0, n - 1)))
         edit = draw(st.sampled_from(
-            ["drop", "duplicate", "swap", "flip", "truncate", "forget"]
+            ["drop", "duplicate", "swap", "flip", "truncate", "forget", "learn"]
         ))
         if edit == "drop":
             del msgs[i]
@@ -629,10 +634,15 @@ def edited_session(draw):
             msgs[i] = dataclasses.replace(
                 msgs[i], payload=p[: draw(st.integers(0, len(p) - 1))]
             )
-        else:  # a receiver of message i forgets a subset it holds
+        elif edit == "forget":  # a receiver of message i forgets a subset it holds
             k = draw(st.sampled_from([k for k, _, _ in msgs[i].terms]))
             cache = s.caches[k]
             cache.held = cache.held - {draw(st.sampled_from(sorted(cache.held)))}
+        else:  # a receiver of message i caches a subset without it, its own first
+            k, T_own, _ = draw(st.sampled_from(msgs[i].terms))
+            others = sorted(T for T in s.plan.subset_map if k not in T and T != T_own)
+            cache = s.caches[k]
+            cache.held = cache.held | {draw(st.sampled_from([T_own, *others]))}
     return s
 
 
@@ -692,6 +702,42 @@ def test_schedule_types_each_intersection_profile_once(monkeypatch):
             expected.transcript
         )
     assert typed == [len(profiles)] * 3
+
+
+def test_one_xor_pass_per_group(monkeypatch):
+    """``deliver`` runs ``GroupSchedule.payloads`` once per sending group,
+    and ``decode_and_verify`` once per group present in the transcript,
+    with its messages' transmitters in transcript order, also once a
+    message or a whole group's messages are dropped."""
+    ds = special_designs("tbar3", 9)
+    plan = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
+    files = make_files(3, 2 * plan.f_pt)
+    session = simulate(plan, files, (1, 2, 3, 1, 2, 3, 1, 2, 3), order_seed=4)
+    calls = []
+    real = GroupSchedule.payloads
+
+    def counting_payloads(self, senders, wanted, B):
+        calls.append((self, tuple(senders)))
+        return real(self, senders, wanted, B)
+
+    def senders_by_group(transcript):
+        by_group = {}
+        for msg in transcript:
+            by_group.setdefault(msg.group, []).append(msg.tx)
+        return [(session.schedule[S], tuple(txs)) for S, txs in by_group.items()]
+
+    monkeypatch.setattr(GroupSchedule, "payloads", counting_payloads)
+    full = deliver(session, order_seed=4)
+    assert calls == senders_by_group(full)
+    assert len(calls) == len(session.schedule)
+    alone = next(m for m in full if len(session.schedule[m.group].transmitters) == 1)
+    several = next(m for m in full if len(session.schedule[m.group].transmitters) > 1)
+    for dropped in ([], [alone], [several], [alone, several]):
+        session.transcript = [m for m in full if m not in dropped]
+        calls.clear()
+        assert decode_and_verify(session).ok == (not dropped)
+        assert calls == senders_by_group(session.transcript)
+        assert len(calls) == len(session.schedule) - (alone in dropped)
 
 
 def test_build_plan_types_each_subset_profile_once(monkeypatch):
