@@ -13,9 +13,9 @@ from .engine import (
     build_plan,
     decode_and_verify,
     measure,
-    run_jcm,
     simulate,
 )
+from .jcm import run_jcm
 from .designs import (
     DesignSpec,
     dpda_specials,

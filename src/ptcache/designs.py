@@ -232,11 +232,6 @@ def theorem3_design(m: int, q: int, t: int) -> DesignSpec:
     )
 
 
-def theorem3_limit(m: int, t: int) -> Fraction:
-    """Large-q limit of the subpacketization ratio for theorem3_design."""
-    return 1 - Fraction(1, m ** (t - 1))
-
-
 def _lemma2(K: int, q: int) -> DesignSpec:
     if q < 2 or K % q or K // q < 2:
         raise ValueError(f"need q >= 2 dividing K with at least two groups, got K={K}, q={q}")

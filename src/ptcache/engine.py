@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .combinat import binomial, binomial_exceeds, subsets
+from .combinat import binomial_exceeds, subsets
 from .fscalc import (
     STAR,
     FSEntry,
@@ -41,10 +41,11 @@ from .typevec import (
 
 SCHEMA_VERSION = "1"
 # Most t-subsets a plan's packet map holds, and most groups of t + 1 users
-# its delivery schedule walks.  A simulation needs about 3 KB per group for
-# the schedule and the transcript (0.4 GB at the cap) and a packet map about
-# 0.2 KB per t-subset; thm2(14,6), with C(14, 7) = 3,432 groups, simulates
-# and decodes in 0.2 s on a 2-vCPU x86-64 host.
+# its delivery schedule walks.  A simulation needs about 1.6 KB per group
+# for the schedule and the group records (0.2 GB at the cap), 2 KB more once
+# its transcript is read as messages, and a packet map about 0.2 KB per
+# t-subset; thm2(14,6), with C(14, 7) = 3,432 groups, simulates and decodes
+# in 0.15 s on a 2-vCPU x86-64 host.
 MAX_SUBSETS = 2**17
 # Most entries, group types times subfile types, in the split-factor table
 # of one analysis.  analyze of thm3(31, 31, 20), 496,584 entries, takes
@@ -522,6 +523,58 @@ class CacheView(Mapping[PacketKey, bytes]):
         return len(self.files) * sum(self.subset_map[T][1] for T in self.held)
 
 
+# (group S, its senders in send order, their payloads as one bytes)
+GroupRecord = tuple[tuple[int, ...], tuple[int, ...], bytes]
+
+
+class Transcript(Sequence[Message]):
+    """The messages of group records, in send order, built when first read;
+    the length, the senders' count, is read off the records."""
+
+    def __init__(self, records: Sequence[GroupRecord], schedule: Mapping) -> None:
+        self.records, self.schedule = records, schedule
+        self._messages: list[Message] | None = None
+
+    def __len__(self) -> int:
+        return sum(len(senders) for _, senders, _ in self.records)
+
+    def __getitem__(self, i):
+        if self._messages is None:
+            self._messages = list(self)
+        return self._messages[i]
+
+    def __iter__(self) -> Iterator[Message]:
+        for S, senders, payload in self.records:
+            entries = self.schedule[S].entries
+            size = len(payload) // len(senders)
+            counters = [0] * len(entries)
+            for i, tx in enumerate(senders):
+                terms = []
+                for j, (k, T, _, _) in enumerate(entries):
+                    if k != tx:
+                        terms.append((k, T, counters[j]))
+                        counters[j] += 1
+                rx = tuple(u for u in S if u != tx)
+                yield Message(tx, S, rx, tuple(terms), payload[i * size : (i + 1) * size])
+
+
+class _MessageList:
+    """``Session.transcript``: a ``Message`` list built from the session's
+    group records when first read.  A list read or assigned here is the
+    transcript from then on, edits included; None hands it back to the
+    records."""
+
+    def __get__(self, session, owner=None):
+        if session is None:
+            return None  # the field's default
+        if session._messages is None:
+            session._messages = list(Transcript(session.records, session.schedule))
+        return session._messages
+
+    def __set__(self, session, messages: list[Message] | None) -> None:
+        session._messages = messages
+
+
 @dataclass
 class Session:
     plan: SchemePlan
@@ -530,7 +583,8 @@ class Session:
     bytes_per_packet: int
     schedule: Mapping[tuple[int, ...], GroupSchedule]  # sending groups, in order
     caches: dict[int, CacheView] = field(default_factory=dict)
-    transcript: list[Message] = field(default_factory=list)
+    records: list[GroupRecord] = field(default_factory=list)  # one per sending group
+    transcript: list[Message] = _MessageList()  # type: ignore[assignment]
 
 
 @dataclass
@@ -546,17 +600,6 @@ class Measurement:
     rate: Fraction
     per_user_cache_bits: int
     message_count: int
-
-
-def _xor(*chunks: bytes) -> bytes:
-    """XOR of equal-length byte strings, in one int pass."""
-    n = len(chunks[0])
-    acc = 0
-    for c in chunks:
-        if len(c) != n:
-            raise IntegrityError(f"XOR of {n} and {len(c)} bytes")
-        acc ^= int.from_bytes(c, "big")
-    return acc.to_bytes(n, "big")
 
 
 def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
@@ -589,29 +632,37 @@ def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
     }
 
 
-def _side_information(session: Session) -> tuple[dict, dict]:
-    """Per user k, the packet map's subsets with k that its cache lacks, and
-    the subsets without k that it holds.  Both are empty for the caches
-    ``place`` builds; only a user with one that is not can lack a subset it
-    sends or decodes with, or hold the subset it decodes."""
+def _lacking(session: Session) -> dict[int, set[tuple[int, ...]]]:
+    """Per user k, the packet map's subsets with k that its cache lacks:
+    none for the caches ``place`` builds.  Only a user that lacks one can
+    lack a subset it sends or decodes with."""
     caches = session.caches
-    lacking: dict[int, set] = {k: set() for k in caches}
+    lacking: dict[int, set[tuple[int, ...]]] = {k: set() for k in caches}
     for T in session.plan.subset_map:
         for k in T:
             if T not in caches[k].held:
                 lacking[k].add(T)
-    return lacking, {k: {T for T in c.held if k not in T} for k, c in caches.items()}
+    return lacking
 
 
-def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
-    """Generate the broadcast.  ``order_seed`` shuffles group and transmitter
-    order (decoding is order-independent); None keeps the canonical ascending
-    order."""
+def _records(session: Session) -> Sequence[GroupRecord]:
+    """The transcript as group records: ``deliver``'s own, or one per
+    message of a ``Message`` list read or assigned since."""
+    if session._messages is None:
+        return session.records
+    return [(m.group, (m.tx,), m.payload) for m in session._messages]
+
+
+def deliver(session: Session, order_seed: int | None = None) -> Transcript:
+    """Generate the broadcast as one record per sending group, dropping the
+    senders with no receiver; return its messages, built when read.
+    ``order_seed`` shuffles group and transmitter order (decoding is
+    order-independent); None keeps the canonical ascending order."""
     groups = list(session.schedule.items())
     B = session.bytes_per_packet
     wanted = [session.files[n - 1] for n in session.demand]  # user k's at k-1
-    lacking = _side_information(session)[0]
-    out: list[Message] = []
+    lacking = _lacking(session)
+    records: list[GroupRecord] = []
     rng = random.Random(order_seed) if order_seed is not None else None
     if rng:
         rng.shuffle(groups)
@@ -619,29 +670,22 @@ def deliver(session: Session, order_seed: int | None = None) -> list[Message]:
         txs = list(gs.transmitters)
         if rng:
             rng.shuffle(txs)
-        size = gs.z * B
-        sent = gs.payloads(txs, wanted, B)[0].to_bytes(len(txs) * size, "big")
-        counters = [0] * len(gs.entries)
-        for i, tx in enumerate(txs):
-            terms = []
-            for j, (k, T, _, _) in enumerate(gs.entries):
-                if k != tx:
-                    terms.append((k, T, counters[j]))
-                    counters[j] += 1
-            if not terms:
-                continue  # vacuous message: every other user's type excluded
+        receivers = [k for k, _, _, _ in gs.entries]
+        txs = [tx for tx in txs if len(receivers) > receivers.count(tx)]
+        if not txs:
+            continue
+        sent = gs.payloads(txs, wanted, B)[0].to_bytes(len(txs) * gs.z * B, "big")
+        for tx in txs:
             if lacking[tx]:
-                for _, T, _ in terms:
-                    if T in lacking[tx]:
+                for k, T, _, _ in gs.entries:
+                    if k != tx and T in lacking[tx]:
                         raise IntegrityError(
                             f"transmitter {tx} does not cache subfile {T}"
                         )
-            j = S.index(tx)
-            rx = S[:j] + S[j + 1 :]
-            payload = sent[i * size : (i + 1) * size]
-            out.append(Message(tx, S, rx, tuple(terms), payload))
-    session.transcript = out
-    return out
+        records.append((S, tuple(txs), sent))
+    session.records = records
+    session.transcript = None  # type: ignore[assignment]
+    return Transcript(records, session.schedule)
 
 
 def simulate(
@@ -684,46 +728,50 @@ def decode_and_verify(session: Session) -> VerifyResult:
     wanted = [session.files[n - 1] for n in demand]  # user k's at k-1
     users = range(1, plan.K + 1)
     wrong: set[int] = set()  # users that recovered some packet incorrectly
-    lacking, foreign = _side_information(session)
+    lacking = _lacking(session)
+    # per user k, the subsets without k that its cache holds
+    foreign = {k: {T for T in c.held if k not in T} for k, c in session.caches.items()}
     deviant = {k for k in lacking if lacking[k] or foreign[k]}
-    by_group: dict[tuple[int, ...], list[Message]] = {}
-    for msg in session.transcript:
-        if msg.group not in session.schedule:
+    by_group: dict[tuple[int, ...], list[GroupRecord]] = {}
+    for rec in _records(session):
+        if rec[0] not in session.schedule:
             raise IntegrityError(
-                f"message for group {msg.group}, which the plan never serves"
+                f"message for group {rec[0]}, which the plan never serves"
             )
-        by_group.setdefault(msg.group, []).append(msg)
+        by_group.setdefault(rec[0], []).append(rec)
 
     got = {k: bytearray(plan.f_pt) for k in users}  # a flag per packet recovered
-    for S, msgs in by_group.items():
+    for S, recs in by_group.items():
         gs = session.schedule[S]
         size = gs.z * B
-        for msg in msgs:
-            if len(msg.payload) != size:
+        senders: list[int] = []
+        for _, txs, payload in recs:
+            if len(payload) != len(txs) * size:
                 raise IntegrityError(
-                    f"message of {len(msg.payload)} bytes in a group sending {size}"
+                    f"message of {len(payload)} bytes in a group sending {size}"
                 )
-            if not deviant:
-                continue
+            senders += txs
+        for tx in senders if deviant else ():
             for k, T_own, _, _ in gs.entries:
-                if k == msg.tx or k not in deviant:
+                if k == tx or k not in deviant:
                     continue
                 if T_own in foreign[k]:
                     raise IntegrityError(
                         f"user {k} decoded subfile {T_own} of file {demand[k - 1]}, "
                         f"already cached"
                     )
-                if any(T in lacking[k] for u, T, _, _ in gs.entries if u != msg.tx):
+                if any(T in lacking[k] for u, T, _, _ in gs.entries if u != tx):
                     raise IntegrityError(
-                        f"user {k} lacks side information for the message {msg.tx} "
+                        f"user {k} lacks side information for the message {tx} "
                         f"sends in group {S}"
                     )
-        acc, chunks = gs.payloads([msg.tx for msg in msgs], wanted, B)
-        expected = acc.to_bytes(len(msgs) * size, "big")
-        if b"".join([msg.payload for msg in msgs]) != expected:
-            for i, msg in enumerate(msgs):
-                if msg.payload != expected[i * size : (i + 1) * size]:
-                    wrong.update(k for k, _, _, _ in gs.entries if k != msg.tx)
+        acc, chunks = gs.payloads(senders, wanted, B)
+        expected = acc.to_bytes(len(senders) * size, "big")
+        sent = b"".join([payload for _, _, payload in recs])
+        if sent != expected:
+            for i, tx in enumerate(senders):
+                if sent[i * size : (i + 1) * size] != expected[i * size : (i + 1) * size]:
+                    wrong.update(k for k, _, _, _ in gs.entries if k != tx)
         for (k, _, base, _), c in zip(gs.entries, chunks):
             got[k][base : base + c * gs.z] = b"\1" * (c * gs.z)
 
@@ -747,7 +795,8 @@ def decode_and_verify(session: Session) -> VerifyResult:
 
 
 def measure(session: Session) -> Measurement:
-    total_bits = sum(8 * len(m.payload) for m in session.transcript)
+    records = _records(session)
+    total_bits = 8 * sum(len(payload) for _, _, payload in records)
     L_bits = 8 * len(session.files[0])
     B = session.bytes_per_packet
     cache_bits = {8 * B * len(c) for c in session.caches.values()}
@@ -757,114 +806,7 @@ def measure(session: Session) -> Measurement:
         total_bits=total_bits,
         rate=Fraction(total_bits, L_bits),
         per_user_cache_bits=cache_bits.pop(),
-        message_count=len(session.transcript),
-    )
-
-
-# --------------------------------------------------------------------------
-# Independent reference implementation (no type machinery at all): every
-# size-t subset is a subfile of t packets, everyone transmits in every
-# group.  Kept deliberately separate so it can serve as an oracle.
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class JcmResult:
-    K: int
-    t: int
-    transcript: list[Message]
-    all_decoded: bool
-    total_bits: int
-    rate: Fraction
-    per_user_cache_bits: int
-
-
-def run_jcm(
-    K: int, N: int, M: int, files: Sequence[bytes], demand: Sequence[int]
-) -> JcmResult:
-    if (K * M) % N:
-        raise ValueError(f"K*M/N = {K}*{M}/{N} is not an integer")
-    t = K * M // N
-    if not 1 <= t <= K - 1:
-        raise ValueError(f"need 1 <= t <= K-1, got t={t}")
-    demand_t = tuple(int(d) for d in demand)
-    if len(demand_t) != K or any(not 1 <= d <= N for d in demand_t):
-        raise ValueError("bad demand vector")
-    F = t * binomial(K, t)
-    (L,) = {len(f) for f in files}
-    if L % F:
-        raise ValueError(f"file length {L} not a multiple of {F} packets")
-    B = L // F
-
-    base = {T: t * i for i, T in enumerate(subsets(K, t))}
-
-    def packet(n: int, T: tuple[int, ...], idx: int) -> bytes:  # idx 0-based
-        start = (base[T] + idx) * B
-        return files[n - 1][start : start + B]
-
-    caches: dict[int, dict[PacketKey, bytes]] = {k: {} for k in range(1, K + 1)}
-    for T in base:
-        for k in T:
-            for n in range(1, N + 1):
-                for i in range(t):
-                    caches[k][(n, T, i + 1)] = packet(n, T, i)
-
-    transcript: list[Message] = []
-    for S in subsets(K, t + 1):
-        counters = {k: 0 for k in S}
-        for tx in S:
-            terms = []
-            payload = b"\0" * B
-            for k2 in S:
-                if k2 == tx:
-                    continue
-                T = tuple(u for u in S if u != k2)
-                c = counters[k2]
-                counters[k2] += 1
-                terms.append((k2, T, c))
-                payload = _xor(payload, packet(demand_t[k2 - 1], T, c))
-            transcript.append(
-                Message(
-                    tx=tx,
-                    group=S,
-                    rx=tuple(k for k in S if k != tx),
-                    terms=tuple(terms),
-                    payload=payload,
-                )
-            )
-
-    decoded: dict[int, dict[PacketKey, bytes]] = {k: {} for k in range(1, K + 1)}
-    for msg in transcript:
-        for (k, T_own, c_own) in msg.terms:
-            acc = msg.payload
-            for (k2, T2, c2) in msg.terms:
-                if k2 != k:
-                    acc = _xor(acc, caches[k][(demand_t[k2 - 1], T2, c2 + 1)])
-            decoded[k][(demand_t[k - 1], T_own, c_own + 1)] = acc
-
-    ok = True
-    for k in range(1, K + 1):
-        want = demand_t[k - 1]
-        parts = []
-        for T in base:
-            for i in range(1, t + 1):
-                src = caches[k] if k in T else decoded[k]
-                piece = src.get((want, T, i))
-                if piece is None:
-                    ok = False
-                    break
-                parts.append(piece)
-        if ok and b"".join(parts) != files[want - 1]:
-            ok = False
-    total_bits = sum(8 * len(m.payload) for m in transcript)
-    return JcmResult(
-        K=K,
-        t=t,
-        transcript=transcript,
-        all_decoded=ok,
-        total_bits=total_bits,
-        rate=Fraction(total_bits, 8 * L),
-        per_user_cache_bits=8 * B * t * binomial(K - 1, t - 1) * N,
+        message_count=sum(len(senders) for _, senders, _ in records),
     )
 
 

@@ -34,11 +34,11 @@ from ptcache.engine import (
     build_plan,
     decode_and_verify,
     measure,
-    run_jcm,
     simulate,
     transcript_jsonl,
 )
 from ptcache.fscalc import STAR, jcm_baseline, vector_lcm
+from ptcache.jcm import run_jcm
 from ptcache.search import candidate_to_design, exhaustive_search, sweep_ratios
 from ptcache.typevec import enumerate_types, make_grouping, type_of
 

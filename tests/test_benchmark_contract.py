@@ -8,8 +8,8 @@ import inspect
 from collections.abc import Mapping
 from pathlib import Path
 
-from ptcache.designs import theorem2_design
-from ptcache.engine import build_plan, place, simulate
+from ptcache.designs import theorem2_design, theorem3_design
+from ptcache.engine import build_plan, deliver, measure, place, simulate
 from ptcache.search import exhaustive_search
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
@@ -54,3 +54,13 @@ def test_counters_read_search_place_and_deliver_results():
     messages = simulate(plan, files, (1, 2, 2, 1)).transcript
     counts = child._count_deliver(messages)
     assert counts["engine.deliver.messages"] == len(messages) > 0
+
+    # thm3(3,3,2) has groups of three transmitters and groups with z = 2
+    for ds, N, M in [(theorem2_design(4, 2), 2, 1), (theorem3_design(3, 3, 2), 9, 2)]:
+        plan = build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
+        files = [bytes(range(2 * plan.f_pt))] * N
+        session = simulate(plan, files, [1 + k % N for k in range(ds.K)])
+        counts = child._count_deliver(deliver(session))
+        m = measure(session)
+        assert counts["engine.deliver.messages"] == m.message_count > 0
+        assert 8 * counts["engine.deliver.sent_bytes"] == m.total_bits

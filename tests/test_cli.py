@@ -295,6 +295,35 @@ def test_simulate_bytes_are_pinned(argv, stdout_digest, transcript_digest,
     assert hashlib.sha256(path.read_bytes()).hexdigest() == transcript_digest
 
 
+def test_simulate_builds_messages_only_for_a_transcript(monkeypatch, tmp_path, capsys):
+    """simulate decodes and measures the delivery's group records: without
+    ``--transcript`` it creates no ``Message``; with it, it creates those of
+    the transcript it writes, whose bytes stay pinned."""
+    argv = ["simulate", "--thm", "2", "--K", "8", "--t", "4", "--bytes-per-packet",
+            "3", "--demands", "3", "--seed", "1"]
+    made = []
+    real = ptcache.engine.Message
+
+    def counting_message(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ptcache.engine, "Message", counting_message)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert made == []
+    digest = "b558892db5d3d6c03fb5bff84561ec832f7d302a0e9fd5e262ab83b82cb9359a"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    path = tmp_path / "log.jsonl"
+    code, out, _ = run_cli(argv + ["--transcript", str(path)], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(made) == len(path.read_text().splitlines()) > 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "89527b0fe86c0a65b3c2fe672fd6ebae7f8bfabf45bc490358e34c439884fbaf"
+    )
+
+
 def test_simulate_decode_failure_exit_code(monkeypatch, capsys):
     def always_fail(session):
         return VerifyResult(ok=False, per_user={1: False}, missing={1: []})

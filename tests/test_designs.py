@@ -18,7 +18,6 @@ from ptcache.designs import (
     theorem1_design,
     theorem2_design,
     theorem3_design,
-    theorem3_limit,
 )
 from ptcache.engine import analyze_rules
 from ptcache.fscalc import jcm_baseline
@@ -191,11 +190,12 @@ def test_grid_family_matches_pipeline():
 
 
 def test_grid_family_ratio_limit():
+    # as q grows, the ratio to the JCM subpacketization tends to 1 - 1/m^(t-1)
     for m, t in [(3, 2), (4, 2), (4, 3)]:
         q = 200
         f_pt = t * binomial(m * q, t) - m * t * binomial(q, t)
         ratio = Fraction(f_pt, t * binomial(m * q, t))
-        assert abs(ratio - theorem3_limit(m, t)) < Fraction(1, 100)
+        assert abs(ratio - (1 - Fraction(1, m ** (t - 1)))) < Fraction(1, 100)
 
 
 def test_grid_family_large_instance_analyzes_cheaply():

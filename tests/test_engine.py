@@ -42,10 +42,10 @@ from ptcache.engine import (
     place,
     plan_json,
     rules_from_json,
-    run_jcm,
     simulate,
     transcript_jsonl,
 )
+from ptcache.jcm import run_jcm
 from ptcache.typevec import TypeVector, type_of
 
 
