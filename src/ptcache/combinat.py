@@ -12,17 +12,8 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact int.
-
-    Out-of-range k (k > n) returns 0, mirroring the usual convention for
-    counting arguments.  Negative n or k is a caller bug and raises.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires n, k >= 0 (got n={n}, k={k})")
-    if k > n:
-        return 0
-    return math.comb(n, k)
+# C(n, k) as an exact int: 0 for k > n, ValueError for a negative n or k
+binomial = math.comb
 
 
 def binomial_exceeds(n: int, k: int, cap: int) -> bool:
@@ -65,9 +56,11 @@ def integer_partitions(
 
     Parts are non-increasing within a partition; partitions are returned in
     reverse-lexicographic order, i.e. (n,) first and (1,)*n last.  n = 0
-    yields the single empty partition ().  Every recursive branch yields a
-    partition: a part is tried only if the parts still allowed can hold the
-    rest, so the work is proportional to the output.
+    yields the single empty partition ().  A recursive frame takes one part
+    value v, most copies first, then recurses on the parts below v: the
+    depth is the number of distinct parts, at most sqrt(2n).  A value and a
+    count are tried only if the parts still allowed can hold the rest, so
+    every branch yields a partition and the work is proportional to the output.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -81,18 +74,20 @@ def integer_partitions(
         return []
     out: list[tuple[int, ...]] = []
 
-    def rec(remaining: int, cap: int, slots: int, prefix: list[int]) -> None:
+    def rec(remaining: int, cap: int, slots: int, prefix: tuple[int, ...]) -> None:
         # invariant: remaining <= cap * slots
         if remaining == 0:
-            out.append(tuple(prefix))
+            out.append(prefix)
             return
         # a part below ceil(remaining / slots) leaves more than the slots hold
-        for part in range(min(cap, remaining), -(-remaining // slots) - 1, -1):
-            prefix.append(part)
-            rec(remaining - part, part, slots - 1, prefix)
-            prefix.pop()
+        for v in range(min(cap, remaining), -(-remaining // slots) - 1, -1):
+            # c parts v, most first; parts below v fill the slots left, so
+            # the rest fits only if c >= remaining - (v - 1) * slots
+            fewest = max(1, remaining - (v - 1) * slots)
+            for c in range(min(remaining // v, slots), fewest - 1, -1):
+                rec(remaining - c * v, v - 1, slots - c, prefix + (v,) * c)
 
-    rec(n, max_part, max_parts, [])
+    rec(n, max_part, max_parts, ())
     return out
 
 

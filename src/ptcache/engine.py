@@ -528,20 +528,18 @@ GroupRecord = tuple[tuple[int, ...], tuple[int, ...], bytes]
 
 
 class Transcript(Sequence[Message]):
-    """The messages of group records, in send order, built when first read;
-    the length, the senders' count, is read off the records."""
+    """What ``deliver`` stores and returns: the group records, and their
+    messages in send order, built each time they are read (take a list to
+    read them more than once); the length is read off the records."""
 
     def __init__(self, records: Sequence[GroupRecord], schedule: Mapping) -> None:
         self.records, self.schedule = records, schedule
-        self._messages: list[Message] | None = None
 
     def __len__(self) -> int:
         return sum(len(senders) for _, senders, _ in self.records)
 
     def __getitem__(self, i):
-        if self._messages is None:
-            self._messages = list(self)
-        return self._messages[i]
+        return list(self)[i]
 
     def __iter__(self) -> Iterator[Message]:
         for S, senders, payload in self.records:
@@ -558,23 +556,6 @@ class Transcript(Sequence[Message]):
                 yield Message(tx, S, rx, tuple(terms), payload[i * size : (i + 1) * size])
 
 
-class _MessageList:
-    """``Session.transcript``: a ``Message`` list built from the session's
-    group records when first read.  A list read or assigned here is the
-    transcript from then on, edits included; None hands it back to the
-    records."""
-
-    def __get__(self, session, owner=None):
-        if session is None:
-            return None  # the field's default
-        if session._messages is None:
-            session._messages = list(Transcript(session.records, session.schedule))
-        return session._messages
-
-    def __set__(self, session, messages: list[Message] | None) -> None:
-        session._messages = messages
-
-
 @dataclass
 class Session:
     plan: SchemePlan
@@ -583,8 +564,7 @@ class Session:
     bytes_per_packet: int
     schedule: Mapping[tuple[int, ...], GroupSchedule]  # sending groups, in order
     caches: dict[int, CacheView] = field(default_factory=dict)
-    records: list[GroupRecord] = field(default_factory=list)  # one per sending group
-    transcript: list[Message] = _MessageList()  # type: ignore[assignment]
+    transcript: Sequence[Message] = field(default_factory=list)  # see _records
 
 
 @dataclass
@@ -646,16 +626,16 @@ def _lacking(session: Session) -> dict[int, set[tuple[int, ...]]]:
 
 
 def _records(session: Session) -> Sequence[GroupRecord]:
-    """The transcript as group records: ``deliver``'s own, or one per
-    message of a ``Message`` list read or assigned since."""
-    if session._messages is None:
-        return session.records
-    return [(m.group, (m.tx,), m.payload) for m in session._messages]
+    """The transcript as group records: a ``Transcript``'s own, or one per
+    message of any other ``Message`` sequence."""
+    if isinstance(session.transcript, Transcript):
+        return session.transcript.records
+    return [(m.group, (m.tx,), m.payload) for m in session.transcript]
 
 
 def deliver(session: Session, order_seed: int | None = None) -> Transcript:
     """Generate the broadcast as one record per sending group, dropping the
-    senders with no receiver; return its messages, built when read.
+    senders with no receiver, into ``session.transcript``, and return it.
     ``order_seed`` shuffles group and transmitter order (decoding is
     order-independent); None keeps the canonical ascending order."""
     groups = list(session.schedule.items())
@@ -683,9 +663,8 @@ def deliver(session: Session, order_seed: int | None = None) -> Transcript:
                             f"transmitter {tx} does not cache subfile {T}"
                         )
         records.append((S, tuple(txs), sent))
-    session.records = records
-    session.transcript = None  # type: ignore[assignment]
-    return Transcript(records, session.schedule)
+    session.transcript = transcript = Transcript(records, session.schedule)
+    return transcript
 
 
 def simulate(

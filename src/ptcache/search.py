@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import prod
-from operator import mul
 from typing import Iterable
 
 from .combinat import integer_partitions
@@ -279,11 +278,12 @@ def exhaustive_search(
 
     Deterministic.  Canonical order takes groupings in reverse-lexicographic
     order and, within one, the product order of its group types'
-    selections, smallest first.  ``best`` is the least (F_PT, canonical
-    position), the first minimum in canonical order.  Without a budget, a
-    census of more than MAX_CANDIDATES candidates is refused before it
-    starts, and each grouping's group types are walked last first: that
-    cuts contradicted subtrees nearer the root and changes no count.  With
+    selections, smallest first.  ``best`` is the least (F_PT, grouping
+    index, option indices in canonical group-type order), the first minimum
+    in canonical order.  Without a budget, a census of more than
+    MAX_CANDIDATES candidates is refused before it starts, and each
+    grouping's group types are walked last first: that cuts contradicted
+    subtrees nearer the root and changes no count.  With
     a budget the walk is canonical and the result holds the first
     ``max_candidates`` candidates.  ``records`` re-runs the canonical walk
     whenever it is read.  K is at most MAX_K either way.
@@ -311,19 +311,16 @@ def exhaustive_search(
         )
     searched: list[SchemeLayout] = []
     reasons: Counter[str] = Counter()
-    # (F_PT, canonical position, record) of each feasible candidate
-    feasible: list[tuple[int, int, CandidateRecord]] = []
+    # (F_PT, grouping index, option indices, record) per feasible candidate:
+    # the indices of one grouping share a length, so they sort canonically
+    feasible: list[tuple[int, int, tuple[int, ...], CandidateRecord]] = []
     explored = 0
-    for layout in layouts:
+    for gi, layout in enumerate(layouts):
         searched.append(layout)
         options = _options(layout)
         depth = len(options)
         order = range(depth - 1, -1, -1) if max_candidates is None else range(depth)
         at = [order.index(c) for c in range(depth)]  # walk depth of group type c
-        # a leaf's canonical position: the grouping's start plus the mixed
-        # radix index of its selections
-        start = explored
-        radix = [prod(map(len, options[c + 1:])) for c in range(depth)]
         picks = [0] * depth
         for _, count, verdict in _walk(layout, options, order, picks):
             if max_candidates is not None:
@@ -331,24 +328,23 @@ def exhaustive_search(
             reasons[verdict[1]] += count
             explored += count
             if verdict[0] is not None:
-                index = [picks[d] for d in at]
+                index = tuple(picks[d] for d in at)
                 rules = tuple(opts[k][1] for opts, k in zip(options, index))
                 rec = CandidateRecord(layout.grouping.sizes, rules, *verdict)
-                position = start + sum(map(mul, index, radix))
-                feasible.append((verdict[0], position, rec))
+                feasible.append((verdict[0], gi, index, rec))
             if explored == max_candidates:
                 break
         if explored == max_candidates:
             break
 
-    # positions are unique, so no two entries tie on (F_PT, position)
+    # no two entries tie on (grouping index, option indices)
     best = min(feasible, default=None)
     return SearchResult(
         K=K,
         t=t,
-        best=None if best is None else (candidate_to_design(K, t, best[2]), best[0]),
+        best=None if best is None else (candidate_to_design(K, t, best[3]), best[0]),
         pareto=sorted(
-            (rec for _, _, rec in feasible),
+            (rec for *_, rec in feasible),
             key=lambda r: (r.f_pt, r.grouping, r.rules),
         ),
         records=CandidateRecords(searched, explored),

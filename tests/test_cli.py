@@ -998,6 +998,28 @@ def test_analyze_above_the_cap_is_a_usage_error_in_optimized_mode(argv):
     assert proc.stderr.startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_analyze_of_a_thousand_singletons_keeps_the_exit_code_contract(
+    flags, tmp_path
+):
+    """1,000 one-user groups at t = 999 have partitions of 1,000 ones; with
+    rules that miss their group type, ``analyze`` exits 4 with no traceback,
+    under ``python -O`` too."""
+    rules = tmp_path / "rules.json"
+    rules.write_text("{}")
+    src = os.path.dirname(os.path.dirname(ptcache.engine.__file__))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "ptcache.cli", "analyze", "--grouping",
+         ",".join(["1"] * 1000), "--K", "1000", "--t", "999", "--rules", str(rules)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr.startswith("error: transmitter rules must cover"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_runs_as_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "ptcache.cli", "design", "--jcm", "--K", "4",

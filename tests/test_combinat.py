@@ -149,6 +149,15 @@ def test_bounded_partitions_equal_filtered_unbounded():
                 assert integer_partitions(n, max_parts, max_part) == want
 
 
+def test_partitions_take_one_frame_per_distinct_part():
+    """Partitions far longer than Python's recursion limit come back: the
+    recursion goes one level per distinct part value, not per part."""
+    assert integer_partitions(3000, max_part=1) == [(1,) * 3000]
+    halves = integer_partitions(1000, max_part=2)
+    assert len(halves) == 501
+    assert (halves[0], halves[-1]) == ((2,) * 500, (1,) * 1000)
+
+
 def test_subsets_are_lexicographic():
     got = list(subsets(4, 2))
     assert got == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]

@@ -203,7 +203,7 @@ def test_trivial_grouping_reproduces_reference_exactly():
         session = simulate(plan, files, demand)
         ref = run_jcm(K, N, M, files, demand)
         assert ref.all_decoded
-        assert session.transcript == ref.transcript  # same order, same bytes
+        assert list(session.transcript) == ref.transcript  # same order, same bytes
         m = measure(session)
         assert m.total_bits == ref.total_bits
         assert m.per_user_cache_bits == ref.per_user_cache_bits
@@ -514,9 +514,11 @@ def test_dropped_message_leaves_exactly_its_packets_missing(ds, N, M, final_loss
 def test_flipped_payload_byte_fails_exactly_its_receivers(ds, N, M, _):
     session = data_plane_session(ds, N, M)
     i = len(session.transcript) // 3
-    msg = session.transcript[i]
+    msgs = list(session.transcript)
+    msg = msgs[i]
     flipped = bytes([msg.payload[0] ^ 0x5A]) + msg.payload[1:]
-    session.transcript[i] = dataclasses.replace(msg, payload=flipped)
+    msgs[i] = dataclasses.replace(msg, payload=flipped)
+    session.transcript = msgs
     res = decode_and_verify(session)
     receivers = {k for k, T, c in msg.terms}
     assert res.per_user == {k: k not in receivers for k in res.per_user}
@@ -893,13 +895,17 @@ for ds, N, M in [(theorem2_design(4, 2), 2, 1), (theorem3_design(3, 3, 2), 9, 2)
         return simulate(plan, files, demand)
 
     s = fresh()  # a truncated payload
-    m = s.transcript[-1]
-    s.transcript[-1] = dataclasses.replace(m, payload=m.payload[:-1])
+    msgs = list(s.transcript)
+    m = msgs[-1]
+    msgs[-1] = dataclasses.replace(m, payload=m.payload[:-1])
+    s.transcript = msgs
     ok.append(raises(lambda: decode_and_verify(s), "bytes in a group sending"))
 
     s = fresh()  # a message for a group the plan never serves
-    m = s.transcript[0]
-    s.transcript[0] = dataclasses.replace(m, group=m.group[:-1])
+    msgs = list(s.transcript)
+    m = msgs[0]
+    msgs[0] = dataclasses.replace(m, group=m.group[:-1])
+    s.transcript = msgs
     ok.append(raises(lambda: decode_and_verify(s), "never serves"))
 
     s = fresh()  # the packet a message carries is already in the receiver's cache

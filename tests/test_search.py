@@ -447,6 +447,17 @@ def test_thm1_sweep_builds_one_layout_per_k(t_bar, monkeypatch):
         assert row.f_pt == expected
 
 
+def test_thm1_analysis_and_sweep_at_k2400():
+    """thm1(2400, 2) has a subfile type with 1,199 parts in one block; its
+    analysis and its sweep point are exact, not a RecursionError."""
+    ds = theorem1_design(2400, 2)
+    assert analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules).f_pt == 2_877_600
+    (row,) = sweep_ratios("thm1", [2400], t_bar=2).rows
+    assert (row.f_pt, row.ratio, row.bound) == (
+        2_877_600, Fraction(1, 2399), Fraction(1, 2398)
+    )
+
+
 def test_sweep_skips_out_of_range_points():
     res = sweep_ratios("thm1", [4, 5, 6, 40], t_bar=4)
     ks = [row.K for row in res.rows]

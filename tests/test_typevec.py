@@ -154,6 +154,13 @@ def test_enumerate_types_only_builds_partitions_it_uses(monkeypatch):
     assert [(v.text(), c) for v, c in typed] == [(",".join(["2"] * 49 + ["1"]), 100)]
 
 
+def test_enumerate_types_of_a_thousand_singletons():
+    """1,000 groups of one user each at total 1,000: the block's partition
+    into 1,000 ones is built without a RecursionError."""
+    typed = enumerate_types(make_grouping(1000, [1] * 1000), 1000)
+    assert typed == [(TypeVector(((1,) * 1000,)), 1)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(grouping_with_t(max_K=8), st.randoms(use_true_random=False))
 def test_type_is_invariant_under_symmetry(params, rnd):
