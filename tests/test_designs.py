@@ -2,6 +2,8 @@
 subpacketization; here every prediction is re-derived through the generic
 rule-analysis pipeline, which computes them from scratch."""
 
+import hashlib
+import json
 from fractions import Fraction
 from math import gcd, prod
 
@@ -19,7 +21,7 @@ from ptcache.designs import (
     theorem2_design,
     theorem3_design,
 )
-from ptcache.engine import analyze_rules
+from ptcache.engine import analyze_rules, rules_json
 from ptcache.fscalc import jcm_baseline
 from ptcache.typevec import TypeVector
 
@@ -293,6 +295,59 @@ def test_high_memory_dispatch(K, family, f_pt):
     assert ds.name.startswith(_NAME_PREFIX[family])
     assert ds.expected_f_pt == f_pt
     verify_design(ds)
+
+
+# ------------------------------------------------------------ rule digest
+
+
+def family_calls():
+    """(label, constructor call) over a fixed grid of every family."""
+    for K in range(2, 11):
+        for t in range(1, K):
+            yield f"jcm {K} {t}", lambda K=K, t=t: jcm_design(K, t)
+    for variant in ("orderwise", "fallback"):
+        for K, t_bar in thm1_grid(24):
+            yield f"thm1 {K} {t_bar} {variant}", (
+                lambda K=K, t_bar=t_bar, v=variant: theorem1_design(K, t_bar, v)
+            )
+    for K, t in thm2_grid(20):
+        yield f"thm2 {K} {t}", lambda K=K, t=t: theorem2_design(K, t)
+    for t in range(2, 6):
+        for m in range(t + 1, 7):
+            for q in range(t + 1, 7):
+                yield f"thm3 {m} {q} {t}", lambda m=m, q=q, t=t: theorem3_design(m, q, t)
+    for K in range(2, 25):
+        for kind in SPECIAL_KINDS:
+            for q in range(1, K + 1) if kind == "lemma2" else (None,):
+                yield f"{kind} {K} {q}", (
+                    lambda kind=kind, K=K, q=q: special_designs(kind, K, q=q)
+                )
+        for mode in DPDA_MODES:
+            yield f"dpda {mode} {K}", lambda mode=mode, K=K: dpda_specials(mode, K)
+
+
+def test_family_rules_digest():
+    """One canonical line per constructor call pins every family's name,
+    grouping, transmitter rules, type order and expectations, and which
+    calls each family refuses."""
+    lines = []
+    for label, call in family_calls():
+        try:
+            ds = call()
+        except ValueError:
+            lines.append(f"{label}: ValueError")
+            continue
+        lines.append(
+            f"{label}: {ds.name} K={ds.K} t={ds.t} g={ds.grouping_sizes} "
+            f"rules={json.dumps(rules_json(ds.tx_rules))} "
+            f"order={' '.join(v.text() for v in ds.type_order)} "
+            f"fs={ds.expected_global_fs} F={ds.expected_f_pt}"
+        )
+    assert len(lines) == 629
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "78f07bb5f3365223d903bcbc7bfce341fee282b781479ee62357230eb0406357"
+    )
 
 
 # ------------------------------------------------------------- validations
