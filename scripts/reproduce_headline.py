@@ -19,7 +19,7 @@ from ptcache.designs import (
     theorem2_design,
     theorem3_design,
 )
-from ptcache.engine import analyze_rules, build_plan, decode_and_verify, simulate
+from ptcache.engine import build_plan, decode_and_verify, simulate
 from ptcache.fscalc import jcm_baseline
 
 
@@ -52,7 +52,6 @@ def main(argv=None):
     print("-" * len(header))
     failures = 0
     for label, ds, (N, M) in rows():
-        a = analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
         f_base, _ = jcm_baseline(ds.K, ds.t)
         plan = build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
         status = ""
@@ -65,7 +64,7 @@ def main(argv=None):
         grouping = ",".join(str(s) for s in ds.grouping_sizes)
         print(
             f"{label:<22} {ds.K:>3} {ds.t:>3} ({grouping:<12}) "
-            f"{a.f_pt:>6} {f_base:>7} {str(a.f_pt) + '/' + str(f_base):>8} "
+            f"{plan.f_pt:>6} {f_base:>7} {str(plan.f_pt) + '/' + str(f_base):>8} "
             f"{str(plan.rate):>6}{status}"
         )
     if failures:

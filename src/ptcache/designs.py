@@ -18,7 +18,6 @@ from .combinat import binomial
 from .fscalc import jcm_baseline
 from .typevec import (
     Grouping,
-    MGroupStructure,
     TypeVector,
     enumerate_types,
     make_grouping,
@@ -28,7 +27,8 @@ from .typevec import (
 
 # tx_rules values: frozenset of 1-based unique-set indices, or None for an
 # explicit "skip this group type" (only valid when everything it involves is
-# excluded anyway; the engine enforces that).
+# excluded anyway; the engine enforces that).  The constructors below name the
+# transmitting unique sets by (block, cardinality) through _select.
 TxRules = Mapping[TypeVector, "frozenset[int] | None"]
 
 SPECIAL_KINDS = ("lemma2", "odd_k_tbar2", "tbar3", "t3_halfsplit", "k5_t3")
@@ -47,17 +47,20 @@ class DesignSpec:
     expected_f_pt: int | None = None
 
 
-def _us_index(st: MGroupStructure, block: int, cardinality: int) -> int:
-    for idx, us in enumerate(st.unique_sets, start=1):
-        if us.block == block and us.cardinality == cardinality:
-            return idx
-    raise LookupError(
-        f"no unique set with block={block}, cardinality={cardinality} in {st.gtype}"
-    )
-
-
-def _all_sets(st: MGroupStructure) -> frozenset[int]:
-    return frozenset(range(1, st.num_unique_sets + 1))
+def _select(
+    g: Grouping, gtype: TypeVector, name: tuple[int, int] | None = None
+) -> frozenset[int]:
+    """The selection of ``gtype``'s unique set named ``name`` = (block,
+    cardinality), or of all its unique sets when ``name`` is None."""
+    names = [(u.block, u.cardinality) for u in mgroup_structure(g, gtype).unique_sets]
+    if name is None:
+        return frozenset(range(1, len(names) + 1))
+    if name not in names:
+        block, cardinality = name
+        raise LookupError(
+            f"no unique set with block={block}, cardinality={cardinality} in {gtype}"
+        )
+    return frozenset({names.index(name) + 1})
 
 
 def _dot_expectation(
@@ -71,9 +74,7 @@ def jcm_design(K: int, t: int) -> DesignSpec:
     if not 1 <= t <= K - 1:
         raise ValueError(f"need 1 <= t <= K-1, got K={K}, t={t}")
     g = make_grouping(K, (K,))
-    rules: dict[TypeVector, frozenset[int] | None] = {}
-    for gt, _ in enumerate_types(g, t + 1):
-        rules[gt] = _all_sets(mgroup_structure(g, gt))
+    rules = {gt: _select(g, gt) for gt, _ in enumerate_types(g, t + 1)}
     order = tuple(v for v, _ in enumerate_types(g, t))
     return DesignSpec(
         name=f"jcm-K{K}-t{t}",
@@ -114,17 +115,14 @@ def theorem1_design(K: int, t_bar: int, variant: str = "orderwise") -> DesignSpe
             ((2,) * (m - r - i + 1) + (1,) * (2 * i - 1) + (0,) * (r - i),)
         )
 
-    rules: dict[TypeVector, frozenset[int] | None] = {}
-    for i in range(1, r + 1):
-        st = mgroup_structure(g, stype(i))
-        singles = _us_index(st, 0, 1)
-        if variant == "orderwise" or i == 1:
-            rules[stype(i)] = frozenset({singles})
-        else:
-            rules[stype(i)] = _all_sets(st)
+    staggered = variant == "orderwise"
+    rules = {
+        stype(i): _select(g, stype(i), (0, 1) if staggered or i == 1 else None)
+        for i in range(1, r + 1)
+    }
 
     order = tuple(vtype(i) for i in range(1, r + 2))
-    if variant == "orderwise" or r == 1:
+    if staggered or r == 1:
         # the traditional staggered products can share a common factor (first
         # at r=4, where it is 3); the reconciled factors are minimal, so
         # normalize by the gcd
@@ -167,21 +165,15 @@ def theorem2_design(K: int, t: int) -> DesignSpec:
     x = max(t - q, 0)
     y = max(t + 1 - q, 0)
     num_v = r + 1 - x
-    num_s = r + 1 - y
     g = make_grouping(K, (q, q))
 
     order = tuple(
         TypeVector(((t - x - i + 1, x + i - 1),)) for i in range(1, num_v + 1)
     )
-    rules: dict[TypeVector, frozenset[int] | None] = {}
-    for j in range(1, num_s + 1):
-        s = TypeVector(((t - y - j + 2, y + j - 1),))
-        st = mgroup_structure(g, s)
-        low = y + j - 1
-        if low == 0:
-            rules[s] = _all_sets(st)  # the (t+1, 0) group type
-        else:
-            rules[s] = frozenset({_us_index(st, 0, low)})
+    rules = {}
+    for low in range(y, r + 1):
+        s = TypeVector(((t + 1 - low, low),))
+        rules[s] = _select(g, s, (0, low) if low else None)  # all send in (t+1, 0)
     expected = tuple(range(max(y - 1, 0), max(y - 1, 0) + num_v))
     return DesignSpec(
         name=f"thm2-K{K}-t{t}",
@@ -207,17 +199,11 @@ def theorem3_design(m: int, q: int, t: int) -> DesignSpec:
         raise ValueError(f"need m, q >= t+1, got m={m}, q={q}, t={t}")
     K = m * q
     g = make_grouping(K, (q,) * m)
-    top = TypeVector(((t + 1,) + (0,) * (m - 1),))
     split = TypeVector(((t, 1) + (0,) * (m - 2),))
-    rules: dict[TypeVector, frozenset[int] | None] = {}
-    for gt, _ in enumerate_types(g, t + 1):
-        st = mgroup_structure(g, gt)
-        if gt == split:
-            rules[gt] = frozenset({_us_index(st, 0, 1)})
-        else:
-            rules[gt] = _all_sets(st)
-    if top not in rules:  # cannot happen: q >= t+1 makes it realizable
-        raise ValueError(f"group type {top} is not realizable under grouping {g}")
+    rules = {
+        gt: _select(g, gt, (0, 1) if gt == split else None)
+        for gt, _ in enumerate_types(g, t + 1)
+    }
     order = tuple(v for v, _ in enumerate_types(g, t))
     expected = (0,) + (t,) * (len(order) - 1)
     return DesignSpec(
@@ -239,10 +225,7 @@ def _lemma2(K: int, q: int) -> DesignSpec:
     t = K - 2
     g = make_grouping(K, (q,) * m)
     s = TypeVector(((q,) * (m - 1) + (q - 1,),))
-    st = mgroup_structure(g, s)
-    rules: dict[TypeVector, frozenset[int] | None] = {
-        s: frozenset({_us_index(st, 0, q - 1)})
-    }
+    rules = {s: _select(g, s, (0, q - 1))}
     order = (
         TypeVector(((q,) * (m - 1) + (q - 2,),)),
         TypeVector(((q,) * (m - 2) + (q - 1, q - 1),)),
@@ -268,12 +251,7 @@ def _odd_k_tbar2(K: int) -> DesignSpec:
     g = make_grouping(K, sizes)
     s1 = TypeVector(((2,), (2,) * (m - 1)))
     s2 = TypeVector(((3,), (2,) * (m - 2) + (1,)))
-    st1 = mgroup_structure(g, s1)
-    st2 = mgroup_structure(g, s2)
-    rules: dict[TypeVector, frozenset[int] | None] = {
-        s1: frozenset({_us_index(st1, 0, 2)}),
-        s2: frozenset({_us_index(st2, 1, 1)}),
-    }
+    rules = {s1: _select(g, s1, (0, 2)), s2: _select(g, s2, (1, 1))}
     order = (
         TypeVector(((1,), (2,) * (m - 1))),
         TypeVector(((2,), (2,) * (m - 2) + (1,))),
@@ -300,12 +278,7 @@ def _tbar3(K: int) -> DesignSpec:
     g = make_grouping(K, (3,) * m)
     s1 = TypeVector(((3,) * (m - 1) + (1,),))
     s2 = TypeVector(((3,) * (m - 2) + (2, 2),))
-    st1 = mgroup_structure(g, s1)
-    st2 = mgroup_structure(g, s2)
-    rules: dict[TypeVector, frozenset[int] | None] = {
-        s1: frozenset({_us_index(st1, 0, 1)}),
-        s2: frozenset({_us_index(st2, 0, 2)}),
-    }
+    rules = {s1: _select(g, s1, (0, 1)), s2: _select(g, s2, (0, 2))}
     order = (
         TypeVector(((3,) * (m - 3) + (2, 2, 2),)),
         TypeVector(((3,) * (m - 2) + (2, 1),)),
@@ -331,10 +304,10 @@ def _t3_halfsplit(K: int) -> DesignSpec:
     s_top = TypeVector(((4, 0),))
     s_mid = TypeVector(((3, 1),))
     s_pair = TypeVector(((2, 2),))
-    rules: dict[TypeVector, frozenset[int] | None] = {
-        s_top: _all_sets(mgroup_structure(g, s_top)),
-        s_mid: frozenset({_us_index(mgroup_structure(g, s_mid), 0, 1)}),
-        s_pair: _all_sets(mgroup_structure(g, s_pair)),
+    rules = {
+        s_top: _select(g, s_top),
+        s_mid: _select(g, s_mid, (0, 1)),
+        s_pair: _select(g, s_pair),
     }
     order = (TypeVector(((3, 0),)), TypeVector(((2, 1),)))
     return DesignSpec(
@@ -355,10 +328,7 @@ def _k5_t3(K: int) -> DesignSpec:
     g = make_grouping(5, (3, 2))
     s1 = TypeVector(((2,), (2,)))
     s2 = TypeVector(((3,), (1,)))
-    rules: dict[TypeVector, frozenset[int] | None] = {
-        s1: frozenset({_us_index(mgroup_structure(g, s1), 0, 2)}),
-        s2: frozenset({_us_index(mgroup_structure(g, s2), 1, 1)}),
-    }
+    rules = {s1: _select(g, s1, (0, 2)), s2: _select(g, s2, (1, 1))}
     order = (
         TypeVector(((1,), (2,))),
         TypeVector(((2,), (1,))),
@@ -398,13 +368,11 @@ def _t2(K: int) -> DesignSpec:
         raise ValueError(f"K must be even and >= 4, got {K}")
     q = K // 2
     g = make_grouping(K, (q, q))
-    rules: dict[TypeVector, frozenset[int] | None] = {}
-    for gt, _ in enumerate_types(g, 3):
-        st = mgroup_structure(g, gt)
-        if gt == TypeVector(((2, 1),)):
-            rules[gt] = frozenset({_us_index(st, 0, 1)})
-        else:
-            rules[gt] = _all_sets(st)
+    mixed = TypeVector(((2, 1),))
+    rules = {
+        gt: _select(g, gt, (0, 1) if gt == mixed else None)
+        for gt, _ in enumerate_types(g, 3)
+    }
     order = tuple(v for v, _ in enumerate_types(g, 2))
     return DesignSpec(
         name=f"dpda-t2-K{K}",

@@ -634,8 +634,9 @@ def _records(session: Session) -> Sequence[GroupRecord]:
 
 
 def deliver(session: Session, order_seed: int | None = None) -> Transcript:
-    """Generate the broadcast as one record per sending group, dropping the
-    senders with no receiver, into ``session.transcript``, and return it.
+    """Generate the broadcast as one record per sending group into
+    ``session.transcript``, and return it.  Every transmitter sends: the
+    rate stage admits no group type in which one has no receiver.
     ``order_seed`` shuffles group and transmitter order (decoding is
     order-independent); None keeps the canonical ascending order."""
     groups = list(session.schedule.items())
@@ -650,10 +651,6 @@ def deliver(session: Session, order_seed: int | None = None) -> Transcript:
         txs = list(gs.transmitters)
         if rng:
             rng.shuffle(txs)
-        receivers = [k for k, _, _, _ in gs.entries]
-        txs = [tx for tx in txs if len(receivers) > receivers.count(tx)]
-        if not txs:
-            continue
         sent = gs.payloads(txs, wanted, B)[0].to_bytes(len(txs) * gs.z * B, "big")
         for tx in txs:
             if lacking[tx]:

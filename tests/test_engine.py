@@ -796,6 +796,9 @@ def test_schedule_transmitters_match_concrete_unique_sets():
                 for u in users
             }
             assert gs.transmitters == tuple(u for u in S if u in chosen)
+            # the rate stage leaves every transmitter a receiver
+            receivers = [k for k, _, _, _ in gs.entries]
+            assert all(set(receivers) - {tx} for tx in gs.transmitters)
             checked += 1
     assert checked == 289
 
@@ -848,15 +851,14 @@ def _names_read(tree):
     return read
 
 
-def test_src_reads_every_name_it_imports():
-    """An import no code in its module reads is left over from a removed
-    caller; ``__init__.py`` imports only to re-export."""
-    pkg = os.path.dirname(ptcache.__file__)
+def _unread_imports(directory, skip=()):
+    """``file:line name`` for each imported name that no code in the same
+    ``.py`` file of ``directory`` reads."""
     unread = []
-    for name in sorted(os.listdir(pkg)):
-        if not name.endswith(".py") or name == "__init__.py":
+    for name in sorted(os.listdir(directory)):
+        if not name.endswith(".py") or name in skip:
             continue
-        with open(os.path.join(pkg, name)) as fh:
+        with open(os.path.join(directory, name)) as fh:
             tree = ast.parse(fh.read(), filename=name)
         read = _names_read(tree)
         for node in ast.walk(tree):
@@ -867,7 +869,19 @@ def test_src_reads_every_name_it_imports():
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in read:
                         unread.append(f"{name}:{node.lineno} {bound}")
-    assert unread == []
+    return unread
+
+
+def test_src_reads_every_name_it_imports():
+    """An import no code in its module reads is left over from a removed
+    caller; ``__init__.py`` imports only to re-export."""
+    pkg = os.path.dirname(ptcache.__file__)
+    assert _unread_imports(pkg, skip={"__init__.py"}) == []
+
+
+def test_scripts_read_every_name_they_import():
+    scripts = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
+    assert _unread_imports(scripts) == []
 
 
 _TAMPER = """
