@@ -34,6 +34,7 @@ from .engine import PlanError, SCHEMA_VERSION
 from .fscalc import fs_table_json, jcm_baseline
 from .search import MAX_BUDGET, MAX_CANDIDATES, MAX_K, exhaustive_search
 from .search import sweep_ratios
+from .typevec import enumerate_types, make_grouping
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -149,7 +150,8 @@ def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSp
     """The design the selector arguments name.  With ``bounded``, a plan of
     more than engine.MAX_SUBSETS subsets is refused before the design is
     built, since building one takes time and memory that grow with K and t;
-    without it, K above LAYOUT_MAX_K is."""
+    without it, K above LAYOUT_MAX_K is, and so is a split-factor table
+    above engine.MAX_TABLE_ENTRIES where the arguments fix the grouping."""
     chosen = [
         args.thm is not None,
         args.special is not None,
@@ -162,10 +164,16 @@ def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSp
             "pick exactly one of --thm / --special / --dpda / --jcm / --grouping"
         )
 
-    def sized(K: int, t: int | None) -> None:
+    # groups = (m, q) names a grouping of m groups of q users
+    def sized(K: int, t: int | None, groups: tuple[int, int] | None = None) -> None:
         if not bounded:
             if K > LAYOUT_MAX_K:
                 raise UsageError(f"K={K} goes above the cap K={LAYOUT_MAX_K}")
+            # an invalid grouping or t is left to the family to report
+            if groups and min(groups) > 0 and t is not None and 0 <= t < K:
+                m, q = groups
+                g = make_grouping(K, (q,) * m)
+                engine.check_table_size(len(enumerate_types(g, t)) * len(enumerate_types(g, t + 1)))
             return
         if t is not None:
             engine.check_plan_size(K, t)
@@ -188,7 +196,7 @@ def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSp
     if args.thm == 3:
         if args.m is None or args.q is None or args.t is None:
             raise UsageError("--thm 3 needs --m, --q and --t")
-        sized(args.m * args.q, args.t)
+        sized(args.m * args.q, args.t, (args.m, args.q))
         return theorem3_design(args.m, args.q, args.t)
     if args.special is not None:
         if args.K is None:
@@ -340,9 +348,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     N, M = _memory_point(args, ds)
     # every cap is checked before the packet map is walked or a file drawn
     engine.check_plan_size(ds.K, ds.t)
-    analysis = engine.analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
     if args.bytes_per_packet < 1:
         raise UsageError("--bytes-per-packet must be >= 1")
+    analysis = engine.analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
     library = N * analysis.f_pt * args.bytes_per_packet
     if library > MAX_LIBRARY_BYTES:
         raise UsageError(

@@ -41,11 +41,11 @@ from .typevec import (
 
 SCHEMA_VERSION = "1"
 # Most t-subsets a plan's packet map holds, and most groups of t + 1 users
-# its delivery schedule walks.  A simulation needs about 1.6 KB per group
-# for the schedule and the group records (0.2 GB at the cap), 2 KB more once
-# its transcript is read as messages, and a packet map about 0.2 KB per
+# its delivery schedule walks.  A simulation needs about 0.8 KB per group
+# for the schedule and the group records (0.1 GB at the cap), 1.8 KB more
+# once its transcript is read as messages, and a plan about 0.55 KB per
 # t-subset; thm2(14,6), with C(14, 7) = 3,432 groups, simulates and decodes
-# in 0.15 s on a 2-vCPU x86-64 host.
+# a demand in 0.07 s on a 2-vCPU x86-64 host.
 MAX_SUBSETS = 2**17
 # Most entries, group types times subfile types, in the split-factor table
 # of one analysis.  analyze of thm3(31, 31, 20), 496,584 entries, takes
@@ -113,6 +113,17 @@ class SchemeLayout:
         return self.involved_masks[i], solo
 
 
+def check_table_size(entries: int) -> None:
+    """Refuse, with PlanError("size"), a split-factor table of more than
+    MAX_TABLE_ENTRIES entries, group types times subfile types."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise PlanError(
+            "size",
+            f"the split-factor table would hold {entries:,} entries; the cap is "
+            f"{MAX_TABLE_ENTRIES:,}",
+        )
+
+
 def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
     """The layout of (g, t); a split-factor table above MAX_TABLE_ENTRIES is
     refused once the types are enumerated, before their structures and the
@@ -120,12 +131,7 @@ def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
     typed = enumerate_types(g, t)
     vtypes = tuple(v for v, _ in typed)
     gtypes = tuple(v for v, _ in enumerate_types(g, t + 1))
-    if len(gtypes) * len(vtypes) > MAX_TABLE_ENTRIES:
-        raise PlanError(
-            "size",
-            f"the split-factor table would hold {len(gtypes) * len(vtypes):,} "
-            f"entries; the cap is {MAX_TABLE_ENTRIES:,}",
-        )
+    check_table_size(len(gtypes) * len(vtypes))
     col = {v: j for j, v in enumerate(vtypes)}
     structures = tuple(mgroup_structure(g, gt) for gt in gtypes)
     return SchemeLayout(
@@ -313,6 +319,8 @@ class SchemePlan:
     rate: Fraction
     # subset -> (first packet offset within a file, packet count), in offset order
     subset_map: Mapping[tuple[int, ...], tuple[int, int]]
+    # user k -> the subsets with k and their packet count: what place caches
+    own: Mapping[int, tuple[frozenset, int]]
 
     @property
     def f_pt(self) -> int:
@@ -363,6 +371,8 @@ def build_plan(
     # factor per profile: a subset's profile fixes its type
     factors: dict[tuple[int, ...], int] = {}
     subset_map: dict[tuple[int, ...], tuple[int, int]] = {}
+    # sets, since a frozenset copied from a set is half one built from a list
+    own: dict[int, set] = {k: set() for k in range(1, K + 1)}
     offset = 0
     for T in subsets(K, t):
         key = profile(g, T)
@@ -373,6 +383,8 @@ def build_plan(
             continue
         subset_map[T] = (offset, a)
         offset += a
+        for k in T:
+            own[k].add(T)
     if offset != analysis.f_pt:
         raise IntegrityError(f"packet map holds {offset} packets, F_PT {analysis.f_pt}")
     return SchemePlan(
@@ -383,6 +395,7 @@ def build_plan(
         analysis=analysis,
         rate=Fraction(K * (N - M), N * t),
         subset_map=subset_map,
+        own={k: (frozenset(Ts), sum(subset_map[T][1] for T in Ts)) for k, Ts in own.items()},
     )
 
 
@@ -395,46 +408,41 @@ class Message:
     payload: bytes
 
 
-# (receiver k, its desired subset S minus k, first packet, packet count)
-ScheduleEntry = tuple[int, tuple[int, ...], int, int]
-
-
 @dataclass(frozen=True, slots=True)
 class GroupSchedule:
     """The demand-independent delivery in one multicast group S: its
-    further-splitting factor, its transmitters in canonical order, and one
-    entry per member whose desired subset holds packets.  A member whose
-    subset is excluded gets no entry, so it receives nothing."""
+    further-splitting factor, its transmitters in canonical order, and each
+    member whose desired subset, S minus it, holds packets, with its span."""
 
     z: int
     transmitters: tuple[int, ...]
-    entries: tuple[ScheduleEntry, ...]
+    receivers: tuple[int, ...]
+    spans: tuple[tuple, ...]  # (subset, first packet, packet count)
 
     def payloads(
         self, senders: Sequence[int], wanted: Sequence[bytes], B: int
     ) -> tuple[int, list[int]]:
         """The payloads of the messages ``senders`` send in turn, z * ``B``
         bytes each, concatenated as one int, and the number of chunks of z
-        packets each entry gave.  The entry of receiver k adds one slice of
+        packets each receiver got.  Receiver k adds one slice of
         ``wanted[k - 1]``, with a zero chunk wherever k is the sender."""
         z = self.z
         size = z * B
         n = len(senders)
-        acc = 0
-        chunks = []
-        for k, T, base, alpha in self.entries:
+        acc, chunks = 0, []
+        for k, (T, base, alpha) in zip(self.receivers, self.spans):
             c = n - senders.count(k)
             if c * z > alpha:
                 raise IntegrityError(
                     f"delivery counter overran subfile {T} ({alpha} packets)"
                 )
             chunks.append(c)
-            blob = wanted[k - 1][base * B : base * B + c * size]
-            if c < n:
-                for at, u in enumerate(senders):
-                    if u == k:
-                        blob = blob[: at * size] + bytes(size) + blob[at * size :]
-            acc ^= int.from_bytes(blob, "big")
+            v = int.from_bytes(wanted[k - 1][base * B : base * B + c * size], "big")
+            for at in range(n - 1, -1, -1) if c < n else ():
+                if senders[at] == k:  # the chunks after ``at`` are placed
+                    low = 8 * size * (n - 1 - at)
+                    v = ((v >> low) << (low + 8 * size)) | (v & ((1 << low) - 1))
+            acc ^= v
         return acc, chunks
 
 
@@ -449,9 +457,9 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
     a = plan.analysis
     structure_of = dict(zip(a.group_types, a.structures))
     bit = [1 << u for u in range(plan.K + 1)]
-    # subset mask -> (subset, first packet, packet count), the subset being
-    # the packet map's own key, which the cache views hold too: set lookups
-    # of a scheduled subset then compare by identity
+    # subset mask -> its span (subset, first packet, packet count), one tuple
+    # shared by every group; the subset is the packet map's own key, which
+    # the caches hold too, so set lookups of it compare by identity
     span_of = {
         sum(map(bit.__getitem__, T)): (T, *span) for T, span in plan.subset_map.items()
     }
@@ -478,14 +486,14 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
             continue
         z, tx_groups = sending
         mask = sum(map(bit.__getitem__, S))
-        entries = []
+        receivers, spans = [], []
         for k in S:
             span = span_of.get(mask ^ bit[k])
             if span is not None:
-                entries.append((k, *span))
-        groups[S] = GroupSchedule(
-            z, tuple(u for u in S if g.group_of[u] in tx_groups), tuple(entries)
-        )
+                receivers.append(k)
+                spans.append(span)
+        tx = tuple(u for u in S if g.group_of[u] in tx_groups)
+        groups[S] = GroupSchedule(z, tx, tuple(receivers), tuple(spans))
     return groups
 
 
@@ -543,12 +551,12 @@ class Transcript(Sequence[Message]):
 
     def __iter__(self) -> Iterator[Message]:
         for S, senders, payload in self.records:
-            entries = self.schedule[S].entries
+            gs = self.schedule[S]
             size = len(payload) // len(senders)
-            counters = [0] * len(entries)
+            counters = [0] * len(gs.receivers)
             for i, tx in enumerate(senders):
                 terms = []
-                for j, (k, T, _, _) in enumerate(entries):
+                for j, (k, (T, _, _)) in enumerate(zip(gs.receivers, gs.spans)):
                     if k != tx:
                         terms.append((k, T, counters[j]))
                         counters[j] += 1
@@ -584,7 +592,7 @@ class Measurement:
 
 def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
     """Every user's cache; exact, deterministic, demand-independent.  User k
-    holds the subsets T with k in T; nothing is copied."""
+    holds the subsets T with k in T, ``plan.own[k]``; nothing is copied."""
     if len(files) != plan.N:
         raise ValueError(f"expected {plan.N} files, got {len(files)}")
     sizes = {len(f) for f in files}
@@ -597,32 +605,30 @@ def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
             f"(subpacketization {plan.f_pt}); pad files to a multiple"
         )
     files_t = tuple(bytes(f) for f in files)
-    held: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, plan.K + 1)}
     for T, (base, alpha) in plan.subset_map.items():
         if base < 0 or base + alpha > plan.f_pt:
             raise IntegrityError(
                 f"subfile {T} spans packets {base}..{base + alpha} of a file of "
                 f"{plan.f_pt}"
             )
-        for k in T:
-            held[k].append(T)
     return {
-        k: CacheView(plan.subset_map, files_t, L // plan.f_pt, frozenset(Ts))
-        for k, Ts in held.items()
+        k: CacheView(plan.subset_map, files_t, L // plan.f_pt, held)
+        for k, (held, _) in plan.own.items()
     }
 
 
-def _lacking(session: Session) -> dict[int, set[tuple[int, ...]]]:
-    """Per user k, the packet map's subsets with k that its cache lacks:
-    none for the caches ``place`` builds.  Only a user that lacks one can
-    lack a subset it sends or decodes with."""
-    caches = session.caches
-    lacking: dict[int, set[tuple[int, ...]]] = {k: set() for k in caches}
-    for T in session.plan.subset_map:
-        for k in T:
-            if T not in caches[k].held:
-                lacking[k].add(T)
-    return lacking
+# Per user k, by set difference with plan.own[k]: the subsets with k that its
+# cache lacks, those without k that it holds (both empty for the caches place
+# builds), and the packets it holds per file.
+def _census(session: Session) -> dict[int, tuple]:
+    own, spans = session.plan.own, session.plan.subset_map
+    census = {}
+    for k, cache in session.caches.items():
+        mine, count = own[k]
+        lacking, foreign = mine - cache.held, cache.held - mine
+        count += sum(spans[T][1] for T in foreign) - sum(spans[T][1] for T in lacking)
+        census[k] = (lacking, foreign, count)
+    return census
 
 
 def _records(session: Session) -> Sequence[GroupRecord]:
@@ -642,7 +648,7 @@ def deliver(session: Session, order_seed: int | None = None) -> Transcript:
     groups = list(session.schedule.items())
     B = session.bytes_per_packet
     wanted = [session.files[n - 1] for n in session.demand]  # user k's at k-1
-    lacking = _lacking(session)
+    census = _census(session)
     records: list[GroupRecord] = []
     rng = random.Random(order_seed) if order_seed is not None else None
     if rng:
@@ -653,12 +659,10 @@ def deliver(session: Session, order_seed: int | None = None) -> Transcript:
             rng.shuffle(txs)
         sent = gs.payloads(txs, wanted, B)[0].to_bytes(len(txs) * gs.z * B, "big")
         for tx in txs:
-            if lacking[tx]:
-                for k, T, _, _ in gs.entries:
-                    if k != tx and T in lacking[tx]:
-                        raise IntegrityError(
-                            f"transmitter {tx} does not cache subfile {T}"
-                        )
+            if lacking := census[tx][0]:
+                for k, (T, _, _) in zip(gs.receivers, gs.spans):
+                    if k != tx and T in lacking:
+                        raise IntegrityError(f"transmitter {tx} does not cache subfile {T}")
         records.append((S, tuple(txs), sent))
     session.transcript = transcript = Transcript(records, session.schedule)
     return transcript
@@ -674,14 +678,8 @@ def simulate(
     if len(demand_t) != plan.K or any(not 1 <= d <= plan.N for d in demand_t):
         raise ValueError(f"demand must list {plan.K} file indices in 1..{plan.N}")
     caches = place(plan, files)
-    session = Session(
-        plan=plan,
-        files=caches[1].files,
-        demand=demand_t,
-        bytes_per_packet=caches[1].B,
-        schedule=_compile_schedule(plan),
-        caches=caches,
-    )
+    schedule = _compile_schedule(plan)
+    session = Session(plan, caches[1].files, demand_t, caches[1].B, schedule, caches)
     deliver(session, order_seed=order_seed)
     return session
 
@@ -696,18 +694,16 @@ def decode_and_verify(session: Session) -> VerifyResult:
     group's payloads with ``GroupSchedule.payloads`` checks every receiver,
     and wrong messages are sought only when that fails.  Only users whose
     cache breaks the placement rule have side information checked per
-    message.  Recovered packets are marked once per schedule entry.
+    message.  Recovered packets are counted, and listed only for a user
+    that falls short.
     """
     plan = session.plan
     demand = session.demand
     B = session.bytes_per_packet
     wanted = [session.files[n - 1] for n in demand]  # user k's at k-1
-    users = range(1, plan.K + 1)
     wrong: set[int] = set()  # users that recovered some packet incorrectly
-    lacking = _lacking(session)
-    # per user k, the subsets without k that its cache holds
-    foreign = {k: {T for T in c.held if k not in T} for k, c in session.caches.items()}
-    deviant = {k for k in lacking if lacking[k] or foreign[k]}
+    census = _census(session)
+    deviant = {k for k, (lacking, foreign, _) in census.items() if lacking or foreign}
     by_group: dict[tuple[int, ...], list[GroupRecord]] = {}
     for rec in _records(session):
         if rec[0] not in session.schedule:
@@ -716,7 +712,7 @@ def decode_and_verify(session: Session) -> VerifyResult:
             )
         by_group.setdefault(rec[0], []).append(rec)
 
-    got = {k: bytearray(plan.f_pt) for k in users}  # a flag per packet recovered
+    decoded = [0] * (plan.K + 1)  # per user k, the packets it recovered
     for S, recs in by_group.items():
         gs = session.schedule[S]
         size = gs.z * B
@@ -728,15 +724,17 @@ def decode_and_verify(session: Session) -> VerifyResult:
                 )
             senders += txs
         for tx in senders if deviant else ():
-            for k, T_own, _, _ in gs.entries:
+            carried = [T for u, (T, _, _) in zip(gs.receivers, gs.spans) if u != tx]
+            for k, (T_own, _, _) in zip(gs.receivers, gs.spans):
                 if k == tx or k not in deviant:
                     continue
-                if T_own in foreign[k]:
+                lacking, foreign, _ = census[k]
+                if T_own in foreign:
                     raise IntegrityError(
                         f"user {k} decoded subfile {T_own} of file {demand[k - 1]}, "
                         f"already cached"
                     )
-                if any(T in lacking[k] for u, T, _, _ in gs.entries if u != tx):
+                if any(T in lacking for T in carried):
                     raise IntegrityError(
                         f"user {k} lacks side information for the message {tx} "
                         f"sends in group {S}"
@@ -747,24 +745,26 @@ def decode_and_verify(session: Session) -> VerifyResult:
         if sent != expected:
             for i, tx in enumerate(senders):
                 if sent[i * size : (i + 1) * size] != expected[i * size : (i + 1) * size]:
-                    wrong.update(k for k, _, _, _ in gs.entries if k != tx)
-        for (k, _, base, _), c in zip(gs.entries, chunks):
-            got[k][base : base + c * gs.z] = b"\1" * (c * gs.z)
+                    wrong.update(k for k in gs.receivers if k != tx)
+        for k, c in zip(gs.receivers, chunks):
+            decoded[k] += c * gs.z
 
     per_user: dict[int, bool] = {}
     missing: dict[int, list[PacketKey]] = {}
-    for k in users:
-        want = demand[k - 1]
-        flags = got[k]
-        for T in session.caches[k].held:
-            base, alpha = plan.subset_map[T]
-            flags[base : base + alpha] = b"\1" * alpha
-        if 0 in flags:
+    # Counts are exact: a decoded subset has one receiver entry whose counter
+    # stays in it, and a held subset sent to its user raised above.
+    for k in range(1, plan.K + 1):
+        if decoded[k] + census[k][2] != plan.f_pt:
+            got = {}  # per subset, how many of its packets k recovered
+            for S, recs in by_group.items():
+                if k in (gs := session.schedule[S]).receivers:
+                    T = gs.spans[gs.receivers.index(k)][0]
+                    got[T] = gs.z * sum(len(txs) - txs.count(k) for _, txs, _ in recs)
+            got.update((T, plan.subset_map[T][1]) for T in session.caches[k].held)
             missing[k] = [
-                (want, T, i + 1)
-                for T, (base, alpha) in plan.subset_map.items()
-                for i in range(alpha)
-                if not flags[base + i]
+                (demand[k - 1], T, i + 1)
+                for T, (_, alpha) in plan.subset_map.items()
+                for i in range(got.get(T, 0), alpha)
             ]
         per_user[k] = k not in missing and k not in wrong
     return VerifyResult(ok=all(per_user.values()), per_user=per_user, missing=missing)
@@ -775,7 +775,7 @@ def measure(session: Session) -> Measurement:
     total_bits = 8 * sum(len(payload) for _, _, payload in records)
     L_bits = 8 * len(session.files[0])
     B = session.bytes_per_packet
-    cache_bits = {8 * B * len(c) for c in session.caches.values()}
+    cache_bits = {8 * B * len(session.files) * n for *_, n in _census(session).values()}
     if len(cache_bits) != 1:
         raise IntegrityError(f"caches are not uniform: {sorted(cache_bits)}")
     return Measurement(

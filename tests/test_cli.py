@@ -984,6 +984,25 @@ def test_table_cap_refuses_before_any_row_is_built(capsys):
     assert err.startswith("note: skipped K=961: ") and "the cap is" in err, err
 
 
+def test_refusals_come_before_the_design_is_analyzed(capsys):
+    """The table cap refuses thm3(31, 31, 30) before its 6,842 rules are
+    built, and a bad --bytes-per-packet is refused before the rules are
+    analyzed."""
+    with mock.patch("ptcache.cli.theorem3_design", _refuse_row), \
+            mock.patch.object(ptcache.engine, "analyze_rules", _refuse_row):
+        code, out, err = run_cli(TABLE_ABOVE_CAP, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: the split-factor table would hold 38,342,568 entries; "
+            "the cap is 1,048,576\n"
+        )
+        code, out, err = run_cli(
+            ["simulate", "--thm", "2", "--K", "4", "--t", "2", "--bytes-per-packet", "0"],
+            capsys,
+        )
+    assert (code, out, err) == (EXIT_USAGE, "", "error: --bytes-per-packet must be >= 1\n")
+
+
 @pytest.mark.parametrize("argv", ANALYZE_ABOVE_CAP + [TABLE_ABOVE_CAP])
 def test_analyze_above_the_cap_is_a_usage_error_in_optimized_mode(argv):
     """The caps are no asserts: ``python -O`` refuses the same analyses."""

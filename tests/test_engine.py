@@ -538,9 +538,9 @@ def reference_decode(session):
         gs = session.schedule.get(msg.group)
         if gs is None:
             raise IntegrityError(f"unserved group {msg.group}")
-        cnt = counters.setdefault(msg.group, [0] * len(gs.entries))
+        cnt = counters.setdefault(msg.group, [0] * len(gs.receivers))
         terms = []  # (receiver, subset, first packet)
-        for j, (k, T, base, alpha) in enumerate(gs.entries):
+        for j, (k, (T, base, alpha)) in enumerate(zip(gs.receivers, gs.spans)):
             if k != msg.tx:
                 if (cnt[j] + 1) * gs.z > alpha:
                     raise IntegrityError(f"counter overran {T}")
@@ -670,6 +670,85 @@ def test_reference_decoder_accepts_the_unedited_transcripts(name):
     assert reference_decode(session).ok
 
 
+def edited_copy(name, keep):
+    """A copy of EDIT_SESSIONS[name] whose transcript is the messages for
+    which ``keep`` holds, and whose caches can be edited."""
+    base = EDIT_SESSIONS[name]
+    return dataclasses.replace(
+        base,
+        transcript=[m for m in base.transcript if keep(m)],
+        caches={k: dataclasses.replace(c) for k, c in base.caches.items()},
+    )
+
+
+def test_decoder_counts_a_cached_subset_of_a_silent_group():
+    """A receiver that caches its own subset in a group whose messages were
+    all dropped raises nothing and still decodes: the count takes the
+    subset's packets from its cache, not from the group."""
+    S = (1, 2, 3, 4, 5)
+    s = edited_copy("thm2-K8-t4", lambda m: m.group != S)
+    k, T_own = 1, (2, 3, 4, 5)
+    assert k in s.schedule[S].receivers and T_own in s.plan.subset_map
+    s.caches[k].held |= {T_own}
+    res = decode_and_verify(s)
+    assert res == reference_decode(s)
+    assert res.per_user[k] and k not in res.missing
+    assert set(res.missing) == set(s.schedule[S].receivers) - {k}
+
+
+def test_decoder_counts_a_duplicated_message_of_three_transmitters():
+    """In a thm3(3,3,2) group of three transmitters, the first message sent
+    twice and the other two dropped: its copy counts as the next packets
+    of the other receivers, who recover them wrongly, and its sender gets
+    nothing of its subset."""
+    S = (1, 4, 7)
+    first = next(m for m in EDIT_SESSIONS["thm3-m3-q3-t2"].transcript if m.group == S)
+    s = edited_copy("thm3-m3-q3-t2", lambda m: m.group != S)
+    s.transcript += [first, first]
+    assert s.schedule[S].transmitters == S
+    res = decode_and_verify(s)
+    assert res == reference_decode(s)
+    assert {k for k, ok in res.per_user.items() if not ok} == set(S)
+    T = tuple(u for u in S if u != first.tx)
+    want = s.demand[first.tx - 1]
+    assert res.missing == {
+        first.tx: [(want, T, i + 1) for i in range(s.plan.subset_map[T][1])]
+    }
+
+
+def test_decoder_lists_the_packets_of_a_forgotten_subset():
+    """User 1 forgets a subset it caches, and every message that carries
+    that subset is dropped, so nothing asks user 1 for it: user 1 misses
+    exactly the forgotten subset's packets and those of the dropped groups
+    it would have decoded."""
+    k, T = 1, (1, 2, 3, 4)
+    s = edited_copy("thm2-K8-t4", lambda m: not set(T) <= set(m.group))
+    s.caches[k].held -= {T}
+    res = decode_and_verify(s)
+    assert res == reference_decode(s)
+    lost = {T} | {
+        U for U in s.plan.subset_map if k not in U and set(T) - {k} <= set(U)
+    }
+    assert res.missing[k] == [
+        (s.demand[k - 1], U, i + 1)
+        for U, (_, alpha) in s.plan.subset_map.items()
+        if U in lost
+        for i in range(alpha)
+    ]
+
+
+def test_schedule_shares_the_packet_maps_spans():
+    """Every group that sends a subset holds one shared span object for it,
+    whose subset is the packet map's own key."""
+    ds = theorem2_design(8, 4)
+    plan = build_plan(8, 8, 4, ds.grouping_sizes, ds.tx_rules)
+    spans = [span for gs in _compile_schedule(plan).values() for span in gs.spans]
+    assert len({id(span) for span in spans}) == len({span[0] for span in spans})
+    keys = {id(T) for T in plan.subset_map}
+    assert all(id(span[0]) in keys for span in spans)
+    assert len(spans) > len({id(span) for span in spans})
+
+
 def test_schedule_types_each_intersection_profile_once(monkeypatch):
     """Each simulation compiles its delivery schedule typing one group per
     intersection profile (the number of members in each user group), not
@@ -797,7 +876,7 @@ def test_schedule_transmitters_match_concrete_unique_sets():
             }
             assert gs.transmitters == tuple(u for u in S if u in chosen)
             # the rate stage leaves every transmitter a receiver
-            receivers = [k for k, _, _, _ in gs.entries]
+            receivers = list(gs.receivers)
             assert all(set(receivers) - {tx} for tx in gs.transmitters)
             checked += 1
     assert checked == 289
