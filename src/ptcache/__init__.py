@@ -6,10 +6,7 @@ from .combinat import binomial, integer_partitions, subsets
 # source (no __pycache__) takes the most transient memory, so it runs while
 # the fewest other modules are loaded, which lowers a fresh import's peak
 from .engine import (
-    PlanError,
     SchemePlan,
-    analyze_layout,
-    analyze_rules,
     build_plan,
     decode_and_verify,
     measure,
@@ -29,6 +26,9 @@ from .fscalc import (
     STAR,
     GlobalFS,
     NoLcmError,
+    PlanError,
+    analyze_layout,
+    analyze_rules,
     jcm_baseline,
     local_fs,
     mc_check,

@@ -30,7 +30,8 @@ from .designs import (
     theorem2_design,
     theorem3_design,
 )
-from .engine import PlanError, SCHEMA_VERSION
+from .engine import SCHEMA_VERSION
+from .fscalc import PlanError, analyze_rules, check_table_size
 from .fscalc import fs_table_json, jcm_baseline
 from .search import MAX_BUDGET, MAX_CANDIDATES, MAX_K, exhaustive_search
 from .search import sweep_ratios
@@ -151,7 +152,7 @@ def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSp
     more than engine.MAX_SUBSETS subsets is refused before the design is
     built, since building one takes time and memory that grow with K and t;
     without it, K above LAYOUT_MAX_K is, and so is a split-factor table
-    above engine.MAX_TABLE_ENTRIES where the arguments fix the grouping."""
+    above fscalc.MAX_TABLE_ENTRIES where the arguments fix the grouping."""
     chosen = [
         args.thm is not None,
         args.special is not None,
@@ -173,7 +174,7 @@ def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSp
             if groups and min(groups) > 0 and t is not None and 0 <= t < K:
                 m, q = groups
                 g = make_grouping(K, (q,) * m)
-                engine.check_table_size(len(enumerate_types(g, t)) * len(enumerate_types(g, t + 1)))
+                check_table_size(len(enumerate_types(g, t)) * len(enumerate_types(g, t + 1)))
             return
         if t is not None:
             engine.check_plan_size(K, t)
@@ -278,7 +279,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     ds = _resolve_design(args)
-    analysis = engine.analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
+    analysis = analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
     f_jcm, jcm_rate = jcm_baseline(ds.K, ds.t)
     ratio = Fraction(analysis.f_pt, f_jcm)
     out: dict[str, object] = {
@@ -350,7 +351,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     engine.check_plan_size(ds.K, ds.t)
     if args.bytes_per_packet < 1:
         raise UsageError("--bytes-per-packet must be >= 1")
-    analysis = engine.analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
+    analysis = analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
     library = N * analysis.f_pt * args.bytes_per_packet
     if library > MAX_LIBRARY_BYTES:
         raise UsageError(

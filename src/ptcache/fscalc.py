@@ -1,22 +1,25 @@
-"""Further-split calculus: local split factors, their global reconciliation,
-and the memory-consistency check.
+"""The symbolic pipeline, transmitter rules to split factors, without file
+bytes: the layout of a (grouping, t), local split factors, their global
+reconciliation, the rate stage and the memory-consistency check.
 
 Each group type contributes one row of local split factors (one entry per
 subfile type it involves, absent types marked with :data:`STAR`).  A scheme
 is consistent only if a single global factor per subfile type scales every
 row by a positive integer; ``vector_lcm`` finds the smallest such global
-vector or reports that none exists.
+vector or reports that none exists.  ``analyze_layout`` runs the stages in
+order and raises :class:`PlanError` at the first that rejects the rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .combinat import binomial
-from .typevec import MGroupStructure, TypeVector
+from .typevec import Grouping, MGroupStructure, TypeVector, enumerate_types
+from .typevec import make_grouping, mgroup_structure, per_user_count
 
 # Marks "this subfile type is not involved in this row".  Distinct from an
 # explicit 0, which carries meaning (exclusion or wildcard, per policy).
@@ -24,9 +27,23 @@ STAR = None
 
 FSEntry = int | None
 
+# Most entries, group types times subfile types, in the split-factor table
+# of one analysis.  analyze of thm3(31, 31, 20), 496,584 entries, takes
+# 0.8 s and prints 7.2 MB on a 2-vCPU x86-64 host; thm3(31, 31, 30), 38M
+# entries, took 42 s and printed 539 MB.
+MAX_TABLE_ENTRIES = 2**20
+
 
 class NoLcmError(ValueError):
     """Raised when no positive-integer row scaling reconciles the rows."""
+
+
+class PlanError(ValueError):
+    """Scheme rejected; ``stage`` names the failing pipeline step."""
+
+    def __init__(self, stage: str, message: str) -> None:
+        super().__init__(message)
+        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -238,6 +255,245 @@ def subpacketization(
     if len(alpha_global) != len(type_counts):
         raise ValueError("length mismatch")
     return sum(a * c for a, c in zip(alpha_global, type_counts))
+
+
+@dataclass(frozen=True)
+class SchemeLayout:
+    """The rules-independent bookkeeping of one (grouping, t): the subfile
+    types (the columns of every split-factor row) with their counts, the
+    group types (the rows) with their structures, and the table the memory
+    check weighs the global factors with."""
+
+    grouping: Grouping
+    t: int
+    subfile_types: tuple[TypeVector, ...]
+    type_counts: tuple[int, ...]
+    group_types: tuple[TypeVector, ...]
+    structures: tuple[MGroupStructure, ...]  # aligned with group_types
+    col: Mapping[TypeVector, int]  # subfile type -> column
+    mc_rows: tuple[tuple[int, ...], ...]
+    involved_masks: tuple[int, ...]  # per group type, the columns it involves
+
+    def row(self, i: int, selection: Iterable[int]) -> tuple[FSEntry, ...]:
+        """Full-width local split-factor row of group type i transmitting
+        with ``selection``; STAR in the columns it does not involve."""
+        row: list[FSEntry] = [STAR] * len(self.subfile_types)
+        for v, a in local_fs(self.structures[i], selection).items():
+            row[self.col[v]] = a
+        return tuple(row)
+
+    def rate_masks(
+        self, i: int, selection: "frozenset[int] | None"
+    ) -> tuple[int, int]:
+        """The column masks the rate stage reads for group type i sending
+        with ``selection``: the columns it involves, and the column of
+        ``selection`` when that is one single-user unique set (else -1,
+        which equals no mask).  A skip involves nothing."""
+        if selection is None:
+            return 0, -1
+        st = self.structures[i]
+        solo = -1
+        if len(selection) == 1:
+            (k,) = selection
+            if st.unique_sets[k - 1].size == 1:
+                solo = 1 << self.col[st.involved[k - 1]]
+        return self.involved_masks[i], solo
+
+
+def check_table_size(entries: int) -> None:
+    """Refuse, with PlanError("size"), a split-factor table of more than
+    MAX_TABLE_ENTRIES entries, group types times subfile types."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise PlanError(
+            "size",
+            f"the split-factor table would hold {entries:,} entries; the cap is "
+            f"{MAX_TABLE_ENTRIES:,}",
+        )
+
+
+def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
+    """The layout of (g, t); a split-factor table above MAX_TABLE_ENTRIES is
+    refused once the types are enumerated, before their structures and the
+    memory-check table are built."""
+    typed = enumerate_types(g, t)
+    vtypes = tuple(v for v, _ in typed)
+    gtypes = tuple(v for v, _ in enumerate_types(g, t + 1))
+    check_table_size(len(gtypes) * len(vtypes))
+    col = {v: j for j, v in enumerate(vtypes)}
+    structures = tuple(mgroup_structure(g, gt) for gt in gtypes)
+    return SchemeLayout(
+        grouping=g,
+        t=t,
+        subfile_types=vtypes,
+        type_counts=tuple(c for _, c in typed),
+        group_types=gtypes,
+        structures=structures,
+        col=col,
+        mc_rows=tuple(
+            tuple(per_user_count(g, v, bi) for v in vtypes)
+            for bi in range(1, len(g.blocks) + 1)
+        ),
+        involved_masks=tuple(
+            sum(1 << col[v] for v in st.involved) for st in structures
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class RuleAnalysis(SchemeLayout):
+    """The layout plus everything the rules determine on it, without
+    touching actual file bytes.  Cheap even for large K."""
+
+    K: int
+    tx_rules: Mapping[TypeVector, "frozenset[int] | None"]  # normalized
+    fs_rows: tuple[tuple[FSEntry, ...], ...]  # aligned with rule_types
+    rule_types: tuple[TypeVector, ...]  # group types that carry a row
+    global_fs: GlobalFS
+    z_of: Mapping[TypeVector, int]
+    excluded: frozenset[TypeVector]
+    skipped_group_types: frozenset[TypeVector]
+    f_pt: int
+
+    def factor_of(self, v: TypeVector) -> int:
+        return self.global_fs.factors[self.col[v]]
+
+
+def _normalize_rules(
+    analysis_types: Sequence[TypeVector],
+    tx_rules: Mapping[TypeVector, "Iterable[int] | None"],
+) -> dict[TypeVector, frozenset[int] | None]:
+    given = set(tx_rules)
+    expected = set(analysis_types)
+    if given != expected:
+        missing = sorted(v.text() for v in expected - given)
+        extra = sorted(v.text() for v in given - expected)
+        raise PlanError(
+            "rules",
+            f"transmitter rules must cover exactly the realizable group types; "
+            f"missing={missing} unknown={extra}",
+        )
+    out: dict[TypeVector, frozenset[int] | None] = {}
+    for gt, sel in tx_rules.items():
+        out[gt] = None if sel is None else frozenset(int(i) for i in sel)
+    return out
+
+
+def rate_failure(masks: Iterable[tuple[int, int]], zeroed: int) -> int:
+    """The "rate" stage on column masks: the index of the first group type
+    that fails it, or -1.
+
+    ``masks`` holds each group type's ``SchemeLayout.rate_masks`` and
+    ``zeroed`` the excluded columns.  Every transmission must serve t
+    receivers.  A group member whose desired type is excluded receives
+    nothing, so it may appear in a transmitting group type only as the lone
+    transmitter; otherwise some message carries fewer than t payload terms
+    and the delivery overshoots the K(1-M/N)/t rate.  So a group type fails
+    when its excluded columns are neither none, nor all it involves (it then
+    sends nothing), nor the lone single-user unique set that transmits.
+    """
+    for k, (involved, solo) in enumerate(masks):
+        dead = involved & zeroed
+        if dead and dead != involved and dead != solo:
+            return k
+    return -1
+
+
+def analyze_rules(
+    K: int,
+    t: int,
+    grouping_sizes: Iterable[int],
+    tx_rules: Mapping[TypeVector, "Iterable[int] | None"],
+) -> RuleAnalysis:
+    """Run the symbolic half of the pipeline; raise PlanError when any stage
+    rejects the rules."""
+    if not (isinstance(t, int) and 1 <= t <= K - 1):
+        raise PlanError("params", f"need integer 1 <= t <= K-1, got t={t}, K={K}")
+    try:
+        g = make_grouping(K, grouping_sizes)
+    except ValueError as e:
+        raise PlanError("grouping", str(e)) from e
+    return analyze_layout(scheme_layout(g, t), tx_rules)
+
+
+def analyze_layout(
+    layout: SchemeLayout,
+    tx_rules: Mapping[TypeVector, "Iterable[int] | None"],
+) -> RuleAnalysis:
+    """Check one set of transmitter rules against a layout built once for its
+    (grouping, t), so that several rule sets can share it.  The stages run
+    in order (lcm, then all excluded, skip, rate and mc) and the first that
+    rejects the rules raises PlanError."""
+    rules = _normalize_rules(layout.group_types, tx_rules)
+    selections = [rules[gt] for gt in layout.group_types]
+    rows: list[tuple[FSEntry, ...]] = []
+    rule_types: list[TypeVector] = []
+    for i, (gt, sel) in enumerate(zip(layout.group_types, selections)):
+        if sel is None:
+            continue
+        try:
+            rows.append(layout.row(i, sel))
+        except ValueError as e:
+            raise PlanError("rules", f"group type {gt}: {e}") from e
+        rule_types.append(gt)
+    if not rows:
+        raise PlanError("rules", "every group type is marked skip; nothing to send")
+
+    try:
+        gfs = vector_lcm(rows, zero_policy="exclude")
+    except NoLcmError as e:
+        raise PlanError("lcm", f"no consistent global split factors: {e}") from e
+    factors = gfs.factors
+    if not any(factors):
+        raise PlanError("lcm", "all subfile types excluded; nothing would be stored")
+    excluded = frozenset(v for v, f in zip(layout.subfile_types, factors) if not f)
+    zeroed = sum(1 << j for j, f in enumerate(factors) if not f)
+
+    def involved(i: int, dead: bool) -> list[str]:
+        """The types group type i involves that are excluded, or live."""
+        return [
+            v.text() for v in layout.structures[i].involved if (v in excluded) == dead
+        ]
+
+    for i, (gt, sel) in enumerate(zip(layout.group_types, selections)):
+        if sel is None and layout.involved_masks[i] & ~zeroed:
+            raise PlanError(
+                "skip",
+                f"group type {gt} is marked skip but involves live subfile "
+                f"type(s) {involved(i, False)}",
+            )
+    failed = rate_failure(
+        [layout.rate_masks(i, sel) for i, sel in enumerate(selections)], zeroed
+    )
+    if failed >= 0:
+        raise PlanError(
+            "rate",
+            f"group type {layout.group_types[failed]}: transmissions would reach "
+            f"receivers with nothing to decode (excluded desired type(s) "
+            f"{involved(failed, True)}); such members must transmit alone",
+        )
+    mc = mc_check(factors, layout.mc_rows)
+    if not mc.ok:
+        raise PlanError(
+            "mc",
+            f"user classes {mc.fail_index} and {mc.fail_index + 1} would cache "
+            f"unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
+        )
+    return RuleAnalysis(
+        **{f.name: getattr(layout, f.name) for f in fields(SchemeLayout)},
+        K=layout.grouping.K,
+        tx_rules=rules,
+        fs_rows=tuple(rows),
+        rule_types=tuple(rule_types),
+        global_fs=gfs,
+        z_of=dict(zip(rule_types, gfs.row_scales)),
+        excluded=excluded,
+        skipped_group_types=frozenset(
+            gt
+            for gt, mask in zip(layout.group_types, layout.involved_masks)
+            if not mask & ~zeroed
+        ),
+        f_pt=subpacketization(factors, layout.type_counts),
+    )
 
 
 def jcm_baseline(K: int, t: int) -> tuple[int, Fraction]:

@@ -20,9 +20,8 @@ from typing import Iterable
 from .combinat import integer_partitions
 from .designs import DesignSpec, theorem1_bound, theorem1_design, theorem2_design
 from .designs import special_designs, theorem3_design
-from .engine import SchemeLayout, analyze_layout, analyze_rules
-from .engine import rate_failure, scheme_layout
-from .fscalc import FSEntry, RatioForest, jcm_baseline, mc_check, subpacketization
+from .fscalc import FSEntry, RatioForest, SchemeLayout, analyze_layout, analyze_rules
+from .fscalc import jcm_baseline, mc_check, rate_failure, scheme_layout, subpacketization
 from .typevec import TypeVector, make_grouping
 
 # Largest census searched without a candidate budget: it admits every

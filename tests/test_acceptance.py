@@ -30,14 +30,13 @@ from ptcache.designs import (
     theorem3_design,
 )
 from ptcache.engine import (
-    analyze_rules,
     build_plan,
     decode_and_verify,
     measure,
     simulate,
     transcript_jsonl,
 )
-from ptcache.fscalc import STAR, jcm_baseline, vector_lcm
+from ptcache.fscalc import STAR, analyze_rules, jcm_baseline, vector_lcm
 from ptcache.jcm import run_jcm
 from ptcache.search import candidate_to_design, exhaustive_search, sweep_ratios
 from ptcache.typevec import enumerate_types, make_grouping, type_of

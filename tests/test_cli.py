@@ -24,6 +24,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ptcache.engine
+import ptcache.fscalc
 from ptcache.cli import (
     EXIT_DECODE,
     EXIT_INFEASIBLE,
@@ -870,12 +871,13 @@ def test_caps_are_checked_before_any_subset_is_walked(argv, names, capsys):
 def test_simulate_analyzes_the_rules_once(monkeypatch, capsys):
     """The plan reuses the analysis the library cap read F_PT from."""
     calls = []
-    analyze = ptcache.engine.analyze_rules
+    analyze = ptcache.fscalc.analyze_rules
 
     def counting(*args):
         calls.append(args)
         return analyze(*args)
 
+    monkeypatch.setattr("ptcache.cli.analyze_rules", counting)
     monkeypatch.setattr(ptcache.engine, "analyze_rules", counting)
     code, out, _ = run_cli(THM2_K14, capsys)
     assert code == EXIT_OK and json.loads(out)["all_decoded"] is True
@@ -966,11 +968,11 @@ def test_table_cap_refuses_before_any_row_is_built(capsys):
     group type's structure, memory-check entry or split-factor row is
     built: the analysis exits 4 in a few seconds with nothing on stdout
     (42 s and 539 MB without it), and a sweep notes the K it skips."""
-    assert ptcache.engine.MAX_TABLE_ENTRIES == 2**20
+    assert ptcache.fscalc.MAX_TABLE_ENTRIES == 2**20
     start = time.perf_counter()
-    with mock.patch.object(ptcache.engine.SchemeLayout, "row", _refuse_row), \
-            mock.patch.object(ptcache.engine, "mgroup_structure", _refuse_row), \
-            mock.patch.object(ptcache.engine, "per_user_count", _refuse_row):
+    with mock.patch.object(ptcache.fscalc.SchemeLayout, "row", _refuse_row), \
+            mock.patch.object(ptcache.fscalc, "mgroup_structure", _refuse_row), \
+            mock.patch.object(ptcache.fscalc, "per_user_count", _refuse_row):
         code, out, err = run_cli(TABLE_ABOVE_CAP, capsys)
         assert time.perf_counter() - start < 20
         assert (code, out) == (EXIT_USAGE, "")
@@ -989,7 +991,7 @@ def test_refusals_come_before_the_design_is_analyzed(capsys):
     built, and a bad --bytes-per-packet is refused before the rules are
     analyzed."""
     with mock.patch("ptcache.cli.theorem3_design", _refuse_row), \
-            mock.patch.object(ptcache.engine, "analyze_rules", _refuse_row):
+            mock.patch("ptcache.cli.analyze_rules", _refuse_row):
         code, out, err = run_cli(TABLE_ABOVE_CAP, capsys)
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (

@@ -21,8 +21,8 @@ from ptcache.designs import (
     theorem2_design,
     theorem3_design,
 )
-from ptcache.engine import analyze_rules, rules_json
-from ptcache.fscalc import jcm_baseline
+from ptcache.engine import rules_json
+from ptcache.fscalc import analyze_rules, jcm_baseline
 from ptcache.typevec import TypeVector
 
 

@@ -31,10 +31,8 @@ from ptcache.designs import (
 from ptcache.engine import (
     GroupSchedule,
     IntegrityError,
-    PlanError,
     VerifyResult,
     _compile_schedule,
-    analyze_rules,
     build_plan,
     decode_and_verify,
     deliver,
@@ -45,6 +43,7 @@ from ptcache.engine import (
     simulate,
     transcript_jsonl,
 )
+from ptcache.fscalc import PlanError, analyze_rules
 from ptcache.jcm import run_jcm
 from ptcache.typevec import TypeVector, type_of
 
@@ -846,6 +845,19 @@ def test_build_plan_types_each_subset_profile_once(monkeypatch):
         assert alpha == plan.analysis.factor_of(type_of(g, T))
 
 
+def test_per_user_sets_are_built_on_the_first_place():
+    """``design`` never reads a plan's per-user subset sets, so
+    ``build_plan`` leaves them to the first ``place``."""
+    ds = theorem2_design(8, 4)
+    plan = build_plan(ds.K, 2, 1, ds.grouping_sizes, ds.tx_rules)
+    assert "own" not in vars(plan)
+    simulate(plan, make_files(2, 2 * plan.f_pt), (1, 2) * 4)
+    assert "own" in vars(plan)
+    for k, (held, count) in plan.own.items():
+        assert held == {T for T in plan.subset_map if k in T}
+        assert count == sum(plan.subset_map[T][1] for T in held)
+
+
 def test_schedule_transmitters_match_concrete_unique_sets():
     """The schedule picks each group's transmitters from the (block,
     cardinality) names of its type's unique sets; a brute-force bucketing
@@ -961,6 +973,31 @@ def test_src_reads_every_name_it_imports():
 def test_scripts_read_every_name_they_import():
     scripts = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
     assert _unread_imports(scripts) == []
+
+
+def test_tests_read_every_name_they_import():
+    assert _unread_imports(os.path.dirname(os.path.abspath(__file__))) == []
+
+
+def test_analysis_modules_import_nothing_from_engine():
+    """The symbolic pipeline and the search run without the data plane:
+    these modules import nothing from ``engine``, by any spelling."""
+    pkg = os.path.dirname(ptcache.__file__)
+    found = []
+    for name in ("combinat", "typevec", "fscalc", "designs", "search"):
+        with open(os.path.join(pkg, f"{name}.py")) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("engine" in target.split(".") for target in targets):
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []
 
 
 _TAMPER = """

@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ptcache.combinat import binomial
 from ptcache.fscalc import (
     STAR,
-    GlobalFS,
     NoLcmError,
     RatioForest,
     fs_table_json,

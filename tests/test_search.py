@@ -12,21 +12,20 @@ from fractions import Fraction
 
 import pytest
 
-import ptcache.engine
+import ptcache.fscalc
 import ptcache.search
 from ptcache.combinat import integer_partitions
 from ptcache.designs import theorem1_design
-from ptcache.engine import (
+from ptcache.engine import build_plan, decode_and_verify, measure, rules_json, simulate
+from ptcache.fscalc import (
+    NoLcmError,
     PlanError,
     analyze_rules,
-    build_plan,
-    decode_and_verify,
-    measure,
+    mc_check,
     rate_failure,
-    rules_json,
-    simulate,
+    subpacketization,
+    vector_lcm,
 )
-from ptcache.fscalc import NoLcmError, mc_check, subpacketization, vector_lcm
 from ptcache.search import (
     CandidateRecord,
     _options,
@@ -425,11 +424,11 @@ def test_sweep_pair_family_exact_curve():
 def test_thm1_sweep_builds_one_layout_per_k(t_bar, monkeypatch):
     built = []
 
-    def counting(g, t, real=ptcache.engine.scheme_layout):
+    def counting(g, t, real=ptcache.fscalc.scheme_layout):
         built.append(g.K)
         return real(g, t)
 
-    monkeypatch.setattr(ptcache.engine, "scheme_layout", counting)
+    monkeypatch.setattr(ptcache.fscalc, "scheme_layout", counting)
     monkeypatch.setattr(ptcache.search, "scheme_layout", counting)
     res = sweep_ratios("thm1", range(4, 41), t_bar=t_bar)
     admitted = [K for K in range(4, 41) if K % 2 == 0 and 2 * t_bar <= K]

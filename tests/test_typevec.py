@@ -7,15 +7,14 @@ checked the same way on small instances, plus frozen values worked out by
 hand.
 """
 
-import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import grouping_params, grouping_with_t, unique_set_members
-from ptcache.combinat import binomial, integer_partitions, subsets
+from conftest import grouping_with_t, unique_set_members
+from ptcache.combinat import binomial, integer_partitions
 from ptcache.typevec import (
     TypeVector,
     enumerate_types,
