@@ -100,8 +100,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--m", type=int)
         sp.add_argument("--q", type=int)
         sp.add_argument("--variant", choices=("orderwise", "fallback"), default="orderwise")
-        sp.add_argument("--N", type=int)
-        sp.add_argument("--M", type=int)
         sp.add_argument("--out", type=str)
 
     d = sub.add_parser("design", help="build a scheme and report its parameters")
@@ -121,6 +119,9 @@ def _build_parser() -> _Parser:
         f'{MAX_DEMANDS}), or an explicit "1,2,1"',
     )
     s.add_argument("--transcript", help="write the delivery transcript (JSONL) here")
+    for sp in (d, s):  # the library and cache sizes, read by _memory_point
+        sp.add_argument("--N", type=int)
+        sp.add_argument("--M", type=int)
 
     se = sub.add_parser("search", help="exhaustive rule search at one (K, t)")
     se.add_argument("--K", type=int, required=True, help=f"users, at most {MAX_K}")

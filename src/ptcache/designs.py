@@ -1,10 +1,11 @@
 """Constructors for the known good scheme families.
 
-Each constructor validates its applicability window, builds the grouping and
-the per-group-type transmitter rules, and records the expected reconciled
-split factors (in the family's traditional column order) plus a closed-form
-subpacketization where one is known.  The engine re-derives both from
-scratch, so the expectations double as an end-to-end cross-check.
+Each constructor validates its applicability window, builds the grouping,
+names the transmitting unique sets of each group type, and records the
+expected reconciled split factors (in the family's traditional column order)
+plus a closed-form subpacketization where one is known.  The engine
+re-derives both from scratch, so the expectations double as an end-to-end
+cross-check.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from .typevec import (
     TypeVector,
     enumerate_types,
     make_grouping,
-    mgroup_structure,
     type_count,
+    unique_set_names,
 )
 
 # tx_rules values: frozenset of 1-based unique-set indices, or None for an
 # explicit "skip this group type" (only valid when everything it involves is
 # excluded anyway; the engine enforces that).  The constructors below name the
-# transmitting unique sets by (block, cardinality) through _select.
+# transmitting unique sets by (block, cardinality) and _spec resolves them.
 TxRules = Mapping[TypeVector, "frozenset[int] | None"]
 
 SPECIAL_KINDS = ("lemma2", "odd_k_tbar2", "tbar3", "t3_halfsplit", "k5_t3")
@@ -47,26 +48,38 @@ class DesignSpec:
     expected_f_pt: int | None = None
 
 
-def _select(
-    g: Grouping, gtype: TypeVector, name: tuple[int, int] | None = None
-) -> frozenset[int]:
-    """The selection of ``gtype``'s unique set named ``name`` = (block,
-    cardinality), or of all its unique sets when ``name`` is None."""
-    names = [(u.block, u.cardinality) for u in mgroup_structure(g, gtype).unique_sets]
-    if name is None:
-        return frozenset(range(1, len(names) + 1))
-    if name not in names:
-        block, cardinality = name
-        raise LookupError(
-            f"no unique set with block={block}, cardinality={cardinality} in {gtype}"
-        )
-    return frozenset({names.index(name) + 1})
+def _spec(
+    name: str,
+    g: Grouping,
+    t: int,
+    senders: Mapping[TypeVector, tuple[int, int] | None],
+    order: tuple[TypeVector, ...],
+    fs: tuple[int, ...],
+    f_pt: int | None = None,
+) -> DesignSpec:
+    """The design ``name``: ``senders`` maps each transmitting group type to
+    the (block, cardinality) of its one transmitting unique set, or to None
+    when all of them transmit.  ``fs`` are the expected factors of the types
+    in ``order``; without a closed form, F_PT is their count-weighted sum."""
+    rules = {}
+    for gtype, sender in senders.items():
+        names = unique_set_names(gtype)
+        if sender is None:
+            rules[gtype] = frozenset(range(1, len(names) + 1))
+        elif sender in names:
+            rules[gtype] = frozenset({names.index(sender) + 1})
+        else:
+            block, cardinality = sender
+            raise LookupError(
+                f"no unique set with block={block}, cardinality={cardinality} in {gtype}"
+            )
+    if f_pt is None:
+        f_pt = sum(f * type_count(g, v) for v, f in zip(order, fs))
+    return DesignSpec(name, g.K, t, g.sizes, rules, order, fs, f_pt)
 
 
-def _dot_expectation(
-    g: Grouping, order: tuple[TypeVector, ...], factors: tuple[int, ...]
-) -> int:
-    return sum(f * type_count(g, v) for v, f in zip(order, factors))
+def _types(g: Grouping, total: int) -> tuple[TypeVector, ...]:
+    return tuple(v for v, _ in enumerate_types(g, total))
 
 
 def jcm_design(K: int, t: int) -> DesignSpec:
@@ -74,17 +87,9 @@ def jcm_design(K: int, t: int) -> DesignSpec:
     if not 1 <= t <= K - 1:
         raise ValueError(f"need 1 <= t <= K-1, got K={K}, t={t}")
     g = make_grouping(K, (K,))
-    rules = {gt: _select(g, gt) for gt, _ in enumerate_types(g, t + 1)}
-    order = tuple(v for v, _ in enumerate_types(g, t))
-    return DesignSpec(
-        name=f"jcm-K{K}-t{t}",
-        K=K,
-        t=t,
-        grouping_sizes=(K,),
-        tx_rules=rules,
-        type_order=order,
-        expected_global_fs=(t,),
-        expected_f_pt=jcm_baseline(K, t)[0],
+    senders = dict.fromkeys(_types(g, t + 1))
+    return _spec(
+        f"jcm-K{K}-t{t}", g, t, senders, _types(g, t), (t,), jcm_baseline(K, t)[0]
     )
 
 
@@ -116,9 +121,8 @@ def theorem1_design(K: int, t_bar: int, variant: str = "orderwise") -> DesignSpe
         )
 
     staggered = variant == "orderwise"
-    rules = {
-        stype(i): _select(g, stype(i), (0, 1) if staggered or i == 1 else None)
-        for i in range(1, r + 1)
+    senders = {
+        stype(i): (0, 1) if staggered or i == 1 else None for i in range(1, r + 1)
     }
 
     order = tuple(vtype(i) for i in range(1, r + 2))
@@ -135,17 +139,8 @@ def theorem1_design(K: int, t_bar: int, variant: str = "orderwise") -> DesignSpe
         expected = [0] + [e // shrink for e in expected]
     else:
         expected = [0] + [t] * r
-    exp = tuple(expected)
-    return DesignSpec(
-        name=f"thm1-K{K}-tbar{t_bar}-{variant}",
-        K=K,
-        t=t,
-        grouping_sizes=(2,) * m,
-        tx_rules=rules,
-        type_order=order,
-        expected_global_fs=exp,
-        expected_f_pt=_dot_expectation(g, order, exp),
-    )
+    name = f"thm1-K{K}-tbar{t_bar}-{variant}"
+    return _spec(name, g, t, senders, order, tuple(expected))
 
 
 def theorem1_bound(K: int, t_bar: int) -> Fraction:
@@ -170,21 +165,12 @@ def theorem2_design(K: int, t: int) -> DesignSpec:
     order = tuple(
         TypeVector(((t - x - i + 1, x + i - 1),)) for i in range(1, num_v + 1)
     )
-    rules = {}
-    for low in range(y, r + 1):
-        s = TypeVector(((t + 1 - low, low),))
-        rules[s] = _select(g, s, (0, low) if low else None)  # all send in (t+1, 0)
+    senders = {  # all send in (t+1, 0)
+        TypeVector(((t + 1 - low, low),)): (0, low) if low else None
+        for low in range(y, r + 1)
+    }
     expected = tuple(range(max(y - 1, 0), max(y - 1, 0) + num_v))
-    return DesignSpec(
-        name=f"thm2-K{K}-t{t}",
-        K=K,
-        t=t,
-        grouping_sizes=(q, q),
-        tx_rules=rules,
-        type_order=order,
-        expected_global_fs=expected,
-        expected_f_pt=_dot_expectation(g, order, expected),
-    )
+    return _spec(f"thm2-K{K}-t{t}", g, t, senders, order, expected)
 
 
 def theorem3_design(m: int, q: int, t: int) -> DesignSpec:
@@ -200,154 +186,93 @@ def theorem3_design(m: int, q: int, t: int) -> DesignSpec:
     K = m * q
     g = make_grouping(K, (q,) * m)
     split = TypeVector(((t, 1) + (0,) * (m - 2),))
-    rules = {
-        gt: _select(g, gt, (0, 1) if gt == split else None)
-        for gt, _ in enumerate_types(g, t + 1)
-    }
-    order = tuple(v for v, _ in enumerate_types(g, t))
+    senders = {gt: (0, 1) if gt == split else None for gt in _types(g, t + 1)}
+    order = _types(g, t)
     expected = (0,) + (t,) * (len(order) - 1)
-    return DesignSpec(
-        name=f"thm3-m{m}-q{q}-t{t}",
-        K=K,
-        t=t,
-        grouping_sizes=(q,) * m,
-        tx_rules=rules,
-        type_order=order,
-        expected_global_fs=expected,
-        expected_f_pt=t * binomial(K, t) - m * t * binomial(q, t),
-    )
+    f_pt = t * binomial(K, t) - m * t * binomial(q, t)
+    return _spec(f"thm3-m{m}-q{q}-t{t}", g, t, senders, order, expected, f_pt)
 
 
 def _lemma2(K: int, q: int) -> DesignSpec:
     if q < 2 or K % q or K // q < 2:
         raise ValueError(f"need q >= 2 dividing K with at least two groups, got K={K}, q={q}")
     m = K // q
-    t = K - 2
     g = make_grouping(K, (q,) * m)
-    s = TypeVector(((q,) * (m - 1) + (q - 1,),))
-    rules = {s: _select(g, s, (0, q - 1))}
+    senders = {TypeVector(((q,) * (m - 1) + (q - 1,),)): (0, q - 1)}
     order = (
         TypeVector(((q,) * (m - 1) + (q - 2,),)),
         TypeVector(((q,) * (m - 2) + (q - 1, q - 1),)),
     )
-    return DesignSpec(
-        name=f"lemma2-K{K}-q{q}",
-        K=K,
-        t=t,
-        grouping_sizes=(q,) * m,
-        tx_rules=rules,
-        type_order=order,
-        expected_global_fs=(q - 2, q - 1),
-        expected_f_pt=K * (q - 1) * (K - 2) // 2,
-    )
+    f_pt = K * (q - 1) * (K - 2) // 2
+    return _spec(f"lemma2-K{K}-q{q}", g, K - 2, senders, order, (q - 2, q - 1), f_pt)
 
 
 def _odd_k_tbar2(K: int) -> DesignSpec:
     if K % 2 == 0 or K < 7:
         raise ValueError(f"K must be odd and >= 7, got {K}")
     m = (K - 1) // 2
-    t = K - 2
-    sizes = (3,) + (2,) * (m - 1)
-    g = make_grouping(K, sizes)
-    s1 = TypeVector(((2,), (2,) * (m - 1)))
-    s2 = TypeVector(((3,), (2,) * (m - 2) + (1,)))
-    rules = {s1: _select(g, s1, (0, 2)), s2: _select(g, s2, (1, 1))}
+    g = make_grouping(K, (3,) + (2,) * (m - 1))
+    senders = {
+        TypeVector(((2,), (2,) * (m - 1))): (0, 2),
+        TypeVector(((3,), (2,) * (m - 2) + (1,))): (1, 1),
+    }
     order = (
         TypeVector(((1,), (2,) * (m - 1))),
         TypeVector(((2,), (2,) * (m - 2) + (1,))),
         TypeVector(((3,), (2,) * (m - 3) + (1, 1))),
         TypeVector(((3,), (2,) * (m - 2) + (0,))),
     )
-    return DesignSpec(
-        name=f"oddk-tbar2-K{K}",
-        K=K,
-        t=t,
-        grouping_sizes=sizes,
-        tx_rules=rules,
-        type_order=order,
-        expected_global_fs=(1, 2, 2, 0),
-        expected_f_pt=K * (K - 2),
-    )
+    f_pt = K * (K - 2)
+    return _spec(f"oddk-tbar2-K{K}", g, K - 2, senders, order, (1, 2, 2, 0), f_pt)
 
 
 def _tbar3(K: int) -> DesignSpec:
     if K % 3 or K < 9:
         raise ValueError(f"K must be a multiple of 3 with at least 3 groups, got {K}")
     m = K // 3
-    t = K - 3
     g = make_grouping(K, (3,) * m)
-    s1 = TypeVector(((3,) * (m - 1) + (1,),))
-    s2 = TypeVector(((3,) * (m - 2) + (2, 2),))
-    rules = {s1: _select(g, s1, (0, 1)), s2: _select(g, s2, (0, 2))}
+    senders = {
+        TypeVector(((3,) * (m - 1) + (1,),)): (0, 1),
+        TypeVector(((3,) * (m - 2) + (2, 2),)): (0, 2),
+    }
     order = (
         TypeVector(((3,) * (m - 3) + (2, 2, 2),)),
         TypeVector(((3,) * (m - 2) + (2, 1),)),
         TypeVector(((3,) * (m - 1) + (0,),)),
     )
-    return DesignSpec(
-        name=f"tbar3-K{K}",
-        K=K,
-        t=t,
-        grouping_sizes=(3,) * m,
-        tx_rules=rules,
-        type_order=order,
-        expected_global_fs=(4, 3, 0),
-        expected_f_pt=K * (K - 3) * (2 * K - 3) // 3,
-    )
+    f_pt = K * (K - 3) * (2 * K - 3) // 3
+    return _spec(f"tbar3-K{K}", g, K - 3, senders, order, (4, 3, 0), f_pt)
 
 
 def _t3_halfsplit(K: int) -> DesignSpec:
     if K % 2 or K < 8:
         raise ValueError(f"K must be even and >= 8, got {K}")
-    q = K // 2
-    g = make_grouping(K, (q, q))
-    s_top = TypeVector(((4, 0),))
-    s_mid = TypeVector(((3, 1),))
-    s_pair = TypeVector(((2, 2),))
-    rules = {
-        s_top: _select(g, s_top),
-        s_mid: _select(g, s_mid, (0, 1)),
-        s_pair: _select(g, s_pair),
+    g = make_grouping(K, (K // 2, K // 2))
+    senders = {
+        TypeVector(((4, 0),)): None,
+        TypeVector(((3, 1),)): (0, 1),
+        TypeVector(((2, 2),)): None,
     }
     order = (TypeVector(((3, 0),)), TypeVector(((2, 1),)))
-    return DesignSpec(
-        name=f"t3-halfsplit-K{K}",
-        K=K,
-        t=3,
-        grouping_sizes=(q, q),
-        tx_rules=rules,
-        type_order=order,
-        expected_global_fs=(0, 3),
-        expected_f_pt=3 * K * K * (K - 2) // 8,
-    )
+    f_pt = 3 * K * K * (K - 2) // 8
+    return _spec(f"t3-halfsplit-K{K}", g, 3, senders, order, (0, 3), f_pt)
 
 
 def _k5_t3(K: int) -> DesignSpec:
     if K != 5:
         raise ValueError(f"this design is specific to K=5, got {K}")
     g = make_grouping(5, (3, 2))
-    s1 = TypeVector(((2,), (2,)))
-    s2 = TypeVector(((3,), (1,)))
-    rules = {s1: _select(g, s1, (0, 2)), s2: _select(g, s2, (1, 1))}
+    senders = {TypeVector(((2,), (2,))): (0, 2), TypeVector(((3,), (1,))): (1, 1)}
     order = (
         TypeVector(((1,), (2,))),
         TypeVector(((2,), (1,))),
         TypeVector(((3,), (0,))),
     )
-    return DesignSpec(
-        name="k5-t3",
-        K=5,
-        t=3,
-        grouping_sizes=(3, 2),
-        tx_rules=rules,
-        type_order=order,
-        expected_global_fs=(1, 2, 0),
-        expected_f_pt=15,
-    )
+    return _spec("k5-t3", g, 3, senders, order, (1, 2, 0), 15)
 
 
 def special_designs(kind: str, K: int, q: int | None = None) -> DesignSpec:
-    """Hand-crafted schemes outside the three parmetrized families."""
+    """Hand-crafted schemes outside the three parametrized families."""
     if kind == "lemma2":
         if q is None:
             raise ValueError("lemma2 needs the group size q")
@@ -366,24 +291,10 @@ def special_designs(kind: str, K: int, q: int | None = None) -> DesignSpec:
 def _t2(K: int) -> DesignSpec:
     if K % 2 or K < 4:
         raise ValueError(f"K must be even and >= 4, got {K}")
-    q = K // 2
-    g = make_grouping(K, (q, q))
+    g = make_grouping(K, (K // 2, K // 2))
     mixed = TypeVector(((2, 1),))
-    rules = {
-        gt: _select(g, gt, (0, 1) if gt == mixed else None)
-        for gt, _ in enumerate_types(g, 3)
-    }
-    order = tuple(v for v, _ in enumerate_types(g, 2))
-    return DesignSpec(
-        name=f"dpda-t2-K{K}",
-        K=K,
-        t=2,
-        grouping_sizes=(q, q),
-        tx_rules=rules,
-        type_order=order,
-        expected_global_fs=(0, 1),
-        expected_f_pt=K * K // 4,
-    )
+    senders = {gt: (0, 1) if gt == mixed else None for gt in _types(g, 3)}
+    return _spec(f"dpda-t2-K{K}", g, 2, senders, _types(g, 2), (0, 1), K * K // 4)
 
 
 def dpda_specials(t_mode: str, K: int) -> DesignSpec:

@@ -18,7 +18,9 @@ from functools import cached_property
 
 from .combinat import binomial_exceeds, subsets
 from .fscalc import PlanError, RuleAnalysis, analyze_rules
-from .typevec import Grouping, TypeVector, canonical_type_order, profile, type_of
+from .typevec import (
+    Grouping, TypeVector, canonical_type_order, profile, type_of, unique_set_names
+)
 
 SCHEMA_VERSION = "1"
 # Most t-subsets a plan's packet map holds, and most groups of t + 1 users
@@ -191,7 +193,6 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
     unique set."""
     g = plan.grouping
     a = plan.analysis
-    structure_of = dict(zip(a.group_types, a.structures))
     bit = [1 << u for u in range(plan.K + 1)]
     # subset mask -> its span (subset, first packet, packet count), one tuple
     # shared by every group; the subset is the packet map's own key, which
@@ -212,8 +213,8 @@ def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
             elif sel is None:
                 raise IntegrityError(f"group type {gtype} sends but is marked skip")
             else:
-                sets = structure_of[gtype].unique_sets
-                named = {(sets[i - 1].block, sets[i - 1].cardinality) for i in sel}
+                names = unique_set_names(gtype)
+                named = {names[i - 1] for i in sel}
                 pairs = zip(g.block_of_group, key)  # (block, intersection) per group
                 tx = frozenset(gi for gi, p in enumerate(pairs) if p in named)
                 profiles[key] = (a.z_of[gtype], tx)

@@ -25,8 +25,8 @@ from .fscalc import jcm_baseline, mc_check, rate_failure, scheme_layout, subpack
 from .typevec import TypeVector, make_grouping
 
 # Largest census searched without a candidate budget: it admits every
-# (K <= 9, t), (9,4) being the largest at 2.12e10 candidates, about 60 s
-# in-process on a 2-vCPU x86-64 host.
+# (K <= 9, t), (9,4) being the largest at 2.12e10 candidates, about 95 s
+# in-process on a 2-vCPU x86-64 host with Python 3.11.
 MAX_CANDIDATES = 10**11
 # Largest candidate budget: the records report their count through len(),
 # which Python caps at sys.maxsize (2^63 - 1 on 64-bit builds).

@@ -251,26 +251,38 @@ class MGroupStructure:
         return len(self.unique_sets)
 
 
+def unique_set_names(gtype: TypeVector) -> tuple[tuple[int, int], ...]:
+    """(block, cardinality) of each of ``gtype``'s unique sets, block
+    ascending and then cardinality descending: the order in which 1-based
+    unique-set indices count.  The users of a group type's groups that lie
+    in one block and meet their group in one intersection size form a
+    unique set, so the type alone names them."""
+    return tuple(
+        (bi, card)
+        for bi, blk in enumerate(gtype.blocks)
+        for card in sorted(set(blk) - {0}, reverse=True)
+    )
+
+
 def mgroup_structure(g: Grouping, gtype: TypeVector) -> MGroupStructure:
     """The structure of ``gtype``, derived from the type alone.
 
-    The users of a group type's groups that lie in one block and meet their
-    group in one intersection size form a unique set.  Dropping a member of
-    that set lowers the last entry equal to its cardinality by one, which
-    keeps the block non-increasing: that is the set's involved type.
+    Dropping a member of a unique set lowers the last entry equal to its
+    cardinality by one, which keeps the block non-increasing: that is the
+    set's involved type.
     """
     if not is_realizable(g, gtype):
         raise ValueError(f"group type {gtype} is not realizable under {g}")
     unique_sets = []
     involved = []
-    for bi, blk in enumerate(gtype.blocks):
-        for card in sorted(set(blk) - {0}, reverse=True):
-            unique_sets.append(UniqueSet(bi, card, card * blk.count(card)))
-            last = len(blk) - 1 - blk[::-1].index(card)
-            lowered = blk[:last] + (card - 1,) + blk[last + 1 :]
-            involved.append(
-                TypeVector(gtype.blocks[:bi] + (lowered,) + gtype.blocks[bi + 1 :])
-            )
+    for bi, card in unique_set_names(gtype):
+        blk = gtype.blocks[bi]
+        unique_sets.append(UniqueSet(bi, card, card * blk.count(card)))
+        last = len(blk) - 1 - blk[::-1].index(card)
+        lowered = blk[:last] + (card - 1,) + blk[last + 1 :]
+        involved.append(
+            TypeVector(gtype.blocks[:bi] + (lowered,) + gtype.blocks[bi + 1 :])
+        )
     return MGroupStructure(
         gtype=gtype, unique_sets=tuple(unique_sets), involved=tuple(involved)
     )

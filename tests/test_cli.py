@@ -688,6 +688,8 @@ ANALYZE_ABOVE_CAP = [
         # an analysis above the K cap, refused before its design is built
         (ANALYZE_ABOVE_CAP[0], None),
         (ANALYZE_ABOVE_CAP[1], None),
+        # memory-point flags on a command that reads no memory point
+        (["analyze", "--thm", "1", "--K", "8", "--tbar", "2", "--N", "0", "--M", "0"], None),
     ],
 )
 def test_malformed_input_is_a_usage_error(argv, rules, tmp_path, capsys):

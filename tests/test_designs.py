@@ -6,6 +6,7 @@ import hashlib
 import json
 from fractions import Fraction
 from math import gcd, prod
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ from ptcache.combinat import binomial
 from ptcache.designs import (
     DPDA_MODES,
     SPECIAL_KINDS,
+    _spec,
     dpda_specials,
     jcm_design,
     special_designs,
@@ -23,7 +25,7 @@ from ptcache.designs import (
 )
 from ptcache.engine import rules_json
 from ptcache.fscalc import analyze_rules, jcm_baseline
-from ptcache.typevec import TypeVector
+from ptcache.typevec import TypeVector, make_grouping
 
 
 def verify_design(ds):
@@ -350,7 +352,38 @@ def test_family_rules_digest():
     )
 
 
+def test_families_build_no_structure():
+    """Families name their transmitters from the group type alone: with
+    every MGroupStructure refused, each call of the digest grid builds the
+    same design, or refuses with a ValueError, exactly as it does without."""
+
+    def outcomes():
+        out = []
+        for label, call in family_calls():
+            try:
+                out.append((label, call()))
+            except ValueError:
+                out.append((label, "ValueError"))
+        return out
+
+    built = AssertionError("a design built an MGroupStructure")
+    with mock.patch("ptcache.typevec.MGroupStructure", side_effect=built):
+        named = outcomes()
+    assert named == outcomes()
+
+
 # ------------------------------------------------------------- validations
+
+
+@pytest.mark.parametrize("sender", [(0, 3), (1, 1), (0, 0)])
+def test_unknown_unique_set_name_refused(sender):
+    """A (block, cardinality) that the group type has no unique set for is
+    refused, not resolved to some other set."""
+    g = make_grouping(4, (2, 2))
+    gtype = TypeVector(((2, 1),))
+    block, cardinality = sender
+    with pytest.raises(LookupError, match=f"block={block}, cardinality={cardinality}"):
+        _spec("bad", g, 2, {gtype: sender}, (), ())
 
 
 @pytest.mark.parametrize(

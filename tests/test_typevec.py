@@ -25,6 +25,7 @@ from ptcache.typevec import (
     profile,
     type_count,
     type_of,
+    unique_set_names,
 )
 
 
@@ -239,6 +240,7 @@ def test_structure_is_representative_independent(params, rnd):
     gt = type_of(g, S)
     st_ = mgroup_structure(g, gt)
     concrete = unique_set_members(g, S)
+    assert unique_set_names(gt) == tuple(name for name, _ in concrete)
     assert [(bi, card, len(users)) for (bi, card), users in concrete] == [
         (u.block, u.cardinality, u.size) for u in st_.unique_sets
     ]
