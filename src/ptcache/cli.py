@@ -14,6 +14,7 @@ import csv
 import json
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
@@ -87,29 +88,30 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="ptcache", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_selector(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--thm", type=int, choices=(1, 2, 3))
-        sp.add_argument("--special", choices=SPECIAL_KINDS)
-        sp.add_argument("--dpda", choices=[m.replace("_", "-") for m in DPDA_MODES])
-        sp.add_argument("--jcm", action="store_true")
-        sp.add_argument("--grouping", type=_parse_int_list, help="comma list of group sizes")
-        sp.add_argument("--rules", dest="rules_path", help="JSON file of transmitter rules")
-        sp.add_argument("--K", type=int)
-        sp.add_argument("--t", type=int)
-        sp.add_argument("--tbar", dest="t_bar", type=int)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--q", type=int)
-        sp.add_argument("--variant", choices=("orderwise", "fallback"), default="orderwise")
-        sp.add_argument("--out", type=str)
+    # the scheme selector of design, analyze and simulate: exactly one of
+    # the five flags in the group, plus the parameters _resolve_design reads
+    sel = argparse.ArgumentParser(add_help=False)
+    one = sel.add_mutually_exclusive_group(required=True)
+    one.add_argument("--thm", type=int, choices=(1, 2, 3))
+    one.add_argument("--special", choices=SPECIAL_KINDS)
+    one.add_argument("--dpda", choices=[m.replace("_", "-") for m in DPDA_MODES])
+    one.add_argument("--jcm", action="store_true")
+    one.add_argument("--grouping", type=_parse_int_list, help="comma list of group sizes")
+    sel.add_argument("--rules", dest="rules_path", help="JSON file of transmitter rules")
+    sel.add_argument("--K", type=int)
+    sel.add_argument("--t", type=int)
+    sel.add_argument("--tbar", dest="t_bar", type=int)
+    sel.add_argument("--m", type=int)
+    sel.add_argument("--q", type=int)
+    sel.add_argument("--variant", choices=("orderwise", "fallback"), default="orderwise")
+    sel.add_argument("--out", type=str)
 
-    d = sub.add_parser("design", help="build a scheme and report its parameters")
-    add_selector(d)
-
-    a = sub.add_parser("analyze", help="full type/split-factor/consistency tables")
-    add_selector(a)
-
-    s = sub.add_parser("simulate", help="place, deliver and decode real bytes")
-    add_selector(s)
+    d = sub.add_parser("design", parents=[sel], help="build a scheme and report its parameters")
+    d.set_defaults(run=cmd_design)
+    a = sub.add_parser("analyze", parents=[sel], help="full type/split-factor/consistency tables")
+    a.set_defaults(run=cmd_analyze)
+    s = sub.add_parser("simulate", parents=[sel], help="place, deliver and decode real bytes")
+    s.set_defaults(run=cmd_simulate)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--bytes-per-packet", dest="bytes_per_packet", type=int, default=1)
     s.add_argument(
@@ -124,6 +126,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--M", type=int)
 
     se = sub.add_parser("search", help="exhaustive rule search at one (K, t)")
+    se.set_defaults(run=cmd_search)
     se.add_argument("--K", type=int, required=True, help=f"users, at most {MAX_K}")
     se.add_argument("--t", type=int, required=True)
     se.add_argument(
@@ -136,6 +139,7 @@ def _build_parser() -> _Parser:
     se.add_argument("--out", type=str, help="write all evaluated candidates as CSV")
 
     sw = sub.add_parser("sweep", help="ratio curves along K for one family")
+    sw.set_defaults(run=cmd_sweep)
     sw.add_argument("--family", required=True, choices=("thm1", "thm2", "thm3"))
     sw.add_argument("--K", dest="K_range", type=_parse_range, required=True,
                     help=f'K range, e.g. "4..40" or "8,12,16"; K <= {LAYOUT_MAX_K}')
@@ -148,24 +152,20 @@ def _build_parser() -> _Parser:
     return p
 
 
+# refuses ``what`` unless each of ``flags``, keyed by the flag as typed, has
+# a value, naming the flags still missing
+def _require(what: str, flags: dict[str, object]) -> None:
+    missing = [flag for flag, value in flags.items() if value in (None, ())]
+    if missing:
+        raise UsageError(f"{what} needs {' and '.join(missing)}")
+
+
 def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSpec:
     """The design the selector arguments name.  With ``bounded``, a plan of
     more than engine.MAX_SUBSETS subsets is refused before the design is
     built, since building one takes time and memory that grow with K and t;
     without it, K above LAYOUT_MAX_K is, and so is a split-factor table
     above fscalc.MAX_TABLE_ENTRIES where the arguments fix the grouping."""
-    chosen = [
-        args.thm is not None,
-        args.special is not None,
-        args.dpda is not None,
-        args.jcm,
-        args.grouping is not None,
-    ]
-    if sum(chosen) != 1:
-        raise UsageError(
-            "pick exactly one of --thm / --special / --dpda / --jcm / --grouping"
-        )
-
     # groups = (m, q) names a grouping of m groups of q users
     def sized(K: int, t: int | None, groups: tuple[int, int] | None = None) -> None:
         if not bounded:
@@ -185,47 +185,44 @@ def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSp
                 f"is {engine.MAX_SUBSETS:,}"
             )
 
+    K, t = args.K, args.t
     if args.thm == 1:
-        if args.K is None or args.t_bar is None:
-            raise UsageError("--thm 1 needs --K and --tbar")
-        sized(args.K, args.K - args.t_bar)
-        return theorem1_design(args.K, args.t_bar, args.variant)
+        _require("--thm 1", {"--K": K, "--tbar": args.t_bar})
+        sized(K, K - args.t_bar)
+        return theorem1_design(K, args.t_bar, args.variant)
     if args.thm == 2:
-        if args.K is None or args.t is None:
-            raise UsageError("--thm 2 needs --K and --t")
-        sized(args.K, args.t)
-        return theorem2_design(args.K, args.t)
+        _require("--thm 2", {"--K": K, "--t": t})
+        sized(K, t)
+        return theorem2_design(K, t)
     if args.thm == 3:
-        if args.m is None or args.q is None or args.t is None:
-            raise UsageError("--thm 3 needs --m, --q and --t")
-        sized(args.m * args.q, args.t, (args.m, args.q))
-        return theorem3_design(args.m, args.q, args.t)
+        _require("--thm 3", {"--m": args.m, "--q": args.q, "--t": t})
+        sized(args.m * args.q, t, (args.m, args.q))
+        return theorem3_design(args.m, args.q, t)
     if args.special is not None:
-        if args.K is None:
-            raise UsageError("--special needs --K")
-        sized(args.K, None)
-        return special_designs(args.special, args.K, q=args.q)
+        _require("--special", {"--K": K})
+        sized(K, None)
+        return special_designs(args.special, K, q=args.q)
     if args.dpda is not None:
-        if args.K is None:
-            raise UsageError("--dpda needs --K")
-        sized(args.K, None)
-        return dpda_specials(args.dpda.replace("-", "_"), args.K)
+        _require("--dpda", {"--K": K})
+        sized(K, None)
+        return dpda_specials(args.dpda.replace("-", "_"), K)
     if args.jcm:
-        if args.K is None or args.t is None:
-            raise UsageError("--jcm needs --K and --t")
-        sized(args.K, args.t)
-        return jcm_design(args.K, args.t)
-    if args.rules_path is None or args.K is None or args.t is None:
-        raise UsageError("--grouping needs --K, --t and --rules FILE")
-    sized(args.K, args.t)
+        _require("--jcm", {"--K": K, "--t": t})
+        sized(K, t)
+        return jcm_design(K, t)
+    _require("--grouping", {"--K": K, "--t": t, "--rules": args.rules_path})
+    sized(K, t)
     with open(args.rules_path) as fh:
-        rules = engine.rules_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise UsageError(f"--rules {args.rules_path}: JSON nested too deeply") from None
     return DesignSpec(
-        name=f"custom-K{args.K}-t{args.t}",
-        K=args.K,
-        t=args.t,
+        name=f"custom-K{K}-t{t}",
+        K=K,
+        t=t,
         grouping_sizes=args.grouping,
-        tx_rules=rules,
+        tx_rules=engine.rules_from_json(data),
         type_order=(),
     )
 
@@ -256,25 +253,15 @@ def _emit(obj: object, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _plan_report(ds: DesignSpec, plan: engine.SchemePlan) -> dict[str, object]:
-    report = engine.plan_json(plan)
-    f_jcm, _ = jcm_baseline(plan.K, plan.t)
-    ratio = Fraction(plan.f_pt, f_jcm)
-    report.update(
-        {
-            "design": ds.name,
-            "F_JCM": f_jcm,
-            "ratio": f"{ratio.numerator}/{ratio.denominator}",
-        }
-    )
-    return report
-
-
 def cmd_design(args: argparse.Namespace) -> int:
     ds = _resolve_design(args, bounded=True)
     N, M = _memory_point(args, ds)
     plan = engine.build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
-    _emit(_plan_report(ds, plan), args.out)
+    f_jcm, _ = jcm_baseline(plan.K, plan.t)
+    ratio = Fraction(plan.f_pt, f_jcm)
+    report = engine.plan_json(plan)
+    report.update(design=ds.name, F_JCM=f_jcm, ratio=f"{ratio.numerator}/{ratio.denominator}")
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -451,18 +438,15 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    jobs: list[dict[str, int]] = []
+    what = f"sweep --family {args.family}"
     if args.family == "thm1":
-        if not args.t_bar_list:
-            raise UsageError("sweep --family thm1 needs --tbar")
+        _require(what, {"--tbar": args.t_bar_list})
         jobs = [{"t_bar": tb} for tb in args.t_bar_list]
     elif args.family == "thm2":
-        if not args.t_list:
-            raise UsageError("sweep --family thm2 needs --t")
+        _require(what, {"--t": args.t_list})
         jobs = [{"t": t} for t in args.t_list]
     else:
-        if not args.t_list or args.m is None:
-            raise UsageError("sweep --family thm3 needs --m and --t")
+        _require(what, {"--m": args.m, "--t": args.t_list})
         jobs = [{"m": args.m, "t": t} for t in args.t_list]
 
     # every job runs before any note is printed, so a job that no K admits
@@ -476,46 +460,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for K, why in skipped:
         print(f"note: skipped K={K}: {why}", file=sys.stderr)
 
-    writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        w = csv.writer(writer_target)
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+        w = csv.writer(fh)
         w.writerow(["family", "label", "K", "F_PT", "F_JCM", "ratio", "bound"])
         for row in all_rows:
             w.writerow(
                 [row.family, row.label, row.K, row.f_pt, row.f_jcm,
                  str(row.ratio), str(row.bound)]
             )
-    finally:
-        if args.out:
-            writer_target.close()
     if args.out:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "family": args.family,
-                "rows": len(all_rows),
-                "skipped": len(skipped),
-                "out": args.out,
-            },
-            None,
-        )
+        summary = {"schema_version": SCHEMA_VERSION, "family": args.family,
+                   "rows": len(all_rows), "skipped": len(skipped), "out": args.out}
+        _emit(summary, None)
     return EXIT_OK
-
-
-_COMMANDS = {
-    "design": cmd_design,
-    "analyze": cmd_analyze,
-    "simulate": cmd_simulate,
-    "search": cmd_search,
-    "sweep": cmd_sweep,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -647,6 +648,75 @@ def test_bad_arguments_exit_usage(argv, capsys):
     code = main(argv)
     capsys.readouterr()
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["design", "--thm", "1", "--K", "8"], ["--thm", "--tbar"]),
+        (["design", "--thm", "2", "--K", "4"], ["--thm", "--t"]),
+        (["analyze", "--thm", "3", "--m", "3", "--t", "2"], ["--thm", "--q"]),
+        (["design", "--thm", "3", "--q", "3"], ["--thm", "--m", "--t"]),
+        (["simulate", "--special", "tbar3"], ["--special", "--K"]),
+        (["design", "--dpda", "t2"], ["--dpda", "--K"]),
+        (["analyze", "--jcm", "--t", "2"], ["--jcm", "--K"]),
+        (["design", "--grouping", "2,2", "--K", "4", "--t", "2"], ["--grouping", "--rules"]),
+        (["design", "--grouping", "2,2"], ["--grouping", "--K", "--t", "--rules"]),
+        (["sweep", "--family", "thm1", "--K", "4..8"], ["--family", "--tbar"]),
+        (["sweep", "--family", "thm2", "--K", "4..8"], ["--family", "--t"]),
+        (["sweep", "--family", "thm3", "--K", "4..8", "--t", "2"], ["--family", "--m"]),
+        (["sweep", "--family", "thm3", "--K", "4..8", "--m", "3"], ["--family", "--t"]),
+        # no selector, and two selectors
+        (["design", "--K", "4", "--t", "2"],
+         ["--thm", "--special", "--dpda", "--jcm", "--grouping"]),
+        (["analyze", "--thm", "2", "--jcm", "--K", "4", "--t", "2"], ["--jcm", "--thm"]),
+    ],
+)
+def test_selector_refusals_name_the_missing_flags(argv, named, capsys):
+    """A selector without what it needs, or not exactly one selector, exits
+    4 with a message naming the flags as typed, and only the missing ones."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ")
+    assert re.findall(r"--[A-Za-z]+", err) == named, err
+
+
+@pytest.mark.parametrize("command", ["design", "analyze", "simulate"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        '{"2,1": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=["list", "object-value"],
+)
+def test_deeply_nested_rules_are_a_usage_error(command, text, tmp_path, capsys):
+    """A rules file nested deeper than the JSON decoder can recurse exits 4;
+    the text is written directly, since json.dump would recurse too."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(
+        [command, "--grouping", "2,1", "--K", "3", "--t", "1", "--rules", str(path)],
+        capsys,
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and "nested too deeply" in err, err
+    assert "Traceback" not in err
+
+
+SELECTOR_FLAGS = ["--thm", "--special", "--dpda", "--jcm", "--grouping", "--rules",
+                  "--K", "--t", "--tbar", "--m", "--q", "--variant", "--out"]
+
+
+@pytest.mark.parametrize("command", ["design", "analyze", "simulate"])
+def test_help_lists_each_selector_flag_once(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exit_.value.code == 0
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+    for flag in SELECTOR_FLAGS:
+        assert listed.count(flag) == 1, (flag, listed)
 
 
 # analyses whose type enumeration would overflow the recursion limit

@@ -473,7 +473,9 @@ def data_plane_session(ds, N, M, order_seed=None):
 @pytest.mark.parametrize("ds,N,M,_", DATA_PLANE_CASES)
 def test_cache_view_equals_per_packet_copy(ds, N, M, _):
     """Each user's cache holds, in order, exactly the packets a per-packet
-    copy of every cached subfile would hold."""
+    copy of every cached subfile would hold, and raises KeyError for a
+    subset its user does not hold, a file index outside 1..N and a packet
+    index outside the subfile."""
     session = data_plane_session(ds, N, M)
     plan, B = session.plan, session.bytes_per_packet
     for k in range(1, plan.K + 1):
@@ -484,8 +486,18 @@ def test_cache_view_equals_per_packet_copy(ds, N, M, _):
                     blob = session.files[n - 1][base * B : (base + alpha) * B]
                     for i in range(alpha):
                         copy[(n, T, i + 1)] = blob[i * B : (i + 1) * B]
-        assert list(session.caches[k].items()) == list(copy.items())
-        assert len(session.caches[k]) == len(copy)
+        cache = session.caches[k]
+        assert list(cache.items()) == list(copy.items())
+        assert len(cache) == len(copy)
+        assert dict(cache) == copy
+        T_in = next(T for T in plan.subset_map if k in T)
+        T_out = next(T for T in plan.subset_map if k not in T)
+        alpha = plan.subset_map[T_in][1]
+        for key in [(1, T_out, 1), (0, T_in, 1), (plan.N + 1, T_in, 1),
+                    (1, T_in, 0), (1, T_in, alpha + 1)]:
+            with pytest.raises(KeyError):
+                cache[key]
+            assert key not in cache
 
 
 @pytest.mark.parametrize("ds,N,M,final_loss", DATA_PLANE_CASES)
