@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
     sel.add_argument("--tbar", dest="t_bar", type=int)
     sel.add_argument("--m", type=int)
     sel.add_argument("--q", type=int)
-    sel.add_argument("--variant", choices=("orderwise", "fallback"), default="orderwise")
+    sel.add_argument("--variant", choices=("orderwise", "fallback"))
     sel.add_argument("--out", type=str)
 
     d = sub.add_parser("design", parents=[sel], help="build a scheme and report its parameters")
@@ -152,12 +152,34 @@ def _build_parser() -> _Parser:
     return p
 
 
-# refuses ``what`` unless each of ``flags``, keyed by the flag as typed, has
-# a value, naming the flags still missing
-def _require(what: str, flags: dict[str, object]) -> None:
-    missing = [flag for flag, value in flags.items() if value in (None, ())]
+# the flags each scheme selector and sweep family reads, all needed but
+# --variant (orderwise when absent); --dpda and every other --special read
+# --K alone
+READS = {
+    "--thm 1": "--K --tbar --variant",
+    "--thm 2": "--K --t",
+    "--thm 3": "--m --q --t",
+    "--special lemma2": "--K --q",
+    "--jcm": "--K --t",
+    "--grouping": "--K --t --rules",
+    "sweep --family thm1": "--tbar",
+    "sweep --family thm2": "--t",
+    "sweep --family thm3": "--m --t",
+}
+
+
+# refuses ``what`` when ``given``, the flags it could read as typed mapped to
+# their values (None or () when absent), lacks a flag that READS[what] needs
+# or sets one it does not read
+def _check_reads(what: str, given: dict[str, object]) -> None:
+    reads = READS.get(what, "--K").split()
+    have = [f for f, value in given.items() if value not in (None, ())]
+    missing = [f for f in reads if f not in have and f != "--variant"]
     if missing:
         raise UsageError(f"{what} needs {' and '.join(missing)}")
+    unread = [f for f in have if f not in reads]
+    if unread:
+        raise UsageError(f"{what} does not read {', '.join(unread)}")
 
 
 def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSpec:
@@ -186,31 +208,34 @@ def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSp
             )
 
     K, t = args.K, args.t
+    selector = (  # argparse admits exactly one
+        f"--thm {args.thm}" if args.thm
+        else f"--special {args.special}" if args.special
+        else "--dpda" if args.dpda
+        else "--jcm" if args.jcm
+        else "--grouping"
+    )
+    _check_reads(selector, {"--K": K, "--t": t, "--tbar": args.t_bar, "--m": args.m,
+                            "--q": args.q, "--variant": args.variant,
+                            "--rules": args.rules_path})
     if args.thm == 1:
-        _require("--thm 1", {"--K": K, "--tbar": args.t_bar})
         sized(K, K - args.t_bar)
-        return theorem1_design(K, args.t_bar, args.variant)
+        return theorem1_design(K, args.t_bar, args.variant or "orderwise")
     if args.thm == 2:
-        _require("--thm 2", {"--K": K, "--t": t})
         sized(K, t)
         return theorem2_design(K, t)
     if args.thm == 3:
-        _require("--thm 3", {"--m": args.m, "--q": args.q, "--t": t})
         sized(args.m * args.q, t, (args.m, args.q))
         return theorem3_design(args.m, args.q, t)
     if args.special is not None:
-        _require("--special", {"--K": K})
         sized(K, None)
         return special_designs(args.special, K, q=args.q)
     if args.dpda is not None:
-        _require("--dpda", {"--K": K})
         sized(K, None)
         return dpda_specials(args.dpda.replace("-", "_"), K)
     if args.jcm:
-        _require("--jcm", {"--K": K, "--t": t})
         sized(K, t)
         return jcm_design(K, t)
-    _require("--grouping", {"--K": K, "--t": t, "--rules": args.rules_path})
     sized(K, t)
     with open(args.rules_path) as fh:
         try:
@@ -438,16 +463,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    what = f"sweep --family {args.family}"
-    if args.family == "thm1":
-        _require(what, {"--tbar": args.t_bar_list})
-        jobs = [{"t_bar": tb} for tb in args.t_bar_list]
-    elif args.family == "thm2":
-        _require(what, {"--t": args.t_list})
-        jobs = [{"t": t} for t in args.t_list]
-    else:
-        _require(what, {"--m": args.m, "--t": args.t_list})
-        jobs = [{"m": args.m, "t": t} for t in args.t_list]
+    given = {"--tbar": args.t_bar_list, "--t": args.t_list, "--m": args.m}
+    _check_reads(f"sweep --family {args.family}", given)
+    # the family's own flags are the only ones given
+    jobs = [{"t_bar": tb} for tb in args.t_bar_list]
+    jobs += [{"m": args.m, "t": t} for t in args.t_list]
 
     # every job runs before any note is printed, so a job that no K admits
     # fails the command with nothing else on stderr

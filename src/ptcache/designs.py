@@ -3,7 +3,8 @@
 Each constructor validates its applicability window, builds the grouping,
 names the transmitting unique sets of each group type, and records the
 expected reconciled split factors (in the family's traditional column order)
-plus a closed-form subpacketization where one is known.  The engine
+plus a closed-form subpacketization where one is known; without one, the
+expected subpacketization is computed when it is first read.  The engine
 re-derives both from scratch, so the expectations double as an end-to-end
 cross-check.
 """
@@ -36,6 +37,23 @@ SPECIAL_KINDS = ("lemma2", "odd_k_tbar2", "tbar3", "t3_halfsplit", "k5_t3")
 DPDA_MODES = ("t2", "t_km2")
 
 
+# DesignSpec.expected_f_pt: the value given or, given None with expected
+# factors, their count-weighted sum over type_order, computed on the first
+# read (a sweep reads neither expectation)
+class _ExpectedFPT:
+    def __get__(self, ds: DesignSpec | None, owner: type) -> int | None:
+        if ds is None:
+            return None  # the field's default
+        if ds._f_pt is None and ds.expected_global_fs is not None:
+            g = make_grouping(ds.K, ds.grouping_sizes)
+            pairs = zip(ds.expected_global_fs, ds.type_order)
+            self.__set__(ds, sum(f * type_count(g, v) for f, v in pairs))
+        return ds._f_pt
+
+    def __set__(self, ds: DesignSpec, value: int | None) -> None:
+        object.__setattr__(ds, "_f_pt", value)
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     name: str
@@ -45,7 +63,7 @@ class DesignSpec:
     tx_rules: TxRules
     type_order: tuple[TypeVector, ...]
     expected_global_fs: tuple[int, ...] | None = None
-    expected_f_pt: int | None = None
+    expected_f_pt: int | None = _ExpectedFPT()  # type: ignore[assignment]
 
 
 def _spec(
@@ -60,7 +78,8 @@ def _spec(
     """The design ``name``: ``senders`` maps each transmitting group type to
     the (block, cardinality) of its one transmitting unique set, or to None
     when all of them transmit.  ``fs`` are the expected factors of the types
-    in ``order``; without a closed form, F_PT is their count-weighted sum."""
+    in ``order``; without a closed form ``f_pt``, the expected F_PT is their
+    count-weighted sum, computed when read."""
     rules = {}
     for gtype, sender in senders.items():
         names = unique_set_names(gtype)
@@ -73,8 +92,6 @@ def _spec(
             raise LookupError(
                 f"no unique set with block={block}, cardinality={cardinality} in {gtype}"
             )
-    if f_pt is None:
-        f_pt = sum(f * type_count(g, v) for v, f in zip(order, fs))
     return DesignSpec(name, g.K, t, g.sizes, rules, order, fs, f_pt)
 
 

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from .combinat import binomial
 from .typevec import Grouping, MGroupStructure, TypeVector, enumerate_types
-from .typevec import make_grouping, mgroup_structure, per_user_count
+from .typevec import make_grouping, mgroup_structure
 
 # Marks "this subfile type is not involved in this row".  Distinct from an
 # explicit 0, which carries meaning (exclusion or wildcard, per policy).
@@ -311,6 +311,18 @@ def check_table_size(entries: int) -> None:
         )
 
 
+# the memory-check table: per block, the subsets of each type that hold a
+# fixed user of the block, count · |v ∩ block| / (β·ψ) from the counts in
+# hand, the identity typevec.per_user_count documents
+def _mc_rows(
+    g: Grouping, typed: Sequence[tuple[TypeVector, int]]
+) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(c * sum(v.blocks[bi]) // (beta * psi) for v, c in typed)
+        for bi, (beta, psi) in enumerate(g.blocks)
+    )
+
+
 def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
     """The layout of (g, t); a split-factor table above MAX_TABLE_ENTRIES is
     refused once the types are enumerated, before their structures and the
@@ -329,10 +341,7 @@ def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
         group_types=gtypes,
         structures=structures,
         col=col,
-        mc_rows=tuple(
-            tuple(per_user_count(g, v, bi) for v in vtypes)
-            for bi in range(1, len(g.blocks) + 1)
-        ),
+        mc_rows=_mc_rows(g, typed),
         involved_masks=tuple(
             sum(1 << col[v] for v in st.involved) for st in structures
         ),

@@ -11,9 +11,9 @@ bookkeeping polynomial instead of exponential.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import prod
 from typing import Iterable, Sequence
 
@@ -84,7 +84,7 @@ def make_grouping(K: int, sizes: Iterable[int]) -> Grouping:
     tup = tuple(sorted(sizes, reverse=True))
     if not tup:
         raise ValueError("grouping needs at least one group")
-    if any(s <= 0 for s in tup):
+    if tup[-1] <= 0:  # the smallest size
         raise ValueError(f"group sizes must be positive, got {tup}")
     if sum(tup) != K:
         raise ValueError(f"group sizes {tup} sum to {sum(tup)}, expected K={K}")
@@ -103,14 +103,14 @@ class TypeVector:
 
     def __post_init__(self) -> None:
         for blk in self.blocks:
-            if any(e < 0 for e in blk):
+            if blk and min(blk) < 0:
                 raise ValueError(f"negative entry in type vector {self.blocks}")
             if list(blk) != sorted(blk, reverse=True):
                 raise ValueError(f"block {blk} is not non-increasing")
 
     @property
     def flat(self) -> tuple[int, ...]:
-        return tuple(e for blk in self.blocks for e in blk)
+        return tuple(chain.from_iterable(self.blocks))
 
     def text(self) -> str:
         """Canonical text form, e.g. ``2|2,1|1,0,0`` (full padding kept)."""
@@ -159,7 +159,7 @@ def is_realizable(g: Grouping, v: TypeVector) -> bool:
     if len(v.blocks) != len(g.blocks):
         return False
     for blk, (beta, psi) in zip(v.blocks, g.blocks):
-        if len(blk) != psi or any(e > beta for e in blk):
+        if len(blk) != psi or blk[0] > beta:  # blocks are non-increasing
             return False
     return True
 
@@ -167,7 +167,7 @@ def is_realizable(g: Grouping, v: TypeVector) -> bool:
 def _block_arrangements(entries: Sequence[int], beta: int) -> int:
     # Distinct orderings of the profile across the block's groups, times the
     # number of ways to pick each intersection inside its group.
-    mult = Counter(entries)
+    mult = {e: entries.count(e) for e in set(entries)}
     return multinomial(list(mult.values())) * prod(
         binomial(beta, e) ** n for e, n in mult.items()
     )
@@ -187,6 +187,8 @@ def enumerate_types(g: Grouping, total: int) -> list[tuple[TypeVector, int]]:
 
     Every recursive branch yields a type: a block takes s users only if the
     later blocks can hold the rest, and its partitions are built per branch.
+    A type is realizable by construction, so it is counted as it is built,
+    one block's arrangements per branch.
     """
     if total < 0 or total > g.K:
         raise ValueError(f"total {total} out of range for K={g.K}")
@@ -196,24 +198,24 @@ def enumerate_types(g: Grouping, total: int) -> list[tuple[TypeVector, int]]:
         beta, psi = g.blocks[bi]
         room[bi] = room[bi + 1] + beta * psi
 
-    found: list[TypeVector] = []
+    found: dict[TypeVector, int] = {}
 
-    def rec(bi: int, remaining: int, prefix: list[tuple[int, ...]]) -> None:
+    def rec(bi: int, remaining: int, prefix: list[tuple[int, ...]], count: int) -> None:
         if bi == len(g.blocks):
-            found.append(TypeVector(blocks=tuple(prefix)))
+            found[TypeVector(blocks=tuple(prefix))] = count
             return
         beta, psi = g.blocks[bi]
         most = min(remaining, beta * psi)
         least = max(0, remaining - room[bi + 1])
         for s in range(most, least - 1, -1):
             for p in integer_partitions(s, max_parts=psi, max_part=beta):
-                prefix.append(p + (0,) * (psi - len(p)))
-                rec(bi + 1, remaining - s, prefix)
+                blk = p + (0,) * (psi - len(p))
+                prefix.append(blk)
+                rec(bi + 1, remaining - s, prefix, count * _block_arrangements(blk, beta))
                 prefix.pop()
 
-    rec(0, total, [])
-    ordered = canonical_type_order(found)
-    return [(v, type_count(g, v)) for v in ordered]
+    rec(0, total, [], 1)
+    return [(v, found[v]) for v in canonical_type_order(found)]
 
 
 @dataclass(frozen=True)

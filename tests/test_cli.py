@@ -681,6 +681,51 @@ def test_selector_refusals_name_the_missing_flags(argv, named, capsys):
     assert re.findall(r"--[A-Za-z]+", err) == named, err
 
 
+@pytest.mark.parametrize(
+    "argv,unread",
+    [
+        (["design", "--thm", "2", "--K", "4", "--t", "2", "--tbar", "7",
+          "--rules", "/no/such/file", "--variant", "fallback"],
+         ["--tbar", "--variant", "--rules"]),
+        (["design", "--special", "tbar3", "--K", "9", "--q", "5"], ["--q"]),
+        (["analyze", "--jcm", "--K", "4", "--t", "2", "--variant", "orderwise"],
+         ["--variant"]),
+        (["sweep", "--family", "thm1", "--tbar", "2", "--t", "4", "--K", "4..8"], ["--t"]),
+    ],
+)
+def test_selector_refuses_the_flags_it_does_not_read(argv, unread, capsys):
+    """A flag the selector does not read exits 4 with a message naming it,
+    not a silent run; --variant counts as given even at its default."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and " does not read " in err, err
+    assert re.findall(r"--[A-Za-z]+", err.split(" does not read ")[1]) == unread
+
+
+@pytest.mark.parametrize(
+    "selector,name",
+    [
+        (["--thm", "1", "--K", "8", "--tbar", "2", "--variant", "orderwise"],
+         "thm1-K8-tbar2-orderwise"),
+        (["--thm", "2", "--K", "4", "--t", "2"], "thm2-K4-t2"),
+        (["--thm", "3", "--m", "3", "--q", "3", "--t", "2"], "thm3-m3-q3-t2"),
+        (["--special", "lemma2", "--K", "6", "--q", "3"], "lemma2-K6-q3"),
+        (["--special", "tbar3", "--K", "9"], "tbar3-K9"),
+        (["--dpda", "t2", "--K", "4"], "dpda-t2-K4"),
+        (["--jcm", "--K", "4", "--t", "2"], "jcm-K4-t2"),
+        (["--grouping", "2,2", "--K", "4", "--t", "2", "--rules", "RULES"],
+         "custom-K4-t2"),
+    ],
+)
+def test_each_selector_accepts_the_flags_it_reads(selector, name, tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"2,1": [2]}))
+    argv = ["design"] + [str(rules) if a == "RULES" else a for a in selector]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["design"] == name
+
+
 @pytest.mark.parametrize("command", ["design", "analyze", "simulate"])
 @pytest.mark.parametrize(
     "text",
@@ -1027,8 +1072,8 @@ TABLE_ABOVE_CAP = ["analyze", "--thm", "3", "--m", "31", "--q", "31", "--t", "30
 
 class _RowBuilt(Exception):
     """Raised by a patched ``SchemeLayout.row``, ``mgroup_structure`` or
-    ``per_user_count``: a table row, a group type's structure or a row of
-    the memory-check table was built."""
+    ``_mc_rows``: a table row, a group type's structure or the memory-check
+    table was built."""
 
 
 def _refuse_row(*args):
@@ -1044,7 +1089,7 @@ def test_table_cap_refuses_before_any_row_is_built(capsys):
     start = time.perf_counter()
     with mock.patch.object(ptcache.fscalc.SchemeLayout, "row", _refuse_row), \
             mock.patch.object(ptcache.fscalc, "mgroup_structure", _refuse_row), \
-            mock.patch.object(ptcache.fscalc, "per_user_count", _refuse_row):
+            mock.patch.object(ptcache.fscalc, "_mc_rows", _refuse_row):
         code, out, err = run_cli(TABLE_ABOVE_CAP, capsys)
         assert time.perf_counter() - start < 20
         assert (code, out) == (EXIT_USAGE, "")

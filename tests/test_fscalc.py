@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ptcache.combinat import binomial
+from ptcache.combinat import binomial, integer_partitions
 from ptcache.fscalc import (
     STAR,
     NoLcmError,
@@ -16,10 +16,17 @@ from ptcache.fscalc import (
     jcm_baseline,
     local_fs,
     mc_check,
+    scheme_layout,
     subpacketization,
     vector_lcm,
 )
-from ptcache.typevec import TypeVector, make_grouping, mgroup_structure
+from ptcache.typevec import (
+    TypeVector,
+    make_grouping,
+    mgroup_structure,
+    per_user_count,
+    type_count,
+)
 
 
 # ---------------------------------------------------------------- local FS
@@ -281,6 +288,23 @@ def test_ratio_forest_matches_a_fraction_reference(ops):
 
 
 # ---------------------------------------------------------------- MC check
+
+
+@pytest.mark.parametrize("K", range(2, 9))
+def test_layout_counts_match_the_typevec_counts(K):
+    """The layout's type counts and memory-check table, built from the
+    counts the enumeration returns, equal type_count and per_user_count
+    entry by entry for every grouping and cache level."""
+    for sizes in integer_partitions(K):
+        g = make_grouping(K, sizes)
+        for t in range(1, K):
+            layout = scheme_layout(g, t)
+            vtypes = layout.subfile_types
+            assert layout.type_counts == tuple(type_count(g, v) for v in vtypes)
+            assert layout.mc_rows == tuple(
+                tuple(per_user_count(g, v, bi) for v in vtypes)
+                for bi in range(1, len(g.blocks) + 1)
+            )
 
 
 def test_mc_check_accepts_balanced():

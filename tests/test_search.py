@@ -9,9 +9,11 @@ reported reasons.
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+import ptcache.designs
 import ptcache.fscalc
 import ptcache.search
 from ptcache.combinat import integer_partitions
@@ -444,6 +446,28 @@ def test_thm1_sweep_builds_one_layout_per_k(t_bar, monkeypatch):
             )
         )
         assert row.f_pt == expected
+
+
+class _Counted(Exception):
+    """Raised by a patched ``designs.type_count``: a design weighed its
+    expected factors by the type counts."""
+
+
+def _refuse_count(*args):
+    raise _Counted(*args)
+
+
+@pytest.mark.parametrize("t_bar", [2, 4])
+def test_thm1_sweep_reads_no_design_expectation(t_bar):
+    """The sweep takes each K's least F_PT from the analysis, so the designs
+    it builds weigh no expectation: with type_count refused inside designs
+    the rows are unchanged, while reading expected_f_pt reaches it."""
+    plain = sweep_ratios("thm1", range(4, 41), t_bar=t_bar)
+    with mock.patch.object(ptcache.designs, "type_count", _refuse_count):
+        assert sweep_ratios("thm1", range(4, 41), t_bar=t_bar) == plain
+        ds = theorem1_design(4 * t_bar, t_bar)
+        with pytest.raises(_Counted):
+            ds.expected_f_pt
 
 
 def test_thm1_analysis_and_sweep_at_k2400():

@@ -91,10 +91,17 @@ def test_type_text_parse_roundtrip():
 
 
 def test_type_vector_validation():
-    with pytest.raises(ValueError):
-        TypeVector(((1, 2),))  # must be non-increasing per block
-    with pytest.raises(ValueError):
-        TypeVector(((2, -1),))
+    """Each refusal names its reason; a negative entry is reported first,
+    even in a block that also increases."""
+    cases = {
+        ((-1, 2),): "negative entry",
+        ((2, -1),): "negative entry",
+        ((1, 2),): "not non-increasing",
+        ((2, 2), (0, 1)): "not non-increasing",
+    }
+    for blocks, message in cases.items():
+        with pytest.raises(ValueError, match=message):
+            TypeVector(blocks)
 
 
 def test_enumerate_types_frozen_counts():
