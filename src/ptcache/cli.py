@@ -20,6 +20,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from . import engine
+from .combinat import partition_count
 from .designs import (
     DPDA_MODES,
     SPECIAL_KINDS,
@@ -36,16 +37,14 @@ from .fscalc import PlanError, analyze_rules, check_table_size
 from .fscalc import fs_table_json, jcm_baseline
 from .search import MAX_BUDGET, MAX_CANDIDATES, MAX_K, exhaustive_search
 from .search import sweep_ratios
-from .typevec import enumerate_types, make_grouping
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_DECODE = 3
 EXIT_USAGE = 4
 
-# largest K that analyze and sweep lay out: both enumerate types, not
-# subsets, so the plan-size cap does not bound them; checked before the
-# design or the K values are built
+# largest K of a design that design, analyze and simulate build, and of a
+# sweep; checked before the design or the K values are built
 LAYOUT_MAX_K = 1000
 # largest library a simulation draws, N * F_PT * --bytes-per-packet bytes
 # (256 MiB); checked before any file is drawn
@@ -182,32 +181,13 @@ def _check_reads(what: str, given: dict[str, object]) -> None:
         raise UsageError(f"{what} does not read {', '.join(unread)}")
 
 
-def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSpec:
-    """The design the selector arguments name.  With ``bounded``, a plan of
-    more than engine.MAX_SUBSETS subsets is refused before the design is
-    built, since building one takes time and memory that grow with K and t;
-    without it, K above LAYOUT_MAX_K is, and so is a split-factor table
-    above fscalc.MAX_TABLE_ENTRIES where the arguments fix the grouping."""
-    # groups = (m, q) names a grouping of m groups of q users
-    def sized(K: int, t: int | None, groups: tuple[int, int] | None = None) -> None:
-        if not bounded:
-            if K > LAYOUT_MAX_K:
-                raise UsageError(f"K={K} goes above the cap K={LAYOUT_MAX_K}")
-            # an invalid grouping or t is left to the family to report
-            if groups and min(groups) > 0 and t is not None and 0 <= t < K:
-                m, q = groups
-                g = make_grouping(K, (q,) * m)
-                check_table_size(len(enumerate_types(g, t)) * len(enumerate_types(g, t + 1)))
-            return
-        if t is not None:
-            engine.check_plan_size(K, t)
-        elif K > engine.MAX_SUBSETS:  # a special design: K fixes t
-            raise UsageError(
-                f"--K {K}: every cache level has at least K t-subsets; the cap "
-                f"is {engine.MAX_SUBSETS:,}"
-            )
-
-    K, t = args.K, args.t
+def _resolve_design(args: argparse.Namespace) -> DesignSpec:
+    """The design the selector arguments name.  K (m * q for --thm 3) above
+    LAYOUT_MAX_K is refused before any design is built, and so is a --thm 3
+    split-factor table above fscalc.MAX_TABLE_ENTRIES; the plan caps are
+    checked where plans are built, by engine.build_plan and by
+    cmd_simulate ahead of the library cap."""
+    K, t, m, q = args.K, args.t, args.m, args.q
     selector = (  # argparse admits exactly one
         f"--thm {args.thm}" if args.thm
         else f"--special {args.special}" if args.special
@@ -215,28 +195,29 @@ def _resolve_design(args: argparse.Namespace, bounded: bool = False) -> DesignSp
         else "--jcm" if args.jcm
         else "--grouping"
     )
-    _check_reads(selector, {"--K": K, "--t": t, "--tbar": args.t_bar, "--m": args.m,
-                            "--q": args.q, "--variant": args.variant,
+    _check_reads(selector, {"--K": K, "--t": t, "--tbar": args.t_bar, "--m": m,
+                            "--q": q, "--variant": args.variant,
                             "--rules": args.rules_path})
+    if args.thm == 3:
+        K = m * q
+    if K > LAYOUT_MAX_K:
+        raise UsageError(f"K={K} goes above the cap K={LAYOUT_MAX_K}")
     if args.thm == 1:
-        sized(K, K - args.t_bar)
         return theorem1_design(K, args.t_bar, args.variant or "orderwise")
     if args.thm == 2:
-        sized(K, t)
         return theorem2_design(K, t)
     if args.thm == 3:
-        sized(args.m * args.q, t, (args.m, args.q))
-        return theorem3_design(args.m, args.q, t)
+        # an invalid grouping or t is left to the family; a type of m groups
+        # of q users at total t is a partition of t in at most m parts <= q
+        if min(m, q) > 0 and 0 <= t < K:
+            check_table_size(partition_count(t, m, q) * partition_count(t + 1, m, q))
+        return theorem3_design(m, q, t)
     if args.special is not None:
-        sized(K, None)
-        return special_designs(args.special, K, q=args.q)
+        return special_designs(args.special, K, q=q)
     if args.dpda is not None:
-        sized(K, None)
         return dpda_specials(args.dpda.replace("-", "_"), K)
     if args.jcm:
-        sized(K, t)
         return jcm_design(K, t)
-    sized(K, t)
     with open(args.rules_path) as fh:
         try:
             data = json.load(fh)
@@ -279,7 +260,7 @@ def _emit(obj: object, out: str | None) -> None:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    ds = _resolve_design(args, bounded=True)
+    ds = _resolve_design(args)
     N, M = _memory_point(args, ds)
     plan = engine.build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
     f_jcm, _ = jcm_baseline(plan.K, plan.t)
@@ -358,7 +339,7 @@ def _demand_vectors(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    ds = _resolve_design(args, bounded=True)
+    ds = _resolve_design(args)
     N, M = _memory_point(args, ds)
     # every cap is checked before the packet map is walked or a file drawn
     engine.check_plan_size(ds.K, ds.t)

@@ -16,20 +16,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .combinat import binomial_exceeds, subsets
+from .combinat import binomial, binomial_exceeds, subsets
 from .fscalc import PlanError, RuleAnalysis, analyze_rules
 from .typevec import (
     Grouping, TypeVector, canonical_type_order, profile, type_of, unique_set_names
 )
 
 SCHEMA_VERSION = "1"
-# Most t-subsets a plan's packet map holds, and most groups of t + 1 users
-# its delivery schedule walks.  A simulation needs about 0.8 KB per group
-# for the schedule and the group records (0.1 GB at the cap), 1.8 KB more
-# once its transcript is read as messages, and a plan about 0.55 KB per
-# t-subset; thm2(14,6), with C(14, 7) = 3,432 groups, simulates and decodes
-# a demand in 0.07 s on a 2-vCPU x86-64 host.
+# Most t-subsets a plan's packet map holds and most groups of t + 1 users its
+# delivery schedule walks, and most users either lists, C(K, t) * t and
+# C(K, t + 1) * (t + 1).  A plan takes about 160 + 8t bytes per t-subset; a
+# simulation peaks at about 0.5 KB per group plus 50 bytes per listed user,
+# 0.3 GB at the caps, and its transcript read as messages takes 0.25 KB plus
+# 80 bytes per receiver a message.  thm2(14,6), with C(14, 7) = 3,432 groups,
+# simulates and decodes a demand in 0.07 s on a 2-vCPU x86-64 host.
 MAX_SUBSETS = 2**17
+MAX_LISTED = 2**21
 
 # (file index 1-based, subset as sorted tuple, packet index 1-based)
 PacketKey = tuple[int, tuple[int, ...], int]
@@ -77,13 +79,20 @@ class SchemePlan:
 def check_plan_size(K: int, t: int) -> None:
     """Refuse, with PlanError("size"), a plan whose packet map would hold
     more than MAX_SUBSETS t-subsets or whose delivery schedule would walk
-    more than MAX_SUBSETS groups of t + 1 users.  It takes a few dozen
-    multiplications at most, whatever K and t are."""
+    more than MAX_SUBSETS groups of t + 1 users, or either of which would
+    list more than MAX_LISTED users.  It takes a few dozen multiplications
+    at most, whatever K and t are."""
     for n, what in ((t, "t-subsets"), (t + 1, "groups")):
         if binomial_exceeds(K, n, MAX_SUBSETS):
             raise PlanError(
                 "size",
                 f"K={K}, t={t} has C({K}, {n}) {what}; the cap is {MAX_SUBSETS:,}",
+            )
+        if n > 0 and binomial_exceeds(K, n, MAX_LISTED // n):
+            raise PlanError(
+                "size",
+                f"K={K}, t={t} lists {n} users in each of C({K}, {n}) = "
+                f"{binomial(K, n):,} {what}; the cap is {MAX_LISTED:,} users",
             )
 
 

@@ -10,7 +10,7 @@ already realizes the same scheme.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -396,14 +396,10 @@ class SweepResult:
 
 def _least_f_pt(designs: Sequence[DesignSpec]) -> int:
     """The least F_PT over designs that share one (grouping, t): their
-    layout is built once and each distinct rule set is checked against it."""
+    layout is built once and each design's rules are checked against it."""
     first = designs[0]
     layout = scheme_layout(make_grouping(first.K, first.grouping_sizes), first.t)
-    distinct: list[Mapping[TypeVector, "frozenset[int] | None"]] = []
-    for ds in designs:
-        if ds.tx_rules not in distinct:
-            distinct.append(ds.tx_rules)
-    return min(analyze_layout(layout, rules).f_pt for rules in distinct)
+    return min(analyze_layout(layout, ds.tx_rules).f_pt for ds in designs)
 
 
 def sweep_ratios(
@@ -447,10 +443,9 @@ def sweep_ratios(
     for K in K_values:
         try:
             if family == "thm1":
-                designs = [
-                    theorem1_design(K, t_bar, variant)
-                    for variant in ("orderwise", "fallback")
-                ]
+                # at t_bar = 2 the two variants have the same rules
+                variants = ("orderwise", "fallback") if t_bar > 2 else ("orderwise",)
+                designs = [theorem1_design(K, t_bar, v) for v in variants]
                 bound = theorem1_bound(K, t_bar)
                 label = f"t_bar={t_bar}"
             elif family == "thm2":

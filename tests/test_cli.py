@@ -972,11 +972,16 @@ THM2_K14 = ["simulate", "--thm", "2", "--K", "14", "--t", "6", "--N", "7", "--M"
         (THM2_K14 + ["--demands", str(MAX_DEMANDS + 1)], "demand vectors"),
         (["design", "--thm", "2", "--K", "60", "--t", "10"], "C(60, 10) t-subsets"),
         (["design", "--jcm", "--K", "20", "--t", "8"], "C(20, 9) groups"),
+        (["design", "--jcm", "--K", "512", "--t", "510"],
+         "lists 510 users in each of C(512, 510) = 130,816 t-subsets"),
+        (["simulate", "--thm", "1", "--K", "256", "--tbar", "2"],
+         "lists 254 users in each of C(256, 254) = 32,640 t-subsets"),
     ],
 )
 def test_caps_are_checked_before_any_subset_is_walked(argv, names, capsys):
-    """The subset, library and demand caps take F_PT from the analysis and
-    refuse before the packet map or the schedule walks a single subset."""
+    """The subset and listing caps, and the library and demand caps, which
+    take F_PT from the analysis, refuse before the packet map or the
+    schedule walks a single subset."""
     with mock.patch.object(ptcache.engine, "subsets", _refuse_walk), \
             mock.patch.object(random.Random, "randbytes", _refuse_randbytes):
         code, out, err = run_cli(argv, capsys)
@@ -1003,9 +1008,15 @@ def test_simulate_analyzes_the_rules_once(monkeypatch, capsys):
 
 def test_subset_cap_is_inclusive(capsys):
     """At K=20 the cap of 2^17 = 131,072 admits t=7, with C(20, 8) = 125,970
-    groups, and refuses t=8, with C(20, 9) = 167,960."""
+    groups, and refuses t=8, with C(20, 9) = 167,960.  The cap of 2^21 =
+    2,097,152 listed users admits K=162 at t=160, whose t-subsets list
+    13,041 x 160 = 2,086,560, and refuses K=163 at t=161 (2,125,683)."""
     assert ptcache.engine.MAX_SUBSETS == 2**17
+    assert ptcache.engine.MAX_LISTED == 2**21
     with mock.patch.object(ptcache.engine, "subsets", _refuse_walk):
+        with pytest.raises(_Walked):
+            main(["design", "--jcm", "--K", "162", "--t", "160"])
+        assert main(["design", "--jcm", "--K", "163", "--t", "161"]) == EXIT_USAGE
         with pytest.raises(_Walked):
             main(["design", "--jcm", "--K", "20", "--t", "7"])
         with pytest.raises(_Walked):
@@ -1045,9 +1056,10 @@ def large_plan_argv(draw):
 @settings(max_examples=80, deadline=None)
 @given(argv=large_plan_argv())
 def test_large_plans_are_refused_before_the_work_starts(argv):
-    """Plans of any size keep the exit-code contract; a plan above the
-    subset cap is refused before its design is built or a subset walked, so
-    only plans within the cap ever reach the walk."""
+    """Plans of any size keep the exit-code contract.  K above 1,000 is
+    refused before the design is built; with K <= 1,000, a plan above the
+    subset or listing caps is refused after its design is built but before
+    any subset is walked, so only plans within the caps reach the walk."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(ptcache.engine, "subsets", _refuse_walk), \
             mock.patch.object(random.Random, "randbytes", _refuse_randbytes), \
@@ -1056,8 +1068,9 @@ def test_large_plans_are_refused_before_the_work_starts(argv):
             code = main(argv)
         except _Walked as walk:  # the packet map's walk, of C(K, t) t-subsets
             K, t = walk.args
-            assert math.comb(K, t) <= ptcache.engine.MAX_SUBSETS
-            assert math.comb(K, t + 1) <= ptcache.engine.MAX_SUBSETS
+            for n in (t, t + 1):  # the t-subsets, then the groups
+                assert math.comb(K, n) <= ptcache.engine.MAX_SUBSETS
+                assert math.comb(K, n) * n <= ptcache.engine.MAX_LISTED
             return
     assert code in (EXIT_INFEASIBLE, EXIT_USAGE)
     assert "Traceback" not in err.getvalue()
@@ -1120,6 +1133,55 @@ def test_refusals_come_before_the_design_is_analyzed(capsys):
             capsys,
         )
     assert (code, out, err) == (EXIT_USAGE, "", "error: --bytes-per-packet must be >= 1\n")
+
+
+@pytest.mark.parametrize("command", ["design", "analyze", "simulate"])
+def test_thm3_table_cap_counts_types_without_listing_them(command, capsys):
+    """10 groups of 100 users have about 6 million types of 99 users; the
+    --thm 3 pre-check counts them without listing a partition (listing
+    them ran for over a minute), and refuses before the rules are built."""
+    with mock.patch("ptcache.typevec.integer_partitions", _refuse_row), \
+            mock.patch("ptcache.cli.theorem3_design", _refuse_row):
+        code, out, err = run_cli(
+            [command, "--thm", "3", "--m", "10", "--q", "100", "--t", "99"], capsys
+        )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: the split-factor table would hold 36,837,855,478,781 entries; "
+        "the cap is 1,048,576\n"
+    )
+
+
+FAMILIES = ("theorem1_design", "theorem2_design", "theorem3_design",
+            "special_designs", "dpda_specials", "jcm_design")
+
+
+@pytest.mark.parametrize("command", ["design", "analyze", "simulate"])
+@pytest.mark.parametrize(
+    "selector,K",
+    [
+        (["--thm", "1", "--K", "1002", "--tbar", "2"], 1002),
+        (["--thm", "2", "--K", "1002", "--t", "2"], 1002),
+        (["--thm", "3", "--m", "7", "--q", "143", "--t", "2"], 1001),
+        (["--special", "tbar3", "--K", "1002"], 1002),
+        (["--special", "lemma2", "--K", "5000", "--q", "3"], 5000),
+        (["--dpda", "t2", "--K", "100000000"], 100000000),
+        (["--jcm", "--K", "100000", "--t", "99999"], 100000),
+        (["--grouping", "1001", "--K", "1001", "--t", "1", "--rules", "no-such.json"], 1001),
+    ],
+)
+def test_k_cap_refuses_before_any_design_is_built(command, selector, K, capsys):
+    """design, analyze and simulate refuse K (m * q for --thm 3) above
+    1,000 before any family constructor runs or a rules file is read; at
+    K = 1,000 the constructor runs."""
+    with contextlib.ExitStack() as stack:
+        for name in FAMILIES:
+            stack.enter_context(mock.patch(f"ptcache.cli.{name}", _refuse_row))
+        code, out, err = run_cli([command] + selector, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: K={K} goes above the cap K=1000\n"
+        with pytest.raises(_RowBuilt):
+            main([command, "--thm", "2", "--K", "1000", "--t", "2"])
 
 
 @pytest.mark.parametrize("argv", ANALYZE_ABOVE_CAP + [TABLE_ABOVE_CAP])

@@ -16,6 +16,7 @@ from ptcache.combinat import (
     binomial_exceeds,
     integer_partitions,
     multinomial,
+    partition_count,
     subsets,
 )
 
@@ -135,6 +136,20 @@ def test_partitions_constrained():
         integer_partitions(3, max_part=-1)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: multinomial([2, -1]), "multiplicities must be >= 0"),
+        (lambda: integer_partitions(-1), "n must be >= 0"),
+        (lambda: subsets(-1, 0), "ground and size must be >= 0"),
+        (lambda: subsets(3, -1), "ground and size must be >= 0"),
+    ],
+)
+def test_combinat_rejects_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_bounded_partitions_equal_filtered_unbounded():
     """The bounded enumeration keeps exactly the unbounded list's partitions
     that fit both bounds, in the same order (0 bounds included)."""
@@ -157,6 +172,13 @@ def test_partitions_take_one_frame_per_distinct_part():
     assert len(halves) == 501
     assert (halves[0], halves[-1]) == ((2,) * 500, (1,) * 1000)
 
+
+
+@given(st.integers(0, 30), st.integers(0, 12), st.integers(0, 12))
+def test_partition_count_counts_the_listed_partitions(n, max_parts, max_part):
+    assert partition_count(n, max_parts, max_part) == len(
+        integer_partitions(n, max_parts=max_parts, max_part=max_part)
+    )
 
 def test_subsets_are_lexicographic():
     got = list(subsets(4, 2))

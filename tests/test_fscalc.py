@@ -12,6 +12,7 @@ from ptcache.fscalc import (
     STAR,
     NoLcmError,
     RatioForest,
+    analyze_rules,
     fs_table_json,
     jcm_baseline,
     local_fs,
@@ -107,6 +108,21 @@ def test_vector_lcm_rejects_malformed_rows():
         vector_lcm([(STAR, STAR)])
     with pytest.raises(ValueError):
         vector_lcm([(1, 2)], zero_policy="sometimes")
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: vector_lcm([(1, "2")]), "entries must be STAR or ints >= 0"),
+        (lambda: vector_lcm([(1, -1)]), "entries must be STAR or ints >= 0"),
+        (lambda: analyze_rules(4, 0, (2, 2), {}), "need integer 1 <= t <= K-1"),
+        (lambda: analyze_rules(4, 4, (2, 2), {}), "need integer 1 <= t <= K-1"),
+        (lambda: analyze_rules(4, 2.0, (2, 2), {}), "need integer 1 <= t <= K-1"),
+    ],
+)
+def test_fscalc_rejects_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def consistent_rows(draw):

@@ -525,5 +525,19 @@ def test_sweep_unknown_family():
         sweep_ratios("thm3", [9], m=3)  # t missing
 
 
+@pytest.mark.parametrize(
+    "family,params,message",
+    [
+        ("thm1", {}, "thm1 sweep needs t_bar"),
+        ("thm1", {"t_bar": 3}, "needs an even t_bar >= 2"),
+        ("thm2", {"t": 1}, "needs t >= 2"),
+        ("thm3", {"m": 2, "t": 2}, "needs t >= 2 and m >= t[+]1 groups"),
+    ],
+)
+def test_sweep_rejects_bad_family_parameters(family, params, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_ratios(family, [8], **params)
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

@@ -58,6 +58,25 @@ def test_make_grouping_rejects_bad_sizes():
         make_grouping(3, ())
 
 
+G22 = make_grouping(4, (2, 2))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: type_of(G22, (0, 1)), r"subset \[0, 1\] not within users 1..4"),
+        (lambda: type_of(G22, (1, 5)), r"subset \[1, 5\] not within users 1..4"),
+        (lambda: enumerate_types(G22, -1), "total -1 out of range for K=4"),
+        (lambda: enumerate_types(G22, 5), "total 5 out of range for K=4"),
+        (lambda: per_user_count(G22, type_of(G22, (1, 3)), 0), "block index 0 out of range"),
+        (lambda: per_user_count(G22, type_of(G22, (1, 3)), 2), "block index 2 out of range"),
+    ],
+)
+def test_typevec_rejects_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_block_structure_merges_equal_sizes():
     g = make_grouping(8, (2, 2, 2, 2))
     assert g.blocks == ((2, 4),)
