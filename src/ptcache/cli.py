@@ -20,7 +20,6 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from . import engine
-from .combinat import partition_count
 from .designs import (
     DPDA_MODES,
     SPECIAL_KINDS,
@@ -33,7 +32,7 @@ from .designs import (
     theorem3_design,
 )
 from .engine import SCHEMA_VERSION
-from .fscalc import PlanError, analyze_rules, check_table_size
+from .fscalc import PlanError, analyze_rules
 from .fscalc import fs_table_json, jcm_baseline
 from .search import MAX_BUDGET, MAX_CANDIDATES, MAX_K, exhaustive_search
 from .search import sweep_ratios
@@ -182,11 +181,11 @@ def _check_reads(what: str, given: dict[str, object]) -> None:
 
 
 def _resolve_design(args: argparse.Namespace) -> DesignSpec:
-    """The design the selector arguments name.  K (m * q for --thm 3) above
-    LAYOUT_MAX_K is refused before any design is built, and so is a --thm 3
-    split-factor table above fscalc.MAX_TABLE_ENTRIES; the plan caps are
-    checked where plans are built, by engine.build_plan and by
-    cmd_simulate ahead of the library cap."""
+    """The design the selector arguments name.  K (m * q for a --thm 3
+    inside the family's window m, q > t) above LAYOUT_MAX_K is refused
+    before any design is built; input outside the window gets the family's
+    own message.  The plan caps are checked where plans are built, by
+    engine.build_plan."""
     K, t, m, q = args.K, args.t, args.m, args.q
     selector = (  # argparse admits exactly one
         f"--thm {args.thm}" if args.thm
@@ -199,7 +198,7 @@ def _resolve_design(args: argparse.Namespace) -> DesignSpec:
                             "--q": q, "--variant": args.variant,
                             "--rules": args.rules_path})
     if args.thm == 3:
-        K = m * q
+        K = m * q if min(m, q) > t else 0
     if K > LAYOUT_MAX_K:
         raise UsageError(f"K={K} goes above the cap K={LAYOUT_MAX_K}")
     if args.thm == 1:
@@ -207,10 +206,6 @@ def _resolve_design(args: argparse.Namespace) -> DesignSpec:
     if args.thm == 2:
         return theorem2_design(K, t)
     if args.thm == 3:
-        # an invalid grouping or t is left to the family; a type of m groups
-        # of q users at total t is a partition of t in at most m parts <= q
-        if min(m, q) > 0 and 0 <= t < K:
-            check_table_size(partition_count(t, m, q) * partition_count(t + 1, m, q))
         return theorem3_design(m, q, t)
     if args.special is not None:
         return special_designs(args.special, K, q=q)
@@ -341,23 +336,19 @@ def _demand_vectors(
 def cmd_simulate(args: argparse.Namespace) -> int:
     ds = _resolve_design(args)
     N, M = _memory_point(args, ds)
-    # every cap is checked before the packet map is walked or a file drawn
-    engine.check_plan_size(ds.K, ds.t)
     if args.bytes_per_packet < 1:
         raise UsageError("--bytes-per-packet must be >= 1")
-    analysis = analyze_rules(ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
-    library = N * analysis.f_pt * args.bytes_per_packet
+    # every cap is checked before the packet map is walked or a file drawn
+    plan = engine.build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
+    library = N * plan.f_pt * args.bytes_per_packet
     if library > MAX_LIBRARY_BYTES:
         raise UsageError(
-            f"--bytes-per-packet {args.bytes_per_packet}: {N} files of {analysis.f_pt} "
+            f"--bytes-per-packet {args.bytes_per_packet}: {N} files of {plan.f_pt} "
             f"packets would take {library:,} bytes; cap is {MAX_LIBRARY_BYTES:,}"
         )
     rng = random.Random(args.seed)
     # random demands are drawn lazily, after the files
     demands = _demand_vectors(args.demands, ds.K, N, rng)
-    plan = engine.build_plan(
-        ds.K, N, M, ds.grouping_sizes, ds.tx_rules, analysis=analysis
-    )
     files = tuple(
         rng.randbytes(plan.f_pt * args.bytes_per_packet) for _ in range(N)
     )

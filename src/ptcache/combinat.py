@@ -91,20 +91,6 @@ def integer_partitions(
     return out
 
 
-def partition_count(n: int, max_parts: int, max_part: int) -> int:
-    """len(integer_partitions(n, max_parts, max_part)) for n, bounds >= 0, in
-    O(n * b) steps: the x^n coefficient of the Gaussian binomial [a + b, b],
-    prod over i = 1..b of (1 - x^(a+i)) / (1 - x^i), b the smaller bound."""
-    a, b = max(max_parts, max_part), min(max_parts, max_part)
-    c = [1] + [0] * n
-    for i in range(1, b + 1):
-        for d in range(n, a + i - 1, -1):
-            c[d] -= c[d - a - i]
-        for d in range(i, n + 1):
-            c[d] += c[d - i]
-    return c[n]
-
-
 def subsets(ground: int, size: int) -> Iterator[tuple[int, ...]]:
     """Size-``size`` subsets of {1, ..., ground} in lexicographic order.
 

@@ -1,10 +1,10 @@
 """Scheme plans, placement, XOR delivery, decoding, and measurement.
 
 A plan is a scheme that :func:`ptcache.fscalc.analyze_rules` admits, with
-its packet map: each t-subset's packets within a file.  A plan simulates
-losslessly: every user reassembles its demanded file bit-exactly from its
-cache plus the broadcast, which the tests check on real byte strings rather
-than symbolically.
+its packet map, built on first read: each t-subset's packets within a file.
+A plan simulates losslessly: every user reassembles its demanded file
+bit-exactly from its cache plus the broadcast, which the tests check on real
+byte strings rather than symbolically.
 """
 
 from __future__ import annotations
@@ -50,8 +50,29 @@ class SchemePlan:
     t: int
     analysis: RuleAnalysis
     rate: Fraction
-    # subset -> (first packet offset within a file, packet count), in offset order
-    subset_map: Mapping[tuple[int, ...], tuple[int, int]]
+
+    @cached_property
+    def subset_map(self) -> Mapping[tuple[int, ...], tuple[int, int]]:
+        """Subset -> (first packet offset within a file, packet count), in
+        offset order: the packet map, built on first read (``design`` never
+        reads it)."""
+        a, g = self.analysis, self.grouping
+        # factor per profile: a subset's profile fixes its type
+        factors: dict[tuple[int, ...], int] = {}
+        subset_map: dict[tuple[int, ...], tuple[int, int]] = {}
+        offset = 0
+        for T in subsets(self.K, self.t):
+            key = profile(g, T)
+            alpha = factors.get(key)
+            if alpha is None:
+                alpha = factors[key] = a.factor_of(type_of(g, T))
+            if alpha == 0:
+                continue
+            subset_map[T] = (offset, alpha)
+            offset += alpha
+        if offset != a.f_pt:
+            raise IntegrityError(f"packet map holds {offset} packets, F_PT {a.f_pt}")
+        return subset_map
 
     @cached_property
     def own(self) -> Mapping[int, tuple[frozenset, int]]:
@@ -102,13 +123,9 @@ def build_plan(
     M: int,
     grouping_sizes: Iterable[int],
     tx_rules: Mapping[TypeVector, "Iterable[int] | None"],
-    *,
-    analysis: RuleAnalysis | None = None,
 ) -> SchemePlan:
-    """The plan of a scheme: its analysis and its packet map.  ``analysis``,
-    when the caller already has it, is ``analyze_rules`` of the same
-    arguments, and is used rather than run again.  The size cap is checked
-    before either is built."""
+    """The plan of a scheme: its analysis, with the size cap checked before
+    it is built.  The packet map is built when first read."""
     if N < 1 or M < 1 or M > N:
         raise PlanError("params", f"need 1 <= M <= N, got N={N}, M={M}")
     if (K * M) % N:
@@ -117,32 +134,13 @@ def build_plan(
         )
     t = K * M // N
     check_plan_size(K, t)
-    if analysis is None:
-        analysis = analyze_rules(K, t, grouping_sizes, tx_rules)
-    g = analysis.grouping
-    # factor per profile: a subset's profile fixes its type
-    factors: dict[tuple[int, ...], int] = {}
-    subset_map: dict[tuple[int, ...], tuple[int, int]] = {}
-    offset = 0
-    for T in subsets(K, t):
-        key = profile(g, T)
-        a = factors.get(key)
-        if a is None:
-            a = factors[key] = analysis.factor_of(type_of(g, T))
-        if a == 0:
-            continue
-        subset_map[T] = (offset, a)
-        offset += a
-    if offset != analysis.f_pt:
-        raise IntegrityError(f"packet map holds {offset} packets, F_PT {analysis.f_pt}")
     return SchemePlan(
         K=K,
         N=N,
         M=M,
         t=t,
-        analysis=analysis,
+        analysis=analyze_rules(K, t, grouping_sizes, tx_rules),
         rate=Fraction(K * (N - M), N * t),
-        subset_map=subset_map,
     )
 
 

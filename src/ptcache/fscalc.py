@@ -300,17 +300,6 @@ class SchemeLayout:
         return self.involved_masks[i], solo
 
 
-def check_table_size(entries: int) -> None:
-    """Refuse, with PlanError("size"), a split-factor table of more than
-    MAX_TABLE_ENTRIES entries, group types times subfile types."""
-    if entries > MAX_TABLE_ENTRIES:
-        raise PlanError(
-            "size",
-            f"the split-factor table would hold {entries:,} entries; the cap is "
-            f"{MAX_TABLE_ENTRIES:,}",
-        )
-
-
 # the memory-check table: per block, the subsets of each type that hold a
 # fixed user of the block, count · |v ∩ block| / (β·ψ) from the counts in
 # hand, the identity typevec.per_user_count documents
@@ -324,13 +313,19 @@ def _mc_rows(
 
 
 def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
-    """The layout of (g, t); a split-factor table above MAX_TABLE_ENTRIES is
-    refused once the types are enumerated, before their structures and the
-    memory-check table are built."""
+    """The layout of (g, t); a split-factor table above MAX_TABLE_ENTRIES
+    entries, group types times subfile types, is refused with
+    PlanError("size") once the types are enumerated, before their
+    structures and the memory-check table are built."""
     typed = enumerate_types(g, t)
     vtypes = tuple(v for v, _ in typed)
     gtypes = tuple(v for v, _ in enumerate_types(g, t + 1))
-    check_table_size(len(gtypes) * len(vtypes))
+    if (entries := len(gtypes) * len(vtypes)) > MAX_TABLE_ENTRIES:
+        raise PlanError(
+            "size",
+            f"the split-factor table would hold {entries:,} entries; the cap is "
+            f"{MAX_TABLE_ENTRIES:,}",
+        )
     col = {v: j for j, v in enumerate(vtypes)}
     structures = tuple(mgroup_structure(g, gt) for gt in gtypes)
     return SchemeLayout(

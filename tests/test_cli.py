@@ -5,6 +5,7 @@ JSON/CSV can be asserted directly; one subprocess test confirms the module
 entry point also works from a shell.
 """
 
+import ast
 import contextlib
 import csv
 import hashlib
@@ -24,6 +25,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ptcache.cli
 import ptcache.engine
 import ptcache.fscalc
 from ptcache.cli import (
@@ -35,7 +37,7 @@ from ptcache.cli import (
     MAX_LIBRARY_BYTES,
     main,
 )
-from ptcache.engine import VerifyResult
+from ptcache.engine import VerifyResult, build_plan
 
 
 def run_cli(argv, capsys):
@@ -1010,17 +1012,16 @@ def test_subset_cap_is_inclusive(capsys):
     """At K=20 the cap of 2^17 = 131,072 admits t=7, with C(20, 8) = 125,970
     groups, and refuses t=8, with C(20, 9) = 167,960.  The cap of 2^21 =
     2,097,152 listed users admits K=162 at t=160, whose t-subsets list
-    13,041 x 160 = 2,086,560, and refuses K=163 at t=161 (2,125,683)."""
+    13,041 x 160 = 2,086,560, and refuses K=163 at t=161 (2,125,683).
+    ``design`` walks no subset, so it reports every admitted plan."""
     assert ptcache.engine.MAX_SUBSETS == 2**17
     assert ptcache.engine.MAX_LISTED == 2**21
     with mock.patch.object(ptcache.engine, "subsets", _refuse_walk):
-        with pytest.raises(_Walked):
-            main(["design", "--jcm", "--K", "162", "--t", "160"])
+        assert main(["design", "--jcm", "--K", "162", "--t", "160"]) == EXIT_OK
         assert main(["design", "--jcm", "--K", "163", "--t", "161"]) == EXIT_USAGE
-        with pytest.raises(_Walked):
-            main(["design", "--jcm", "--K", "20", "--t", "7"])
-        with pytest.raises(_Walked):
-            main(["design", "--jcm", "--K", "20", "--t", "12"])  # C(20, 12) t-subsets
+        assert main(["design", "--jcm", "--K", "20", "--t", "7"]) == EXIT_OK
+        # C(20, 12) t-subsets
+        assert main(["design", "--jcm", "--K", "20", "--t", "12"]) == EXIT_OK
         assert main(["design", "--jcm", "--K", "20", "--t", "8"]) == EXIT_USAGE
         assert main(["design", "--jcm", "--K", "20", "--t", "11"]) == EXIT_USAGE
     capsys.readouterr()
@@ -1059,19 +1060,31 @@ def test_large_plans_are_refused_before_the_work_starts(argv):
     """Plans of any size keep the exit-code contract.  K above 1,000 is
     refused before the design is built; with K <= 1,000, a plan above the
     subset or listing caps is refused after its design is built but before
-    any subset is walked, so only plans within the caps reach the walk."""
+    any subset is walked, so only plans within the caps are built, and only
+    they reach a design report, the drawing of files or the packet map's
+    walk."""
     out, err = io.StringIO(), io.StringIO()
+    plans = []
+
+    def recording_build_plan(*args):
+        plans.append(build_plan(*args))
+        return plans[-1]
+
     with mock.patch.object(ptcache.engine, "subsets", _refuse_walk), \
             mock.patch.object(random.Random, "randbytes", _refuse_randbytes), \
+            mock.patch.object(ptcache.engine, "build_plan", recording_build_plan), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except _Walked as walk:  # the packet map's walk, of C(K, t) t-subsets
-            K, t = walk.args
-            for n in (t, t + 1):  # the t-subsets, then the groups
-                assert math.comb(K, n) <= ptcache.engine.MAX_SUBSETS
-                assert math.comb(K, n) * n <= ptcache.engine.MAX_LISTED
-            return
+        except (_Walked, _DrewFiles):
+            code = None
+    for plan in plans:
+        for n in (plan.t, plan.t + 1):  # the t-subsets, then the groups
+            assert math.comb(plan.K, n) <= ptcache.engine.MAX_SUBSETS
+            assert math.comb(plan.K, n) * n <= ptcache.engine.MAX_LISTED
+    if code in (None, EXIT_OK):
+        assert plans
+        return
     assert code in (EXIT_INFEASIBLE, EXIT_USAGE)
     assert "Traceback" not in err.getvalue()
     if code == EXIT_USAGE:
@@ -1117,17 +1130,8 @@ def test_table_cap_refuses_before_any_row_is_built(capsys):
 
 
 def test_refusals_come_before_the_design_is_analyzed(capsys):
-    """The table cap refuses thm3(31, 31, 30) before its 6,842 rules are
-    built, and a bad --bytes-per-packet is refused before the rules are
-    analyzed."""
-    with mock.patch("ptcache.cli.theorem3_design", _refuse_row), \
-            mock.patch("ptcache.cli.analyze_rules", _refuse_row):
-        code, out, err = run_cli(TABLE_ABOVE_CAP, capsys)
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == (
-            "error: the split-factor table would hold 38,342,568 entries; "
-            "the cap is 1,048,576\n"
-        )
+    """A bad --bytes-per-packet is refused before the rules are analyzed."""
+    with mock.patch("ptcache.engine.analyze_rules", _refuse_row):
         code, out, err = run_cli(
             ["simulate", "--thm", "2", "--K", "4", "--t", "2", "--bytes-per-packet", "0"],
             capsys,
@@ -1136,20 +1140,18 @@ def test_refusals_come_before_the_design_is_analyzed(capsys):
 
 
 @pytest.mark.parametrize("command", ["design", "analyze", "simulate"])
-def test_thm3_table_cap_counts_types_without_listing_them(command, capsys):
-    """10 groups of 100 users have about 6 million types of 99 users; the
-    --thm 3 pre-check counts them without listing a partition (listing
-    them ran for over a minute), and refuses before the rules are built."""
-    with mock.patch("ptcache.typevec.integer_partitions", _refuse_row), \
-            mock.patch("ptcache.cli.theorem3_design", _refuse_row):
+@pytest.mark.parametrize("m,q,t", [("10", "100", "99"), ("-1000", "-2", "2")])
+def test_thm3_outside_the_family_window_gets_the_family_message(command, m, q, t, capsys):
+    """--thm 3 outside the window m, q >= t + 1 reads the family's own
+    message before any type is listed: 10 groups of 100 users would have
+    about 6 million types of 99 users, and m * q = 2,000 for m = -1,000,
+    q = -2 is no K that the K cap should name."""
+    with mock.patch("ptcache.typevec.integer_partitions", _refuse_row):
         code, out, err = run_cli(
-            [command, "--thm", "3", "--m", "10", "--q", "100", "--t", "99"], capsys
+            [command, "--thm", "3", "--m", m, "--q", q, "--t", t], capsys
         )
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == (
-        "error: the split-factor table would hold 36,837,855,478,781 entries; "
-        "the cap is 1,048,576\n"
-    )
+    assert err == f"error: need m, q >= t+1, got m={m}, q={q}, t={t}\n"
 
 
 FAMILIES = ("theorem1_design", "theorem2_design", "theorem3_design",
@@ -1218,6 +1220,25 @@ def test_analyze_of_a_thousand_singletons_keeps_the_exit_code_contract(
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
     assert proc.stderr.startswith("error: transmitter rules must cover"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_keeps_no_copy_of_the_type_calculus():
+    """The CLI leaves types and their counts to the library: ``cli.py``
+    imports nothing from ``combinat`` or ``typevec``, by any spelling."""
+    with open(ptcache.cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any({"combinat", "typevec"} & set(t.split(".")) for t in targets):
+            found.append(node.lineno)
+    assert found == []
 
 
 def test_module_runs_as_subprocess():

@@ -16,7 +16,6 @@ from ptcache.combinat import (
     binomial_exceeds,
     integer_partitions,
     multinomial,
-    partition_count,
     subsets,
 )
 
@@ -172,13 +171,6 @@ def test_partitions_take_one_frame_per_distinct_part():
     assert len(halves) == 501
     assert (halves[0], halves[-1]) == ((2,) * 500, (1,) * 1000)
 
-
-
-@given(st.integers(0, 30), st.integers(0, 12), st.integers(0, 12))
-def test_partition_count_counts_the_listed_partitions(n, max_parts, max_part):
-    assert partition_count(n, max_parts, max_part) == len(
-        integer_partitions(n, max_parts=max_parts, max_part=max_part)
-    )
 
 def test_subsets_are_lexicographic():
     got = list(subsets(4, 2))

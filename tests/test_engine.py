@@ -44,7 +44,7 @@ from ptcache.engine import (
     transcript_jsonl,
 )
 from ptcache.fscalc import PlanError, analyze_rules
-from ptcache.jcm import run_jcm
+from ptcache.jcm import _xor, run_jcm
 from ptcache.typevec import TypeVector, type_of
 
 
@@ -767,6 +767,7 @@ def test_schedule_types_each_intersection_profile_once(monkeypatch):
     of a freshly built plan."""
     ds = special_designs("tbar3", 9)
     plan = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
+    plan.subset_map  # built on first read, typing the t-subsets' profiles
     files = make_files(3, 2 * plan.f_pt)
     g = plan.grouping
     profiles = {
@@ -833,10 +834,10 @@ def test_one_xor_pass_per_group(monkeypatch):
 
 
 def test_build_plan_types_each_subset_profile_once(monkeypatch):
-    """The packet map types one t-subset per profile (the number of members
-    in each user group), not every t-subset: tbar3(9) at t=6 has 84
-    subsets but 10 profiles, and every subset still gets its type's
-    factor."""
+    """``build_plan`` types no subset; the packet map, built on first read,
+    types one t-subset per profile (the number of members in each user
+    group), not every t-subset: tbar3(9) at t=6 has 84 subsets but 10
+    profiles, and every subset still gets its type's factor."""
     ds = special_designs("tbar3", 9)
     calls = []
 
@@ -846,6 +847,8 @@ def test_build_plan_types_each_subset_profile_once(monkeypatch):
 
     monkeypatch.setattr(ptcache.engine, "type_of", counting_type_of)
     plan = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
+    assert calls == [] and "subset_map" not in vars(plan)
+    plan.subset_map
     g = plan.grouping
     profiles = {
         tuple(sum(g.group_of[u] == b for u in T) for b in range(len(g.sizes)))
@@ -868,6 +871,52 @@ def test_per_user_sets_are_built_on_the_first_place():
     for k, (held, count) in plan.own.items():
         assert held == {T for T in plan.subset_map if k in T}
         assert count == sum(plan.subset_map[T][1] for T in held)
+
+
+def test_inconsistent_plan_raises_on_its_first_packet_map_read():
+    """A plan whose F_PT disagrees with its types' factors raises
+    IntegrityError when its packet map is first read."""
+    ds = theorem2_design(8, 4)
+    plan = build_plan(ds.K, 2, 1, ds.grouping_sizes, ds.tx_rules)
+    a = plan.analysis
+    bad = dataclasses.replace(plan, analysis=dataclasses.replace(a, f_pt=a.f_pt + 1))
+    with pytest.raises(IntegrityError, match=rf"^packet map holds {a.f_pt} packets, "
+                       rf"F_PT {a.f_pt + 1}$"):
+        bad.subset_map
+    assert len(plan.subset_map) > 0
+
+
+def test_sending_group_type_marked_skip_is_an_integrity_error():
+    """A group type the analysis let send, whose rule was then tampered to
+    a skip, stops the schedule compile."""
+    ds = theorem2_design(4, 2)
+    plan = build_plan(ds.K, 2, 1, ds.grouping_sizes, ds.tx_rules)
+    a = plan.analysis
+    (sending,) = [gt for gt, sel in a.tx_rules.items() if sel is not None]
+    bad = dataclasses.replace(
+        plan, analysis=dataclasses.replace(a, tx_rules={**a.tx_rules, sending: None})
+    )
+    with pytest.raises(IntegrityError, match="sends but is marked skip"):
+        simulate(bad, make_files(2, plan.f_pt), (1, 2, 2, 1))
+
+
+def test_reference_rejects_bad_parameters():
+    """``run_jcm`` refuses a fractional or out-of-range cache level, a bad
+    demand vector and files of no whole number of packets; its XOR refuses
+    chunks of unequal length."""
+    files = make_files(4, 12)  # jcm(4, 2) has 2 * C(4, 2) = 12 packets
+    for K, N, M, demand, message in [
+        (4, 3, 2, (1, 2, 3, 1), r"K\*M/N = 4\*2/3 is not an integer"),
+        (4, 4, 4, (1, 2, 3, 4), "need 1 <= t <= K-1, got t=4"),
+        (4, 4, 2, (1, 2, 3), "bad demand vector"),
+        (4, 4, 2, (1, 2, 3, 5), "bad demand vector"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            run_jcm(K, N, M, files, demand)
+    with pytest.raises(ValueError, match="file length 13 not a multiple of 12"):
+        run_jcm(4, 4, 2, make_files(4, 13), (1, 2, 3, 4))
+    with pytest.raises(IntegrityError, match="XOR of 2 and 1 bytes"):
+        _xor(b"ab", b"a")
 
 
 def test_schedule_transmitters_match_concrete_unique_sets():

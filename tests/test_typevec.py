@@ -256,6 +256,18 @@ def test_unrealizable_group_type_rejected():
         mgroup_structure(g, TypeVector(((3, 0),)))
 
 
+def test_unrealizable_type_is_not_counted():
+    """A type with the wrong number of blocks, a block of the wrong width
+    or an entry above its group size is not realizable, and ``type_count``
+    refuses it."""
+    g = make_grouping(4, (2, 2))  # one block of two groups of two
+    assert is_realizable(g, TypeVector(((2, 1),)))
+    for v in (TypeVector(((2, 1), (0,))), TypeVector(((2,),)), TypeVector(((3, 0),))):
+        assert not is_realizable(g, v)
+        with pytest.raises(ValueError, match="is not realizable"):
+            type_count(g, v)
+
+
 @settings(max_examples=60, deadline=None)
 @given(grouping_with_t(max_K=8), st.randoms(use_true_random=False))
 def test_structure_is_representative_independent(params, rnd):
