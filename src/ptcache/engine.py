@@ -11,25 +11,30 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, cycle, product
+from operator import attrgetter, getitem, itemgetter
 
 from .combinat import binomial, binomial_exceeds, subsets
 from .fscalc import PlanError, RuleAnalysis, analyze_rules
 from .typevec import (
-    Grouping, TypeVector, canonical_type_order, profile, type_of, unique_set_names
+    Grouping, TypeVector, canonical_type_order, type_of, unique_set_names
 )
 
 SCHEMA_VERSION = "1"
 # Most t-subsets a plan's packet map holds and most groups of t + 1 users its
 # delivery schedule walks, and most users either lists, C(K, t) * t and
 # C(K, t + 1) * (t + 1).  A plan takes about 160 + 8t bytes per t-subset; a
-# simulation peaks at about 0.5 KB per group plus 50 bytes per listed user,
-# 0.3 GB at the caps, and its transcript read as messages takes 0.25 KB plus
+# simulation peaks at about 90 bytes per user its groups list, 0.2 GB at the
+# caps, plus about five times its broadcast, which a demand's gathers hold at
+# once as bytes and ints; its transcript read as messages takes 0.25 KB plus
 # 80 bytes per receiver a message.  thm2(14,6), with C(14, 7) = 3,432 groups,
-# simulates and decodes a demand in 0.07 s on a 2-vCPU x86-64 host.
+# simulates and decodes a demand in 0.05 s on a 2-vCPU x86-64 host.
 MAX_SUBSETS = 2**17
 MAX_LISTED = 2**21
 
@@ -57,12 +62,14 @@ class SchemePlan:
         offset order: the packet map, built on first read (``design`` never
         reads it)."""
         a, g = self.analysis, self.grouping
-        # factor per profile: a subset's profile fixes its type
+        # factor per profile: a subset's profile, the number of its members in
+        # each user group, fixes its type; the user group of each member, in
+        # order, is that profile in another form, quicker to build
         factors: dict[tuple[int, ...], int] = {}
         subset_map: dict[tuple[int, ...], tuple[int, int]] = {}
         offset = 0
         for T in subsets(self.K, self.t):
-            key = profile(g, T)
+            key = tuple(map(g.group_of.__getitem__, T))
             alpha = factors.get(key)
             if alpha is None:
                 alpha = factors[key] = a.factor_of(type_of(g, T))
@@ -153,92 +160,137 @@ class Message:
     payload: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class GroupSchedule:
-    """The demand-independent delivery in one multicast group S: its
-    further-splitting factor, its transmitters in canonical order, and each
-    member whose desired subset, S minus it, holds packets, with its span."""
-
-    z: int
-    transmitters: tuple[int, ...]
-    receivers: tuple[int, ...]
-    spans: tuple[tuple, ...]  # (subset, first packet, packet count)
-
-    def payloads(
-        self, senders: Sequence[int], wanted: Sequence[bytes], B: int
-    ) -> tuple[int, list[int]]:
-        """The payloads of the messages ``senders`` send in turn, z * ``B``
-        bytes each, concatenated as one int, and the number of chunks of z
-        packets each receiver got.  Receiver k adds one slice of
-        ``wanted[k - 1]``, with a zero chunk wherever k is the sender."""
-        z = self.z
-        size = z * B
-        n = len(senders)
-        acc, chunks = 0, []
-        for k, (T, base, alpha) in zip(self.receivers, self.spans):
-            c = n - senders.count(k)
-            if c * z > alpha:
-                raise IntegrityError(
-                    f"delivery counter overran subfile {T} ({alpha} packets)"
-                )
-            chunks.append(c)
-            v = int.from_bytes(wanted[k - 1][base * B : base * B + c * size], "big")
-            for at in range(n - 1, -1, -1) if c < n else ():
-                if senders[at] == k:  # the chunks after ``at`` are placed
-                    low = 8 * size * (n - 1 - at)
-                    v = ((v >> low) << (low + 8 * size)) | (v & ((1 << low) - 1))
-            acc ^= v
-        return acc, chunks
+# The demand-independent delivery in one multicast group S: its further-
+# splitting factor, its transmitters in canonical order, and each member whose
+# desired subset, S minus it, holds packets, with its span (subset, first
+# packet, packet count).  A named tuple, which is quicker to define than a
+# dataclass: the package defines it on every import.
+GroupSchedule = namedtuple("GroupSchedule", "z transmitters receivers spans")
 
 
-def _compile_schedule(plan: SchemePlan) -> dict[tuple[int, ...], GroupSchedule]:
-    """Everything delivery does that the demand does not change: the groups
-    that send, in canonical order.  A group's type and transmitting unique
-    sets depend only on its intersection size with each user group, so
-    they are worked out once per such profile, not once per group: a user
-    group transmits when its block and intersection size name a selected
-    unique set."""
-    g = plan.grouping
-    a = plan.analysis
+class Schedule(Mapping[tuple[int, ...], GroupSchedule]):
+    """The groups that send: ``order``, (group, transmitters) in canonical
+    order, and ``z``, their split factors.  A group's ``GroupSchedule`` is
+    built when read."""
+
+    def __init__(self, order, z, span_of, bit):
+        # span_of: a subset's bit mask, the sum of bit[u] over its users u, ->
+        # its span, one tuple per subset, whose subset is the packet map's key
+        self.order, self.z, self.span_of, self.bit = order, z, span_of, bit
+        self.compiled = ()  # the last send order, its B, slices and counts
+
+    @cached_property
+    def transmitters(self):
+        return dict(self.order)
+
+    def __getitem__(self, S):
+        mask, spans = sum(map(self.bit.__getitem__, S)), {}
+        for k in S:
+            if span := self.span_of.get(mask ^ self.bit[k]):
+                spans[k] = span
+        return GroupSchedule(
+            self.z[S], self.transmitters[S], tuple(spans), tuple(spans.values())
+        )
+
+    def __iter__(self):
+        return iter(self.z)
+
+    def __len__(self):
+        return len(self.z)
+
+    def broadcast(self, order, files, demand, B):
+        """The broadcast sent in ``order``, one (group, senders) per sending
+        group, and the packets each user decodes from it."""
+        # Message i of group S carries, for each receiver k but its sender,
+        # the next z packets of k's subset S minus k.  XOR is linear, so the
+        # broadcast is the XOR of K shares, k's being slices of its demanded
+        # file with a zero run wherever k adds nothing.  Per user, the
+        # (start, stop) pairs of those slices, alternately of a zero run and
+        # of the file, are compiled once per send order; a demand then costs
+        # K gathers, K int.from_bytes and K - 1 XORs.
+        if self.compiled[:2] != (order, B):
+            bit = self.bit
+            # an empty zero run and file slice first, for a run at 0 to extend
+            cuts = [array("q", (0, 0, 0, 0)) for _ in bit]
+            end = [0] * len(bit)  # per user, where its last file slice ends
+            decoded = [0] * len(bit)  # per user, the packets it decodes
+            pos = 0
+            for S, senders in order:
+                if (z := self.z.get(S)) is None:
+                    raise IntegrityError(
+                        f"message for group {S}, which the plan never serves"
+                    )
+                size, n = z * B, len(senders)
+                mask = sum(map(bit.__getitem__, S))
+                whole = ((pos, n * size),)
+                for k in S:
+                    if (span := self.span_of.get(mask ^ bit[k])) is None:
+                        continue
+                    # one run, or a zero chunk where k sends
+                    runs = whole if k not in senders else [
+                        (pos + i * size, size) for i, tx in enumerate(senders) if tx != k
+                    ]
+                    T, base, alpha = span
+                    if (c := z * (n - senders.count(k))) > alpha:
+                        raise IntegrityError(
+                            f"delivery counter overran subfile {T} ({alpha} packets)"
+                        )
+                    decoded[k] += c
+                    cut, a = cuts[k], base * B
+                    for at, length in runs:
+                        if at == end[k] and cut[-1] == a:  # runs on
+                            cut[-1] = a + length
+                        else:
+                            cut.extend((0, at - end[k], a, a + length))
+                        a += length
+                        end[k] = at + length
+                pos += n * size
+            self.compiled = (order, B, cuts, decoded, pos)
+        _, _, cuts, decoded, total = self.compiled
+        # little-endian, so a share need not run on in zeros to the end
+        zeros, acc = bytes(total), 0
+        for k, n in enumerate(demand, 1):
+            parts = map(slice, cuts[k][::2], cuts[k][1::2])
+            acc ^= int.from_bytes(
+                b"".join(map(getitem, cycle((zeros, files[n - 1])), parts)), "little"
+            )
+        return acc.to_bytes(total, "little"), decoded
+
+
+# Everything delivery does that the demand does not change: the groups that
+# send, in canonical order.  A group's type and transmitters depend only on
+# its members' user groups, so they are worked out once per such tuple, not
+# once per group: a user group transmits when its block and intersection size
+# name a selected unique set.
+def _compile_schedule(plan: SchemePlan) -> Schedule:
+    g, a = plan.grouping, plan.analysis
     bit = [1 << u for u in range(plan.K + 1)]
-    # subset mask -> its span (subset, first packet, packet count), one tuple
-    # shared by every group; the subset is the packet map's own key, which
-    # the caches hold too, so set lookups of it compare by identity
-    span_of = {
-        sum(map(bit.__getitem__, T)): (T, *span) for T, span in plan.subset_map.items()
-    }
-    # profile -> (z, user groups that transmit), None when skipped
-    profiles: dict[tuple[int, ...], tuple[int, frozenset[int]] | None] = {}
-    groups: dict[tuple[int, ...], GroupSchedule] = {}
+    span_of = {}
+    for T, span in plan.subset_map.items():
+        span_of[sum(map(bit.__getitem__, T))] = (T, *span)
+    # members' user groups -> (z, transmitters' places in S), None when skipped
+    rules: dict[tuple[int, ...], tuple[int, tuple[int, ...]] | None] = {}
+    order, z_of = [], {}
     for S in subsets(plan.K, plan.t + 1):
-        key = profile(g, S)
-        if key not in profiles:
+        ids = tuple(map(g.group_of.__getitem__, S))
+        if ids not in rules:
             gtype = type_of(g, S)
             sel = a.tx_rules[gtype]
             if gtype in a.skipped_group_types:
-                profiles[key] = None
+                rules[ids] = None
             elif sel is None:
                 raise IntegrityError(f"group type {gtype} sends but is marked skip")
             else:
                 names = unique_set_names(gtype)
                 named = {names[i - 1] for i in sel}
-                pairs = zip(g.block_of_group, key)  # (block, intersection) per group
-                tx = frozenset(gi for gi, p in enumerate(pairs) if p in named)
-                profiles[key] = (a.z_of[gtype], tx)
-        sending = profiles[key]
-        if sending is None:
-            continue
-        z, tx_groups = sending
-        mask = sum(map(bit.__getitem__, S))
-        receivers, spans = [], []
-        for k in S:
-            span = span_of.get(mask ^ bit[k])
-            if span is not None:
-                receivers.append(k)
-                spans.append(span)
-        tx = tuple(u for u in S if g.group_of[u] in tx_groups)
-        groups[S] = GroupSchedule(z, tx, tuple(receivers), tuple(spans))
-    return groups
+                rules[ids] = a.z_of[gtype], tuple(
+                    i for i, gi in enumerate(ids)
+                    if (g.block_of_group[gi], ids.count(gi)) in named
+                )
+        if rule := rules[ids]:
+            z_of[S] = rule[0]
+            order.append((S, tuple(map(S.__getitem__, rule[1]))))
+    return Schedule(tuple(order), z_of, span_of, bit)
 
 
 @dataclass(eq=False, repr=False)  # compare as a Mapping; never print the files
@@ -275,37 +327,41 @@ class CacheView(Mapping[PacketKey, bytes]):
         return len(self.files) * sum(self.subset_map[T][1] for T in self.held)
 
 
-# (group S, its senders in send order, their payloads as one bytes)
-GroupRecord = tuple[tuple[int, ...], tuple[int, ...], bytes]
-
-
 class Transcript(Sequence[Message]):
-    """What ``deliver`` stores and returns: the group records, and their
-    messages in send order, built each time they are read (take a list to
-    read them more than once); the length is read off the records."""
+    """What ``deliver`` stores and returns: the send order, one (group,
+    senders) per sending group, and the broadcast as one byte string.  Its
+    messages are built when read (take a list to read them more than once)."""
 
-    def __init__(self, records: Sequence[GroupRecord], schedule: Mapping) -> None:
-        self.records, self.schedule = records, schedule
+    def __init__(self, order, broadcast, schedule, B):
+        self.order, self.broadcast, self.schedule, self.B = order, broadcast, schedule, B
 
     def __len__(self) -> int:
-        return sum(len(senders) for _, senders, _ in self.records)
+        return sum(map(len, map(itemgetter(1), self.order)))
 
     def __getitem__(self, i):
-        return list(self)[i]
+        if isinstance(i, slice):
+            return list(self)[i]
+        return next(self._messages(range(len(self))[i]))  # list semantics
 
-    def __iter__(self) -> Iterator[Message]:
-        for S, senders, payload in self.records:
-            gs = self.schedule[S]
-            size = len(payload) // len(senders)
-            counters = [0] * len(gs.receivers)
-            for i, tx in enumerate(senders):
-                terms = []
-                for j, (k, (T, _, _)) in enumerate(zip(gs.receivers, gs.spans)):
-                    if k != tx:
-                        terms.append((k, T, counters[j]))
-                        counters[j] += 1
-                rx = tuple(u for u in S if u != tx)
-                yield Message(tx, S, rx, tuple(terms), payload[i * size : (i + 1) * size])
+    def _messages(self, i=0):  # from message i on, building none before it
+        at = 0
+        for S, senders in self.order:
+            n, size = len(senders), self.schedule.z[S] * self.B
+            gs = self.schedule[S] if i < n else None
+            for j in range(i, n):
+                tx = senders[j]
+                # a receiver's counter: the messages before j that it received
+                terms = tuple(
+                    (k, T, j - senders[:j].count(k))
+                    for k, (T, _, _) in zip(gs.receivers, gs.spans)
+                    if k != tx
+                )
+                payload = self.broadcast[at + j * size : at + (j + 1) * size]
+                yield Message(tx, S, tuple(filter(tx.__ne__, S)), terms, payload)
+            i = max(i - n, 0)
+            at += n * size
+
+    __iter__ = _messages
 
 
 @dataclass
@@ -314,9 +370,9 @@ class Session:
     files: tuple[bytes, ...]
     demand: tuple[int, ...]
     bytes_per_packet: int
-    schedule: Mapping[tuple[int, ...], GroupSchedule]  # sending groups, in order
+    schedule: Schedule  # sending groups, in order
     caches: dict[int, CacheView] = field(default_factory=dict)
-    transcript: Sequence[Message] = field(default_factory=list)  # see _records
+    transcript: Sequence[Message] = field(default_factory=list)
 
 
 @dataclass
@@ -339,7 +395,7 @@ def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
     holds the subsets T with k in T, ``plan.own[k]``; nothing is copied."""
     if len(files) != plan.N:
         raise ValueError(f"expected {plan.N} files, got {len(files)}")
-    sizes = {len(f) for f in files}
+    sizes = set(map(len, files))
     if len(sizes) != 1:
         raise ValueError("files must share one length")
     (L,) = sizes
@@ -348,7 +404,7 @@ def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
             f"file length {L} bytes is not a whole number of packets "
             f"(subpacketization {plan.f_pt}); pad files to a multiple"
         )
-    files_t = tuple(bytes(f) for f in files)
+    files_t = tuple(map(bytes, files))
     for T, (base, alpha) in plan.subset_map.items():
         if base < 0 or base + alpha > plan.f_pt:
             raise IntegrityError(
@@ -370,45 +426,38 @@ def _census(session: Session) -> dict[int, tuple]:
     for k, cache in session.caches.items():
         mine, count = own[k]
         lacking, foreign = mine - cache.held, cache.held - mine
-        count += sum(spans[T][1] for T in foreign) - sum(spans[T][1] for T in lacking)
+        for T in foreign:
+            count += spans[T][1]
+        for T in lacking:
+            count -= spans[T][1]
         census[k] = (lacking, foreign, count)
     return census
 
 
-def _records(session: Session) -> Sequence[GroupRecord]:
-    """The transcript as group records: a ``Transcript``'s own, or one per
-    message of any other ``Message`` sequence."""
-    if isinstance(session.transcript, Transcript):
-        return session.transcript.records
-    return [(m.group, (m.tx,), m.payload) for m in session.transcript]
-
-
 def deliver(session: Session, order_seed: int | None = None) -> Transcript:
-    """Generate the broadcast as one record per sending group into
-    ``session.transcript``, and return it.  Every transmitter sends: the
-    rate stage admits no group type in which one has no receiver.
-    ``order_seed`` shuffles group and transmitter order (decoding is
-    order-independent); None keeps the canonical ascending order."""
-    groups = list(session.schedule.items())
-    B = session.bytes_per_packet
-    wanted = [session.files[n - 1] for n in session.demand]  # user k's at k-1
+    """Generate the broadcast into ``session.transcript``, and return it.
+    Every transmitter sends: the rate stage admits no group type in which
+    one has no receiver.  ``order_seed`` shuffles group and transmitter
+    order (decoding is order-independent); None keeps the canonical
+    ascending order."""
+    schedule = session.schedule
+    order = schedule.order
+    if order_seed is not None:
+        rng = random.Random(order_seed)
+        rng.shuffle(order := list(order))
+        for i, (S, txs) in enumerate(order):
+            rng.shuffle(txs := list(txs))
+            order[i] = (S, tuple(txs))
+        order = tuple(order)  # the compiled slices are kept for this order
     census = _census(session)
-    records: list[GroupRecord] = []
-    rng = random.Random(order_seed) if order_seed is not None else None
-    if rng:
-        rng.shuffle(groups)
-    for S, gs in groups:
-        txs = list(gs.transmitters)
-        if rng:
-            rng.shuffle(txs)
-        sent = gs.payloads(txs, wanted, B)[0].to_bytes(len(txs) * gs.z * B, "big")
-        for tx in txs:
-            if lacking := census[tx][0]:
-                for k, (T, _, _) in zip(gs.receivers, gs.spans):
-                    if k != tx and T in lacking:
-                        raise IntegrityError(f"transmitter {tx} does not cache subfile {T}")
-        records.append((S, tuple(txs), sent))
-    session.transcript = transcript = Transcript(records, session.schedule)
+    for S, txs in order if any(map(itemgetter(0), census.values())) else ():
+        gs = schedule[S]
+        for tx, (k, (T, _, _)) in product(txs, zip(gs.receivers, gs.spans)):
+            if k != tx and T in census[tx][0]:
+                raise IntegrityError(f"transmitter {tx} does not cache subfile {T}")
+    B = session.bytes_per_packet
+    sent, _ = schedule.broadcast(order, session.files, session.demand, B)
+    session.transcript = transcript = Transcript(order, sent, schedule, B)
     return transcript
 
 
@@ -418,7 +467,7 @@ def simulate(
     demand: Sequence[int],
     order_seed: int | None = None,
 ) -> Session:
-    demand_t = tuple(int(d) for d in demand)
+    demand_t = tuple(map(int, demand))
     if len(demand_t) != plan.K or any(not 1 <= d <= plan.N for d in demand_t):
         raise ValueError(f"demand must list {plan.K} file indices in 1..{plan.N}")
     caches = place(plan, files)
@@ -431,67 +480,66 @@ def simulate(
 def decode_and_verify(session: Session) -> VerifyResult:
     """Replay the transcript at every user and check bit-exact recovery.
 
-    Counters depend only on the messages of the same group before, so the
-    transcript is replayed group by group, in transcript order within each.
-    Receiver k recovers the payload XOR the other terms, its demanded
-    packets exactly when the payload is the XOR of all terms: so comparing a
-    group's payloads with ``GroupSchedule.payloads`` checks every receiver,
-    and wrong messages are sought only when that fails.  Only users whose
-    cache breaks the placement rule have side information checked per
-    message.  Recovered packets are counted, and listed only for a user
-    that falls short.
+    Counters depend only on the messages of the same group before, so a
+    ``Message`` list is regrouped, group by group, in transcript order
+    within each; a ``Transcript`` already is.  Receiver k recovers the
+    payload XOR the other terms, its demanded packets exactly when the
+    payload is the XOR of all terms: so one comparison of the whole
+    broadcast with the schedule's, for the order received, checks every
+    receiver, and wrong messages are sought only when that fails.  Only
+    users whose cache breaks the placement rule have side information
+    checked per message.  Recovered packets are counted, and listed only
+    for a user that falls short.
     """
-    plan = session.plan
-    demand = session.demand
+    plan, demand, schedule = session.plan, session.demand, session.schedule
     B = session.bytes_per_packet
-    wanted = [session.files[n - 1] for n in demand]  # user k's at k-1
-    wrong: set[int] = set()  # users that recovered some packet incorrectly
     census = _census(session)
     deviant = {k for k, (lacking, foreign, _) in census.items() if lacking or foreign}
-    by_group: dict[tuple[int, ...], list[GroupRecord]] = {}
-    for rec in _records(session):
-        if rec[0] not in session.schedule:
-            raise IntegrityError(
-                f"message for group {rec[0]}, which the plan never serves"
-            )
-        by_group.setdefault(rec[0], []).append(rec)
-
-    decoded = [0] * (plan.K + 1)  # per user k, the packets it recovered
-    for S, recs in by_group.items():
-        gs = session.schedule[S]
-        size = gs.z * B
-        senders: list[int] = []
-        for _, txs, payload in recs:
-            if len(payload) != len(txs) * size:
+    if isinstance(tr := session.transcript, Transcript):
+        order, sent = tr.order, tr.broadcast
+    else:
+        txs: dict[tuple[int, ...], list[int]] = {}  # per group, in first-seen order
+        payloads: dict[tuple[int, ...], list[bytes]] = {}
+        for m in tr:
+            if (z := schedule.z.get(m.group)) and len(m.payload) != z * B:
                 raise IntegrityError(
-                    f"message of {len(payload)} bytes in a group sending {size}"
+                    f"message of {len(m.payload)} bytes in a group sending {z * B}"
                 )
-            senders += txs
-        for tx in senders if deviant else ():
-            carried = [T for u, (T, _, _) in zip(gs.receivers, gs.spans) if u != tx]
-            for k, (T_own, _, _) in zip(gs.receivers, gs.spans):
-                if k == tx or k not in deviant:
-                    continue
-                lacking, foreign, _ = census[k]
-                if T_own in foreign:
-                    raise IntegrityError(
-                        f"user {k} decoded subfile {T_own} of file {demand[k - 1]}, "
-                        f"already cached"
-                    )
-                if any(T in lacking for T in carried):
-                    raise IntegrityError(
-                        f"user {k} lacks side information for the message {tx} "
-                        f"sends in group {S}"
-                    )
-        acc, chunks = gs.payloads(senders, wanted, B)
-        expected = acc.to_bytes(len(senders) * size, "big")
-        sent = b"".join([payload for _, _, payload in recs])
-        if sent != expected:
-            for i, tx in enumerate(senders):
-                if sent[i * size : (i + 1) * size] != expected[i * size : (i + 1) * size]:
-                    wrong.update(k for k in gs.receivers if k != tx)
-        for k, c in zip(gs.receivers, chunks):
-            decoded[k] += c * gs.z
+            txs.setdefault(m.group, []).append(m.tx)
+            payloads.setdefault(m.group, []).append(m.payload)
+        order = list(zip(txs, map(tuple, txs.values())))
+        sent = b"".join(chain.from_iterable(payloads.values()))
+    # raises for unserved groups and overrun counters
+    expected, decoded = schedule.broadcast(order, session.files, demand, B)
+    for S, senders in order if deviant else ():
+        gs = schedule[S]
+        for tx, (k, (T_own, _, _)) in product(senders, zip(gs.receivers, gs.spans)):
+            if k == tx or k not in deviant:
+                continue
+            lacking, foreign, _ = census[k]
+            if T_own in foreign:
+                raise IntegrityError(
+                    f"user {k} decoded subfile {T_own} of file {demand[k - 1]}, "
+                    f"already cached"
+                )
+            if any(T in lacking for u, (T, _, _) in zip(gs.receivers, gs.spans) if u != tx):
+                raise IntegrityError(
+                    f"user {k} lacks side information for the message {tx} "
+                    f"sends in group {S}"
+                )
+    wrong: set[int] = set()  # users that recovered some packet incorrectly
+    at = 0
+    for S, senders in order if sent != expected else ():
+        size = schedule.z[S] * B
+        for tx in senders:
+            # a Transcript's broadcast of another length: cut the message it ends in
+            if at + size > len(sent) or at + size == len(expected) != len(sent):
+                raise IntegrityError(
+                    f"message of {len(sent) - at} bytes in a group sending {size}"
+                )
+            if sent[at : at + size] != expected[at : at + size]:
+                wrong.update(filter(tx.__ne__, schedule[S].receivers))
+            at += size
 
     per_user: dict[int, bool] = {}
     missing: dict[int, list[PacketKey]] = {}
@@ -500,10 +548,10 @@ def decode_and_verify(session: Session) -> VerifyResult:
     for k in range(1, plan.K + 1):
         if decoded[k] + census[k][2] != plan.f_pt:
             got = {}  # per subset, how many of its packets k recovered
-            for S, recs in by_group.items():
-                if k in (gs := session.schedule[S]).receivers:
+            for S, senders in order:
+                if k in (gs := schedule[S]).receivers:
                     T = gs.spans[gs.receivers.index(k)][0]
-                    got[T] = gs.z * sum(len(txs) - txs.count(k) for _, txs, _ in recs)
+                    got[T] = gs.z * (len(senders) - senders.count(k))
             got.update((T, plan.subset_map[T][1]) for T in session.caches[k].held)
             missing[k] = [
                 (demand[k - 1], T, i + 1)
@@ -515,18 +563,20 @@ def decode_and_verify(session: Session) -> VerifyResult:
 
 
 def measure(session: Session) -> Measurement:
-    records = _records(session)
-    total_bits = 8 * sum(len(payload) for _, _, payload in records)
-    L_bits = 8 * len(session.files[0])
-    B = session.bytes_per_packet
-    cache_bits = {8 * B * len(session.files) * n for *_, n in _census(session).values()}
+    tr = session.transcript
+    if isinstance(tr, Transcript):
+        sent = len(tr.broadcast)
+    else:
+        sent = sum(map(len, map(attrgetter("payload"), tr)))
+    bits = 8 * session.bytes_per_packet * len(session.files)  # per packet held
+    cache_bits = {bits * n for *_, n in _census(session).values()}
     if len(cache_bits) != 1:
         raise IntegrityError(f"caches are not uniform: {sorted(cache_bits)}")
     return Measurement(
-        total_bits=total_bits,
-        rate=Fraction(total_bits, L_bits),
+        total_bits=8 * sent,
+        rate=Fraction(sent, len(session.files[0])),
         per_user_cache_bits=cache_bits.pop(),
-        message_count=sum(len(senders) for _, senders, _ in records),
+        message_count=len(tr),
     )
 
 

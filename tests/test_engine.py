@@ -13,6 +13,8 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +31,8 @@ from ptcache.designs import (
     theorem3_design,
 )
 from ptcache.engine import (
-    GroupSchedule,
     IntegrityError,
+    Schedule,
     VerifyResult,
     _compile_schedule,
     build_plan,
@@ -749,11 +751,18 @@ def test_decoder_lists_the_packets_of_a_forgotten_subset():
 
 
 def test_schedule_shares_the_packet_maps_spans():
-    """Every group that sends a subset holds one shared span object for it,
-    whose subset is the packet map's own key."""
+    """The schedule is a read-only Mapping that builds each group's
+    GroupSchedule when it is read, holding no per-group tuples; every group
+    that sends a subset reads one shared span object for it, whose subset
+    is the packet map's own key."""
     ds = theorem2_design(8, 4)
     plan = build_plan(8, 8, 4, ds.grouping_sizes, ds.tx_rules)
-    spans = [span for gs in _compile_schedule(plan).values() for span in gs.spans]
+    schedule = _compile_schedule(plan)
+    S = next(iter(schedule))
+    assert schedule[S] == schedule[S] and schedule[S] is not schedule[S]
+    with pytest.raises(TypeError):
+        schedule[S] = schedule[S]
+    spans = [span for gs in schedule.values() for span in gs.spans]
     assert len({id(span) for span in spans}) == len({span[0] for span in spans})
     keys = {id(T) for T in plan.subset_map}
     assert all(id(span[0]) in keys for span in spans)
@@ -797,40 +806,112 @@ def test_schedule_types_each_intersection_profile_once(monkeypatch):
     assert typed == [len(profiles)] * 3
 
 
-def test_one_xor_pass_per_group(monkeypatch):
-    """``deliver`` runs ``GroupSchedule.payloads`` once per sending group,
-    and ``decode_and_verify`` once per group present in the transcript,
-    with its messages' transmitters in transcript order, also once a
-    message or a whole group's messages are dropped."""
+def test_one_gather_per_user_per_demand(monkeypatch):
+    """A demand costs one gather per user, over that user's demanded file.
+    ``deliver`` compiles the slices of its send order once, and decoding
+    the unedited transcript reuses them.  A message list is decoded in the
+    order received: regrouped by group, its messages' transmitters in
+    transcript order, also once a message or a whole group's messages are
+    dropped, and a transcript with dropped messages still fails decoding."""
     ds = special_designs("tbar3", 9)
     plan = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
     files = make_files(3, 2 * plan.f_pt)
-    session = simulate(plan, files, (1, 2, 3, 1, 2, 3, 1, 2, 3), order_seed=4)
-    calls = []
-    real = GroupSchedule.payloads
+    demand = (1, 2, 3, 1, 2, 3, 1, 2, 3)
+    session = simulate(plan, files, demand, order_seed=4)
+    wanted = [files[n - 1] for n in demand]  # user k's at k - 1
+    gathered = []  # the file each gather reads beside the shared zero run
+    real_cycle = ptcache.engine.cycle
 
-    def counting_payloads(self, senders, wanted, B):
-        calls.append((self, tuple(senders)))
-        return real(self, senders, wanted, B)
+    def counting_cycle(buffers):
+        gathered.append(buffers[1])
+        return real_cycle(buffers)
 
     def senders_by_group(transcript):
         by_group = {}
         for msg in transcript:
             by_group.setdefault(msg.group, []).append(msg.tx)
-        return [(session.schedule[S], tuple(txs)) for S, txs in by_group.items()]
+        return [(S, tuple(txs)) for S, txs in by_group.items()]
 
-    monkeypatch.setattr(GroupSchedule, "payloads", counting_payloads)
+    monkeypatch.setattr(ptcache.engine, "cycle", counting_cycle)
     full = deliver(session, order_seed=4)
-    assert calls == senders_by_group(full)
-    assert len(calls) == len(session.schedule)
+    compiled = session.schedule.compiled
+    assert gathered == wanted
+    assert list(full.order) == senders_by_group(full)
+    assert len(full.order) == len(session.schedule)
+    gathered.clear()
+    assert decode_and_verify(session).ok
+    assert gathered == wanted
+    assert session.schedule.compiled is compiled  # not compiled again
     alone = next(m for m in full if len(session.schedule[m.group].transmitters) == 1)
     several = next(m for m in full if len(session.schedule[m.group].transmitters) > 1)
     for dropped in ([], [alone], [several], [alone, several]):
         session.transcript = [m for m in full if m not in dropped]
-        calls.clear()
+        gathered.clear()
         assert decode_and_verify(session).ok == (not dropped)
-        assert calls == senders_by_group(session.transcript)
-        assert len(calls) == len(session.schedule) - (alone in dropped)
+        assert gathered == wanted
+        order = session.schedule.compiled[0]
+        assert list(order) == senders_by_group(session.transcript)
+        assert len(order) == len(session.schedule) - (alone in dropped)
+
+
+@pytest.mark.parametrize("ds,N,M,_", DATA_PLANE_CASES)
+def test_one_buffer_transcript_edits(ds, N, M, _):
+    """A transcript keeps the broadcast as one byte string, its messages'
+    payloads in send order.  Flipping one of its bytes marks wrong exactly
+    the receivers of the message holding that byte, and every other user
+    still decodes; a broadcast one byte short or long, or cut in half,
+    raises IntegrityError."""
+    session = data_plane_session(ds, N, M)
+    transcript = session.transcript
+    broadcast = transcript.broadcast
+    msgs = list(transcript)
+    assert b"".join(m.payload for m in msgs) == broadcast
+    ends = list(accumulate(len(m.payload) for m in msgs))
+    for at in (0, len(broadcast) // 3, len(broadcast) - 1):
+        msg = msgs[bisect_right(ends, at)]
+        flipped = broadcast[:at] + bytes([broadcast[at] ^ 0x5A]) + broadcast[at + 1 :]
+        transcript.broadcast = flipped
+        res = decode_and_verify(session)
+        receivers = {k for k, _, _ in msg.terms}
+        assert res.per_user == {k: k not in receivers for k in res.per_user}
+        assert res.missing == {}
+    size = len(msgs[-1].payload)
+    for cut, got in [(broadcast[:-1], size - 1), (broadcast + b"\0", size + 1)]:
+        transcript.broadcast = cut
+        with pytest.raises(
+            IntegrityError, match=rf"^message of {got} bytes in a group sending {size}$"
+        ):
+            decode_and_verify(session)
+    transcript.broadcast = broadcast[: len(broadcast) // 2]
+    with pytest.raises(IntegrityError, match="bytes in a group sending"):
+        decode_and_verify(session)
+    transcript.broadcast = broadcast
+    assert decode_and_verify(session).ok
+
+
+def test_transcript_index_builds_one_message(monkeypatch):
+    """Indexing a transcript walks to message i, reading the schedule of
+    its group alone, with list semantics: negative indices count from the
+    end, an index out of range raises IndexError, and a slice is a list."""
+    session = data_plane_session(special_designs("tbar3", 9), 3, 2, order_seed=5)
+    transcript = session.transcript
+    msgs = list(transcript)
+    reads = []
+    real = Schedule.__getitem__
+
+    def counting_read(self, S):
+        reads.append(S)
+        return real(self, S)
+
+    monkeypatch.setattr(Schedule, "__getitem__", counting_read)
+    for i in (0, -1, len(msgs) // 2, -len(msgs)):
+        reads.clear()
+        assert transcript[i] == msgs[i]
+        assert reads == [msgs[i].group]
+    for i in (len(msgs), -len(msgs) - 1):
+        with pytest.raises(IndexError):
+            transcript[i]
+    assert transcript[1:4] == msgs[1:4] and transcript[-2:] == msgs[-2:]
 
 
 def test_build_plan_types_each_subset_profile_once(monkeypatch):

@@ -53,3 +53,27 @@ def test_sweep_figures_writes_every_curve(tmp_path):
         assert header == ["K", "F_PT", "F_JCM", "ratio", "bound"]
         got[path.name] = len(rows)
     assert got == want
+
+
+def test_code_size_counts_every_module():
+    """One row per module of the package, with its line count and a
+    marshalled size; the total row sums them; naming the package directory
+    gives the same table."""
+    package = Path(ptcache.__file__).resolve().parent
+    out = run_script("code_size.py")
+    assert run_script("code_size.py", str(package)) == out
+    header, *rows, total = out.splitlines()
+    assert header.split() == ["module", "lines", "marshalled"]
+    got = {
+        name: (int(lines.replace(",", "")), int(size.replace(",", "")))
+        for name, lines, size in map(str.split, rows)
+    }
+    assert list(got) == sorted(path.name for path in package.glob("*.py"))
+    for name, (lines, size) in got.items():
+        assert lines == (package / name).read_text().count("\n")
+        assert size > 0
+    assert total.split() == [
+        "total",
+        f"{sum(lines for lines, _ in got.values()):,}",
+        f"{sum(size for _, size in got.values()):,}",
+    ]
