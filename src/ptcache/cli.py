@@ -14,10 +14,10 @@ import csv
 import json
 import random
 import sys
+from collections.abc import Iterable, Sequence
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
 
 from . import engine
 from .designs import (
@@ -35,7 +35,7 @@ from .engine import SCHEMA_VERSION
 from .fscalc import PlanError, analyze_rules
 from .fscalc import fs_table_json, jcm_baseline
 from .search import MAX_BUDGET, MAX_CANDIDATES, MAX_K, exhaustive_search
-from .search import sweep_ratios
+from .search import search_space, sweep_ratios
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -50,6 +50,9 @@ LAYOUT_MAX_K = 1000
 MAX_LIBRARY_BYTES = 2**28
 # most demand vectors one simulation checks, counted or "all"
 MAX_DEMANDS = 65536
+# most rows, one per candidate, that search --out writes: 0.2 GB at about
+# 190 bytes a row; checked before the search runs
+MAX_CSV_ROWS = 2**20
 
 
 class UsageError(Exception):
@@ -388,9 +391,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    result = exhaustive_search(args.K, args.t, max_candidates=args.budget)
+    K, t, budget = args.K, args.t, args.budget
+    if args.out and 1 <= t < K <= MAX_K:  # other (K, t) the search refuses
+        # a row per candidate, counted before the census runs; without a
+        # budget, one above MAX_CANDIDATES is the search's to refuse
+        count = search_space(K, t)[0]
+        rows = count if budget is None else min(count, budget)
+        if rows > MAX_CSV_ROWS and (budget is not None or count <= MAX_CANDIDATES):
+            raise UsageError(
+                f"--out would write {rows:,} rows; the cap is {MAX_CSV_ROWS:,}"
+            )
+    result = exhaustive_search(K, t, max_candidates=budget)
     if args.out:
-        f_jcm, _ = jcm_baseline(args.K, args.t)
+        f_jcm, _ = jcm_baseline(K, t)
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(
@@ -403,8 +416,8 @@ def cmd_search(args: argparse.Namespace) -> int:
                 )
                 w.writerow(
                     [
-                        args.K,
-                        args.t,
+                        K,
+                        t,
                         ",".join(map(str, rec.grouping)),
                         json.dumps(dict(rec.rules), sort_keys=True),
                         rec.f_pt if rec.f_pt is not None else "",
@@ -416,8 +429,8 @@ def cmd_search(args: argparse.Namespace) -> int:
                 )
     summary: dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
-        "K": args.K,
-        "t": args.t,
+        "K": K,
+        "t": t,
         "explored": result.explored,
         "feasible": len(result.pareto),
         "infeasible": result.infeasible,

@@ -8,8 +8,8 @@ are exact Python ints (arbitrary precision).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from itertools import combinations
-from typing import Iterator, Sequence
 
 
 # C(n, k) as an exact int: 0 for k > n, ValueError for a negative n or k
@@ -88,6 +88,22 @@ def integer_partitions(
                 rec(remaining - c * v, v - 1, slots - c, prefix + (v,) * c)
 
     rec(n, max_part, max_parts, ())
+    return out
+
+
+def box_partition_counts(parts: int, largest: int, top: int) -> list[int]:
+    """Entry s, for s = 0..top: the partitions of s into at most ``parts``
+    parts, each at most ``largest``, which fit in a parts-by-largest box."""
+    # their generating function is the Gaussian binomial, the product over
+    # i = 1..k of (1 - q^(n+i)) / (1 - q^i), k and n the box's shorter and
+    # longer side: one pass over the coefficients up to top per factor
+    k, n = sorted((parts, largest))
+    out = [1] + [0] * top
+    for i in range(1, k + 1):
+        for s in range(top, n + i - 1, -1):  # times 1 - q^(n+i)
+            out[s] -= out[s - n - i]
+        for s in range(i, top + 1):  # over 1 - q^i
+            out[s] += out[s - i]
     return out
 
 

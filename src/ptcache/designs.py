@@ -11,10 +11,10 @@ cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
-from typing import Mapping
 
 from .combinat import binomial
 from .fscalc import jcm_baseline
@@ -37,33 +37,36 @@ SPECIAL_KINDS = ("lemma2", "odd_k_tbar2", "tbar3", "t3_halfsplit", "k5_t3")
 DPDA_MODES = ("t2", "t_km2")
 
 
-# DesignSpec.expected_f_pt: the value given or, given None with expected
-# factors, their count-weighted sum over type_order, computed on the first
-# read (a sweep reads neither expectation)
-class _ExpectedFPT:
-    def __get__(self, ds: DesignSpec | None, owner: type) -> int | None:
-        if ds is None:
-            return None  # the field's default
-        if ds._f_pt is None and ds.expected_global_fs is not None:
-            g = make_grouping(ds.K, ds.grouping_sizes)
-            pairs = zip(ds.expected_global_fs, ds.type_order)
-            self.__set__(ds, sum(f * type_count(g, v) for f, v in pairs))
-        return ds._f_pt
-
-    def __set__(self, ds: DesignSpec, value: int | None) -> None:
-        object.__setattr__(ds, "_f_pt", value)
-
-
-@dataclass(frozen=True)
 class DesignSpec:
-    name: str
-    K: int
-    t: int
-    grouping_sizes: tuple[int, ...]
-    tx_rules: TxRules
-    type_order: tuple[TypeVector, ...]
-    expected_global_fs: tuple[int, ...] | None = None
-    expected_f_pt: int | None = _ExpectedFPT()  # type: ignore[assignment]
+    """A named scheme: (K, t), grouping, transmitter rules, and the expected
+    global split factors of the types in ``type_order`` and F_PT."""
+
+    def __init__(
+        self, name, K, t, grouping_sizes, tx_rules: TxRules, type_order,
+        expected_global_fs=None, expected_f_pt=None,
+    ):
+        self.name, self.K, self.t, self.grouping_sizes = name, K, t, grouping_sizes
+        self.tx_rules, self.type_order = tx_rules, type_order
+        self.expected_global_fs = expected_global_fs
+        if expected_f_pt is not None:
+            self.expected_f_pt = expected_f_pt
+
+    def __eq__(self, other):
+        if other.__class__ is not DesignSpec:
+            return NotImplemented
+        # every field; the expected F_PT first, so that both hold it
+        return (self.expected_f_pt, vars(self)) == (other.expected_f_pt, vars(other))
+
+    @cached_property
+    def expected_f_pt(self) -> int | None:
+        """The value given or, given None with expected factors, their
+        count-weighted sum over type_order, computed on the first read (a
+        sweep reads neither expectation)."""
+        if self.expected_global_fs is None:
+            return None
+        g = make_grouping(self.K, self.grouping_sizes)
+        pairs = zip(self.expected_global_fs, self.type_order)
+        return sum(f * type_count(g, v) for f, v in pairs)
 
 
 def _spec(

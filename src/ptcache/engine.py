@@ -14,7 +14,6 @@ import random
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, cycle, product
@@ -47,14 +46,19 @@ class IntegrityError(RuntimeError):
     a plan or session was built inconsistently or tampered with."""
 
 
-@dataclass(frozen=True)
 class SchemePlan:
-    K: int
-    N: int
-    M: int
-    t: int
-    analysis: RuleAnalysis
-    rate: Fraction
+    """A scheme at the memory point (N, M), t = KM/N, with its analysis and
+    delivery rate."""
+
+    def __init__(self, K, N, M, t, analysis: RuleAnalysis, rate: Fraction):
+        self.K, self.N, self.M, self.t = K, N, M, t
+        self.analysis, self.rate = analysis, rate
+
+    def __eq__(self, other):
+        if other.__class__ is not SchemePlan:
+            return NotImplemented
+        # every field, as for DesignSpec; not the cached maps
+        return _plan_fields(self) == _plan_fields(other)
 
     @cached_property
     def subset_map(self) -> Mapping[tuple[int, ...], tuple[int, int]]:
@@ -104,6 +108,9 @@ class SchemePlan:
         return self.analysis.grouping
 
 
+_plan_fields = attrgetter("K", "N", "M", "t", "analysis", "rate")
+
+
 def check_plan_size(K: int, t: int) -> None:
     """Refuse, with PlanError("size"), a plan whose packet map would hold
     more than MAX_SUBSETS t-subsets or whose delivery schedule would walk
@@ -151,20 +158,14 @@ def build_plan(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    tx: int
-    group: tuple[int, ...]
-    rx: tuple[int, ...]
-    terms: tuple[tuple[int, tuple[int, ...], int], ...]  # (receiver, subset, counter)
-    payload: bytes
-
+# One transmission: its sender, group and receivers, a (receiver, subset,
+# counter) term per receiver, and the payload, the XOR of the terms' packets.
+Message = namedtuple("Message", "tx group rx terms payload")
 
 # The demand-independent delivery in one multicast group S: its further-
 # splitting factor, its transmitters in canonical order, and each member whose
 # desired subset, S minus it, holds packets, with its span (subset, first
-# packet, packet count).  A named tuple, which is quicker to define than a
-# dataclass: the package defines it on every import.
+# packet, packet count).
 GroupSchedule = namedtuple("GroupSchedule", "z transmitters receivers spans")
 
 
@@ -293,17 +294,14 @@ def _compile_schedule(plan: SchemePlan) -> Schedule:
     return Schedule(tuple(order), z_of, span_of, bit)
 
 
-@dataclass(eq=False, repr=False)  # compare as a Mapping; never print the files
 class CacheView(Mapping[PacketKey, bytes]):
     """One user's cache: every packet of every file's subfile T for the T in
     ``held``, read in place from the files through the plan's packet map.
     Keys, order and bytes are those of a per-packet copy: subset in map
-    order, then file, then packet."""
+    order, then file, then packet.  It compares as a Mapping."""
 
-    subset_map: Mapping[tuple[int, ...], tuple[int, int]]
-    files: tuple[bytes, ...]
-    B: int  # bytes per packet
-    held: frozenset[tuple[int, ...]]
+    def __init__(self, subset_map, files, B, held):  # B: bytes per packet
+        self.subset_map, self.files, self.B, self.held = subset_map, files, B, held
 
     def __getitem__(self, key: PacketKey) -> bytes:
         n, T, i = key
@@ -364,30 +362,25 @@ class Transcript(Sequence[Message]):
     __iter__ = _messages
 
 
-@dataclass
 class Session:
-    plan: SchemePlan
-    files: tuple[bytes, ...]
-    demand: tuple[int, ...]
-    bytes_per_packet: int
-    schedule: Schedule  # sending groups, in order
-    caches: dict[int, CacheView] = field(default_factory=dict)
-    transcript: Sequence[Message] = field(default_factory=list)
+    """One simulated demand: the plan, files and demand, the schedule of
+    sending groups, every user's cache and the transcript."""
+
+    def __init__(
+        self, plan, files, demand, bytes_per_packet, schedule, caches=None, transcript=None
+    ):
+        self.plan, self.files, self.demand = plan, files, demand
+        self.bytes_per_packet, self.schedule = bytes_per_packet, schedule
+        self.caches = {} if caches is None else caches
+        self.transcript = [] if transcript is None else transcript
 
 
-@dataclass
-class VerifyResult:
-    ok: bool
-    per_user: dict[int, bool]
-    missing: dict[int, list[PacketKey]]
-
-
-@dataclass(frozen=True)
-class Measurement:
-    total_bits: int
-    rate: Fraction
-    per_user_cache_bits: int
-    message_count: int
+# per_user: user -> recovered its file exactly; missing: user -> the packets
+# it did not recover, for users that fell short
+VerifyResult = namedtuple("VerifyResult", "ok per_user missing")
+Measurement = namedtuple(
+    "Measurement", "total_bits rate per_user_cache_bits message_count"
+)
 
 
 def place(plan: SchemePlan, files: Sequence[bytes]) -> dict[int, CacheView]:
@@ -559,7 +552,7 @@ def decode_and_verify(session: Session) -> VerifyResult:
                 for i in range(got.get(T, 0), alpha)
             ]
         per_user[k] = k not in missing and k not in wrong
-    return VerifyResult(ok=all(per_user.values()), per_user=per_user, missing=missing)
+    return VerifyResult(all(per_user.values()), per_user, missing)
 
 
 def measure(session: Session) -> Measurement:

@@ -12,12 +12,12 @@ order and raises :class:`PlanError` at the first that rejects the rules.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .combinat import binomial
+from .combinat import binomial, box_partition_counts
 from .typevec import Grouping, MGroupStructure, TypeVector, enumerate_types
 from .typevec import make_grouping, mgroup_structure
 
@@ -46,19 +46,11 @@ class PlanError(ValueError):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class GlobalFS:
-    """Reconciled split factors plus the minimal row scales that realize them."""
-
-    factors: tuple[int, ...]
-    row_scales: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MCResult:
-    ok: bool
-    fail_index: int | None = None  # 1-based row i of the first violated pair
-    dots: tuple[int, int] | None = None
+# Reconciled split factors plus the minimal row scales that realize them.
+GlobalFS = namedtuple("GlobalFS", "factors row_scales")
+# The memory check's verdict; when it fails, the 1-based row i of the first
+# violated pair (i, i + 1) and their two dot products.
+MCResult = namedtuple("MCResult", "ok fail_index dots", defaults=(None, None))
 
 
 def local_fs(structure: MGroupStructure, d_tx: Iterable[int]) -> dict[TypeVector, int]:
@@ -226,7 +218,7 @@ def vector_lcm(
             factors.append(vals.pop())
         else:  # pragma: no cover - contradicts the union-find invariant
             raise NoLcmError(f"column {j} did not reconcile: {sorted(vals)}")
-    return GlobalFS(factors=tuple(factors), row_scales=tuple(scales))
+    return GlobalFS(tuple(factors), tuple(scales))
 
 
 def mc_check(
@@ -244,8 +236,8 @@ def mc_check(
     ]
     for i in range(len(dots) - 1):
         if dots[i] != dots[i + 1]:
-            return MCResult(ok=False, fail_index=i + 1, dots=(dots[i], dots[i + 1]))
-    return MCResult(ok=True)
+            return MCResult(False, i + 1, (dots[i], dots[i + 1]))
+    return MCResult(True)
 
 
 def subpacketization(
@@ -257,22 +249,21 @@ def subpacketization(
     return sum(a * c for a, c in zip(alpha_global, type_counts))
 
 
-@dataclass(frozen=True)
-class SchemeLayout:
+# structures are aligned with group_types; col maps a subfile type to its
+# column; involved_masks holds, per group type, the columns it involves
+_LAYOUT = (
+    "grouping t subfile_types type_counts group_types structures col mc_rows "
+    "involved_masks"
+)
+
+
+class SchemeLayout(namedtuple("SchemeLayout", _LAYOUT)):
     """The rules-independent bookkeeping of one (grouping, t): the subfile
     types (the columns of every split-factor row) with their counts, the
     group types (the rows) with their structures, and the table the memory
     check weighs the global factors with."""
 
-    grouping: Grouping
-    t: int
-    subfile_types: tuple[TypeVector, ...]
-    type_counts: tuple[int, ...]
-    group_types: tuple[TypeVector, ...]
-    structures: tuple[MGroupStructure, ...]  # aligned with group_types
-    col: Mapping[TypeVector, int]  # subfile type -> column
-    mc_rows: tuple[tuple[int, ...], ...]
-    involved_masks: tuple[int, ...]  # per group type, the columns it involves
+    __slots__ = ()
 
     def row(self, i: int, selection: Iterable[int]) -> tuple[FSEntry, ...]:
         """Full-width local split-factor row of group type i transmitting
@@ -312,51 +303,66 @@ def _mc_rows(
     )
 
 
+# entry s, for s = 0..top <= g.K: the number of types of s users.  A type's
+# block is a partition of the block's users in it into at most psi parts of
+# at most beta, so the counts are those of each block, convolved.
+def _type_totals(g: Grouping, top: int) -> list[int]:
+    totals = [1]
+    for beta, psi in g.blocks:
+        box = box_partition_counts(psi, beta, min(top, beta * psi))
+        out = [0] * min(len(totals) + len(box) - 1, top + 1)
+        for i, x in enumerate(totals):
+            for j, y in enumerate(box[: len(out) - i]):
+                out[i + j] += x * y
+        totals = out
+    return totals
+
+
 def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
     """The layout of (g, t); a split-factor table above MAX_TABLE_ENTRIES
     entries, group types times subfile types, is refused with
-    PlanError("size") once the types are enumerated, before their
-    structures and the memory-check table are built."""
+    PlanError("size") before any type is listed.  The grouping's block
+    profiles, the product of C(beta + psi, psi) over its blocks, bound
+    both type lists, so only a grouping with more than the cap's square
+    root of them has its types counted."""
+    # the thm1 sweep's groupings of pairs are counted from K = 88 on;
+    # counting every grouping made its job about 6% slower
+    if prod(binomial(b + p, p) for b, p in g.blocks) ** 2 > MAX_TABLE_ENTRIES:
+        *_, n_t, n_g = _type_totals(g, t + 1)
+        if (entries := n_g * n_t) > MAX_TABLE_ENTRIES:
+            raise PlanError(
+                "size",
+                f"the split-factor table would hold {entries:,} entries; the cap "
+                f"is {MAX_TABLE_ENTRIES:,}",
+            )
     typed = enumerate_types(g, t)
     vtypes = tuple(v for v, _ in typed)
     gtypes = tuple(v for v, _ in enumerate_types(g, t + 1))
-    if (entries := len(gtypes) * len(vtypes)) > MAX_TABLE_ENTRIES:
-        raise PlanError(
-            "size",
-            f"the split-factor table would hold {entries:,} entries; the cap is "
-            f"{MAX_TABLE_ENTRIES:,}",
-        )
     col = {v: j for j, v in enumerate(vtypes)}
     structures = tuple(mgroup_structure(g, gt) for gt in gtypes)
     return SchemeLayout(
-        grouping=g,
-        t=t,
-        subfile_types=vtypes,
-        type_counts=tuple(c for _, c in typed),
-        group_types=gtypes,
-        structures=structures,
-        col=col,
-        mc_rows=_mc_rows(g, typed),
-        involved_masks=tuple(
-            sum(1 << col[v] for v in st.involved) for st in structures
-        ),
+        g,
+        t,
+        vtypes,
+        tuple(c for _, c in typed),
+        gtypes,
+        structures,
+        col,
+        _mc_rows(g, typed),
+        tuple(sum(1 << col[v] for v in st.involved) for st in structures),
     )
 
 
-@dataclass(frozen=True)
-class RuleAnalysis(SchemeLayout):
+# after the layout's fields: tx_rules, normalized; fs_rows, aligned with
+# rule_types, the group types that carry a row
+_RULES = " K tx_rules fs_rows rule_types global_fs z_of excluded skipped_group_types f_pt"
+
+
+class RuleAnalysis(namedtuple("RuleAnalysis", _LAYOUT + _RULES), SchemeLayout):
     """The layout plus everything the rules determine on it, without
     touching actual file bytes.  Cheap even for large K."""
 
-    K: int
-    tx_rules: Mapping[TypeVector, "frozenset[int] | None"]  # normalized
-    fs_rows: tuple[tuple[FSEntry, ...], ...]  # aligned with rule_types
-    rule_types: tuple[TypeVector, ...]  # group types that carry a row
-    global_fs: GlobalFS
-    z_of: Mapping[TypeVector, int]
-    excluded: frozenset[TypeVector]
-    skipped_group_types: frozenset[TypeVector]
-    f_pt: int
+    __slots__ = ()
 
     def factor_of(self, v: TypeVector) -> int:
         return self.global_fs.factors[self.col[v]]
@@ -483,7 +489,7 @@ def analyze_layout(
             f"unequal amounts ({mc.dots[0]} vs {mc.dots[1]} weighted subsets)",
         )
     return RuleAnalysis(
-        **{f.name: getattr(layout, f.name) for f in fields(SchemeLayout)},
+        *layout,
         K=layout.grouping.K,
         tx_rules=rules,
         fs_rows=tuple(rows),

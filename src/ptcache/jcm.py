@@ -6,8 +6,8 @@ as an oracle for it."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import binomial, subsets
@@ -25,15 +25,9 @@ def _xor(*chunks: bytes) -> bytes:
     return acc.to_bytes(n, "big")
 
 
-@dataclass
-class JcmResult:
-    K: int
-    t: int
-    transcript: list[Message]
-    all_decoded: bool
-    total_bits: int
-    rate: Fraction
-    per_user_cache_bits: int
+JcmResult = namedtuple(
+    "JcmResult", "K t transcript all_decoded total_bits rate per_user_cache_bits"
+)
 
 
 def run_jcm(
@@ -81,13 +75,7 @@ def run_jcm(
                 terms.append((k2, T, c))
                 payload = _xor(payload, packet(demand_t[k2 - 1], T, c))
             transcript.append(
-                Message(
-                    tx=tx,
-                    group=S,
-                    rx=tuple(k for k in S if k != tx),
-                    terms=tuple(terms),
-                    payload=payload,
-                )
+                Message(tx, S, tuple(k for k in S if k != tx), tuple(terms), payload)
             )
 
     decoded: dict[int, dict[PacketKey, bytes]] = {k: {} for k in range(1, K + 1)}
@@ -114,12 +102,7 @@ def run_jcm(
         if ok and b"".join(parts) != files[want - 1]:
             ok = False
     total_bits = sum(8 * len(m.payload) for m in transcript)
+    cache_bits = 8 * B * t * binomial(K - 1, t - 1) * N  # per user
     return JcmResult(
-        K=K,
-        t=t,
-        transcript=transcript,
-        all_decoded=ok,
-        total_bits=total_bits,
-        rate=Fraction(total_bits, 8 * L),
-        per_user_cache_bits=8 * B * t * binomial(K - 1, t - 1) * N,
+        K, t, transcript, ok, total_bits, Fraction(total_bits, 8 * L), cache_bits
     )

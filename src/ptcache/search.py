@@ -9,13 +9,11 @@ already realizes the same scheme.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import prod
-from typing import Iterable
 
 from .combinat import integer_partitions
 from .designs import DesignSpec, theorem1_bound, theorem1_design, theorem2_design
@@ -25,8 +23,8 @@ from .fscalc import jcm_baseline, mc_check, rate_failure, scheme_layout, subpack
 from .typevec import TypeVector, make_grouping
 
 # Largest census searched without a candidate budget: it admits every
-# (K <= 9, t), (9,4) being the largest at 2.12e10 candidates, about 95 s
-# in-process on a 2-vCPU x86-64 host with Python 3.11.
+# (K <= 9, t), (9,4) being the largest at 2.12e10 candidates, about 50 s
+# through the CLI on a 2-vCPU x86-64 host with Python 3.11.
 MAX_CANDIDATES = 10**11
 # Largest candidate budget: the records report their count through len(),
 # which Python caps at sys.maxsize (2^63 - 1 on 64-bit builds).
@@ -37,12 +35,10 @@ MAX_BUDGET = 2**63 - 1
 MAX_K = 16
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
-    grouping: tuple[int, ...]
-    rules: tuple[tuple[str, tuple[int, ...]], ...]  # (group type text, selection)
-    f_pt: int | None  # None when infeasible
-    reason: str  # "" | "no_lcm" | "rate" | "mc"
+# One searched candidate: its grouping, a (group type text, selection) per
+# group type, its F_PT (None when infeasible) and the stage that rejected it
+# ("no_lcm", "rate" or "mc"; "" when feasible).
+CandidateRecord = namedtuple("CandidateRecord", "grouping rules f_pt reason")
 
 
 # (group type text, selection) of one group type in a record
@@ -95,16 +91,12 @@ class CandidateRecords:
                     return
 
 
-@dataclass
-class SearchResult:
-    K: int
-    t: int
-    best: "tuple[DesignSpec, int] | None"
-    pareto: list[CandidateRecord]  # feasible candidates, ascending subpacketization
-    records: CandidateRecords  # everything evaluated, in canonical order
-    explored: int
-    infeasible: dict[str, int]
-    partial: bool
+# A search's outcome: best, the least (design, F_PT) or None; pareto, the
+# feasible records by ascending F_PT; records, everything evaluated, in
+# canonical order; explored, their count; infeasible, the count per reason.
+SearchResult = namedtuple(
+    "SearchResult", "K t best pareto records explored infeasible partial"
+)
 
 
 def _options(layout: SchemeLayout) -> list[list[_Option]]:
@@ -377,21 +369,9 @@ def candidate_to_design(K: int, t: int, rec: CandidateRecord) -> DesignSpec:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    family: str
-    label: str
-    K: int
-    f_pt: int
-    f_jcm: int
-    ratio: Fraction
-    bound: Fraction
-
-
-@dataclass
-class SweepResult:
-    rows: list[SweepRow]
-    skipped: list[tuple[int, str]]
+SweepRow = namedtuple("SweepRow", "family label K f_pt f_jcm ratio bound")
+# the rows, and a (K, reason) note per K the family skips
+SweepResult = namedtuple("SweepResult", "rows skipped")
 
 
 def _least_f_pt(designs: Sequence[DesignSpec]) -> int:
@@ -468,14 +448,6 @@ def sweep_ratios(
             continue
         f_jcm, _ = jcm_baseline(K, designs[0].t)
         rows.append(
-            SweepRow(
-                family=family,
-                label=label,
-                K=K,
-                f_pt=f_pt,
-                f_jcm=f_jcm,
-                ratio=Fraction(f_pt, f_jcm),
-                bound=bound,
-            )
+            SweepRow(family, label, K, f_pt, f_jcm, Fraction(f_pt, f_jcm), bound)
         )
-    return SweepResult(rows=rows, skipped=skipped)
+    return SweepResult(rows, skipped)

@@ -11,25 +11,22 @@ bookkeeping polynomial instead of exponential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain
 from math import prod
-from typing import Iterable, Sequence
 
 from .combinat import binomial, integer_partitions, multinomial
 
 
-@dataclass(frozen=True)
-class Grouping:
+class Grouping(namedtuple("Grouping", "K sizes")):
     """A partition of users {1..K} into consecutively numbered groups.
 
     ``sizes`` is non-increasing; use :func:`make_grouping` instead of the
-    raw constructor so that validation and canonicalization happen.
+    raw constructor so that validation and canonicalization happen.  A
+    named tuple with an instance dict, which holds the cached properties.
     """
-
-    K: int
-    sizes: tuple[int, ...]
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int], ...]:
@@ -91,22 +88,46 @@ def make_grouping(K: int, sizes: Iterable[int]) -> Grouping:
     return Grouping(K=K, sizes=tup)
 
 
-@dataclass(frozen=True)
 class TypeVector:
     """Per-block, non-increasing intersection-size profile of a user subset.
 
     Entries are kept padded to the full block width (trailing zeros
-    retained) so that equality and dict keys are unambiguous.
+    retained) so that equality and dict keys are unambiguous.  Immutable;
+    its hash is computed once, since types are dict keys on hot paths.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks", "_hash")
 
-    def __post_init__(self) -> None:
-        for blk in self.blocks:
+    def __new__(cls, blocks: tuple[tuple[int, ...], ...]) -> TypeVector:
+        for blk in blocks:
             if blk and min(blk) < 0:
-                raise ValueError(f"negative entry in type vector {self.blocks}")
+                raise ValueError(f"negative entry in type vector {blocks}")
             if list(blk) != sorted(blk, reverse=True):
                 raise ValueError(f"block {blk} is not non-increasing")
+        return cls._trusted(blocks)
+
+    @classmethod  # for blocks known to be valid: no checks
+    def _trusted(cls, blocks: tuple[tuple[int, ...], ...]) -> TypeVector:
+        v = object.__new__(cls)
+        _set_blocks(v, blocks)
+        _set_hash(v, hash((blocks,)))
+        return v
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not TypeVector:
+            return NotImplemented
+        return self._hash == other._hash and self.blocks == other.blocks
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"TypeVector(blocks={self.blocks!r})"
 
     @property
     def flat(self) -> tuple[int, ...]:
@@ -125,6 +146,10 @@ class TypeVector:
 
     def __str__(self) -> str:
         return self.text()
+
+
+# the slots' own setters, which the immutable class's __setattr__ refuses
+_set_blocks, _set_hash = TypeVector.blocks.__set__, TypeVector._hash.__set__
 
 
 def canonical_type_order(types: Iterable[TypeVector]) -> list[TypeVector]:
@@ -147,8 +172,8 @@ def type_of(g: Grouping, subset: Iterable[int]) -> TypeVector:
     if not chosen <= set(range(1, g.K + 1)):
         raise ValueError(f"subset {sorted(chosen)} not within users 1..{g.K}")
     sizes = profile(g, chosen)
-    return TypeVector(
-        blocks=tuple(
+    return TypeVector._trusted(
+        tuple(
             tuple(sorted((sizes[gi] for gi in gis), reverse=True))
             for gis in g.block_groups
         )
@@ -202,7 +227,7 @@ def enumerate_types(g: Grouping, total: int) -> list[tuple[TypeVector, int]]:
 
     def rec(bi: int, remaining: int, prefix: list[tuple[int, ...]], count: int) -> None:
         if bi == len(g.blocks):
-            found[TypeVector(blocks=tuple(prefix))] = count
+            found[TypeVector._trusted(tuple(prefix))] = count
             return
         beta, psi = g.blocks[bi]
         most = min(remaining, beta * psi)
@@ -218,24 +243,16 @@ def enumerate_types(g: Grouping, total: int) -> list[tuple[TypeVector, int]]:
     return [(v, found[v]) for v in canonical_type_order(found)]
 
 
-@dataclass(frozen=True)
-class UniqueSet:
-    """Users of one group type that are interchangeable with each other.
-
-    Two users of a concrete group merge exactly when their groups lie in the
-    same block *and* the group intersections have the same cardinality, so
-    (block, cardinality) names the set and ``size`` counts its users.
-    Merging on cardinality alone would be wrong: dropping a user must yield
-    the same subfile type for every member, and that only holds per block.
-    """
-
-    block: int
-    cardinality: int
-    size: int
+# Users of one group type that are interchangeable with each other.  Two
+# users of a concrete group merge exactly when their groups lie in the same
+# block *and* the group intersections have the same cardinality, so (block,
+# cardinality) names the set and ``size`` counts its users.  Merging on
+# cardinality alone would be wrong: dropping a user must yield the same
+# subfile type for every member, and that only holds per block.
+UniqueSet = namedtuple("UniqueSet", "block cardinality size")
 
 
-@dataclass(frozen=True)
-class MGroupStructure:
+class MGroupStructure(namedtuple("MGroupStructure", "gtype unique_sets involved")):
     """Structure of all concrete groups sharing one group type.
 
     ``unique_sets`` is in (block asc, cardinality desc) order; ``involved``
@@ -244,9 +261,7 @@ class MGroupStructure:
     "owns" for delivery purposes.
     """
 
-    gtype: TypeVector
-    unique_sets: tuple[UniqueSet, ...]
-    involved: tuple[TypeVector, ...]
+    __slots__ = ()
 
     @property
     def num_unique_sets(self) -> int:
@@ -283,11 +298,9 @@ def mgroup_structure(g: Grouping, gtype: TypeVector) -> MGroupStructure:
         last = len(blk) - 1 - blk[::-1].index(card)
         lowered = blk[:last] + (card - 1,) + blk[last + 1 :]
         involved.append(
-            TypeVector(gtype.blocks[:bi] + (lowered,) + gtype.blocks[bi + 1 :])
+            TypeVector._trusted(gtype.blocks[:bi] + (lowered,) + gtype.blocks[bi + 1 :])
         )
-    return MGroupStructure(
-        gtype=gtype, unique_sets=tuple(unique_sets), involved=tuple(involved)
-    )
+    return MGroupStructure(gtype, tuple(unique_sets), tuple(involved))
 
 
 def per_user_count(g: Grouping, v: TypeVector, block_index: int) -> int:

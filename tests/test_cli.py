@@ -28,6 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 import ptcache.cli
 import ptcache.engine
 import ptcache.fscalc
+import ptcache.search
 from ptcache.cli import (
     EXIT_DECODE,
     EXIT_INFEASIBLE,
@@ -1097,13 +1098,58 @@ TABLE_ABOVE_CAP = ["analyze", "--thm", "3", "--m", "31", "--q", "31", "--t", "30
 
 
 class _RowBuilt(Exception):
-    """Raised by a patched ``SchemeLayout.row``, ``mgroup_structure`` or
-    ``_mc_rows``: a table row, a group type's structure or the memory-check
-    table was built."""
+    """Raised by a patched ``SchemeLayout.row``, ``mgroup_structure``,
+    ``_mc_rows`` or ``enumerate_types``: a table row, a group type's
+    structure, the memory-check table or a type list was built."""
 
 
 def _refuse_row(*args):
     raise _RowBuilt(*args)
+
+
+def test_many_equal_groups_are_refused_before_their_types_are_listed(
+    monkeypatch, tmp_path, capsys
+):
+    """analyze of 100 groups of 10 users at t = 100 exits 4 with the
+    table's exact size at once: the types are counted, not listed (listing
+    them ended in a MemoryError traceback)."""
+    monkeypatch.setattr(ptcache.fscalc, "enumerate_types", _refuse_row)
+    rules = tmp_path / "rules.json"
+    rules.write_text("{}")
+    argv = ["analyze", "--grouping", ",".join(["10"] * 100), "--K", "1000",
+            "--t", "100", "--rules", str(rules)]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: the split-factor table would hold "), err
+
+
+def test_search_out_refuses_more_rows_than_the_cap(monkeypatch, tmp_path, capsys):
+    """search --out writes at most MAX_CSV_ROWS rows, one per candidate: a
+    larger census, or budget, exits 4 before the search runs.  (8,4) would
+    write 4.5M rows, about 0.86 GB; (7,3), 85,289 rows, stays admitted."""
+    assert ptcache.cli.MAX_CSV_ROWS == 2**20 > 85_289
+    path = tmp_path / "census.csv"
+    with monkeypatch.context() as m:
+        m.setattr(ptcache.search, "_walk", _refuse_row)
+        argv = ["search", "--K", "8", "--t", "4", "--out", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--out would write 4,507,484 rows; the cap is 1,048,576" in err, err
+        code, out, err = run_cli(argv + ["--budget", "2000000"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--out would write 2,000,000 rows; the cap is 1,048,576" in err, err
+        assert not path.exists()
+    assert run_cli(argv + ["--budget", "1000"], capsys)[0] == EXIT_OK
+    assert len(path.read_text().splitlines()) == 1 + 1_000
+    argv = ["search", "--K", "6", "--t", "3", "--out", str(path)]  # 1,451 rows
+    monkeypatch.setattr(ptcache.cli, "MAX_CSV_ROWS", 1_450)
+    assert run_cli(argv, capsys)[0] == EXIT_USAGE
+    assert len(path.read_text().splitlines()) == 1 + 1_000  # left as it was
+    monkeypatch.setattr(ptcache.cli, "MAX_CSV_ROWS", 1_451)
+    assert run_cli(argv, capsys)[0] == EXIT_OK
+    assert len(path.read_text().splitlines()) == 1 + 1_451
 
 
 def test_table_cap_refuses_before_any_row_is_built(capsys):

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from ptcache.combinat import (
     binomial,
     binomial_exceeds,
+    box_partition_counts,
     integer_partitions,
     multinomial,
     subsets,
@@ -187,6 +188,14 @@ def test_subsets_against_itertools(ground, size):
     got = list(subsets(ground, size))
     assert got == list(combinations(range(1, ground + 1), size))
     assert len(got) == binomial(ground, size)
+
+
+@given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 30))
+def test_box_partition_counts_match_the_listed_partitions(parts, largest, top):
+    assert box_partition_counts(parts, largest, top) == [
+        len(integer_partitions(s, max_parts=parts, max_part=largest))
+        for s in range(top + 1)
+    ]
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ byte for byte.
 """
 
 import ast
-import dataclasses
 import hashlib
 import os
 import random
@@ -31,8 +30,11 @@ from ptcache.designs import (
     theorem3_design,
 )
 from ptcache.engine import (
+    CacheView,
     IntegrityError,
     Schedule,
+    SchemePlan,
+    Session,
     VerifyResult,
     _compile_schedule,
     build_plan,
@@ -530,7 +532,7 @@ def test_flipped_payload_byte_fails_exactly_its_receivers(ds, N, M, _):
     msgs = list(session.transcript)
     msg = msgs[i]
     flipped = bytes([msg.payload[0] ^ 0x5A]) + msg.payload[1:]
-    msgs[i] = dataclasses.replace(msg, payload=flipped)
+    msgs[i] = msg._replace(payload=flipped)
     session.transcript = msgs
     res = decode_and_verify(session)
     receivers = {k for k, T, c in msg.terms}
@@ -608,6 +610,16 @@ EDIT_SESSIONS = {
 }
 
 
+def session_copy(base, transcript):
+    """A copy of session ``base`` with ``transcript``, whose caches can be
+    edited without touching the caches of ``base``."""
+    caches = {
+        k: CacheView(c.subset_map, c.files, c.B, c.held) for k, c in base.caches.items()
+    }
+    return Session(base.plan, base.files, base.demand, base.bytes_per_packet,
+                   base.schedule, caches, transcript)
+
+
 @st.composite
 def edited_session(draw):
     """A fresh copy of one of EDIT_SESSIONS with one to three edits: a message
@@ -615,11 +627,7 @@ def edited_session(draw):
     a payload byte flipped, a payload truncated, a subset removed from a
     user's cache, or a packet-map subset without the user added to it."""
     base = EDIT_SESSIONS[draw(st.sampled_from(sorted(EDIT_SESSIONS)))]
-    s = dataclasses.replace(
-        base,
-        transcript=list(base.transcript),
-        caches={k: dataclasses.replace(c) for k, c in base.caches.items()},
-    )
+    s = session_copy(base, list(base.transcript))
     msgs = s.transcript
     for _ in range(draw(st.integers(1, 3))):
         if not msgs:
@@ -643,12 +651,10 @@ def edited_session(draw):
             at = draw(st.integers(0, len(p) - 1))
             bit = 1 << draw(st.integers(0, 7))
             flipped = p[:at] + bytes([p[at] ^ bit]) + p[at + 1 :]
-            msgs[i] = dataclasses.replace(msgs[i], payload=flipped)
+            msgs[i] = msgs[i]._replace(payload=flipped)
         elif edit == "truncate":
             p = msgs[i].payload
-            msgs[i] = dataclasses.replace(
-                msgs[i], payload=p[: draw(st.integers(0, len(p) - 1))]
-            )
+            msgs[i] = msgs[i]._replace(payload=p[: draw(st.integers(0, len(p) - 1))])
         elif edit == "forget":  # a receiver of message i forgets a subset it holds
             k = draw(st.sampled_from([k for k, _, _ in msgs[i].terms]))
             cache = s.caches[k]
@@ -687,11 +693,7 @@ def edited_copy(name, keep):
     """A copy of EDIT_SESSIONS[name] whose transcript is the messages for
     which ``keep`` holds, and whose caches can be edited."""
     base = EDIT_SESSIONS[name]
-    return dataclasses.replace(
-        base,
-        transcript=[m for m in base.transcript if keep(m)],
-        caches={k: dataclasses.replace(c) for k, c in base.caches.items()},
-    )
+    return session_copy(base, [m for m in base.transcript if keep(m)])
 
 
 def test_decoder_counts_a_cached_subset_of_a_silent_group():
@@ -956,15 +958,18 @@ def test_per_user_sets_are_built_on_the_first_place():
 
 def test_inconsistent_plan_raises_on_its_first_packet_map_read():
     """A plan whose F_PT disagrees with its types' factors raises
-    IntegrityError when its packet map is first read."""
+    IntegrityError when its packet map is first read, and differs from
+    the plan it was edited from."""
     ds = theorem2_design(8, 4)
     plan = build_plan(ds.K, 2, 1, ds.grouping_sizes, ds.tx_rules)
     a = plan.analysis
-    bad = dataclasses.replace(plan, analysis=dataclasses.replace(a, f_pt=a.f_pt + 1))
+    bad = SchemePlan(plan.K, plan.N, plan.M, plan.t, a._replace(f_pt=a.f_pt + 1), plan.rate)
     with pytest.raises(IntegrityError, match=rf"^packet map holds {a.f_pt} packets, "
                        rf"F_PT {a.f_pt + 1}$"):
         bad.subset_map
     assert len(plan.subset_map) > 0
+    # plans compare field by field, whether or not their maps were read
+    assert plan == build_plan(ds.K, 2, 1, ds.grouping_sizes, ds.tx_rules) != bad
 
 
 def test_sending_group_type_marked_skip_is_an_integrity_error():
@@ -974,9 +979,8 @@ def test_sending_group_type_marked_skip_is_an_integrity_error():
     plan = build_plan(ds.K, 2, 1, ds.grouping_sizes, ds.tx_rules)
     a = plan.analysis
     (sending,) = [gt for gt, sel in a.tx_rules.items() if sel is not None]
-    bad = dataclasses.replace(
-        plan, analysis=dataclasses.replace(a, tx_rules={**a.tx_rules, sending: None})
-    )
+    bad = SchemePlan(plan.K, plan.N, plan.M, plan.t,
+                     a._replace(tx_rules={**a.tx_rules, sending: None}), plan.rate)
     with pytest.raises(IntegrityError, match="sends but is marked skip"):
         simulate(bad, make_files(2, plan.f_pt), (1, 2, 2, 1))
 
@@ -1142,8 +1146,27 @@ def test_analysis_modules_import_nothing_from_engine():
     assert found == []
 
 
+def test_cli_imports_no_dataclasses_typing_or_inspect():
+    """A bare interpreter (-S: site preloads nothing) imports the CLI without
+    ``dataclasses``, ``typing`` or ``inspect``: the package's records are
+    named tuples or small classes, which generate no code when defined."""
+    src = os.path.dirname(os.path.dirname(ptcache.__file__))
+    script = (
+        "import sys, ptcache.cli; "
+        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 _TAMPER = """
-import dataclasses, random
+import random
 from ptcache.designs import theorem2_design, theorem3_design
 from ptcache.engine import (
     IntegrityError, build_plan, decode_and_verify, deliver, simulate,
@@ -1169,14 +1192,14 @@ for ds, N, M in [(theorem2_design(4, 2), 2, 1), (theorem3_design(3, 3, 2), 9, 2)
     s = fresh()  # a truncated payload
     msgs = list(s.transcript)
     m = msgs[-1]
-    msgs[-1] = dataclasses.replace(m, payload=m.payload[:-1])
+    msgs[-1] = m._replace(payload=m.payload[:-1])
     s.transcript = msgs
     ok.append(raises(lambda: decode_and_verify(s), "bytes in a group sending"))
 
     s = fresh()  # a message for a group the plan never serves
     msgs = list(s.transcript)
     m = msgs[0]
-    msgs[0] = dataclasses.replace(m, group=m.group[:-1])
+    msgs[0] = m._replace(group=m.group[:-1])
     s.transcript = msgs
     ok.append(raises(lambda: decode_and_verify(s), "never serves"))
 

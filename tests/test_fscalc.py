@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import ptcache.fscalc
+from conftest import grouping_params
 from ptcache.combinat import binomial, integer_partitions
 from ptcache.fscalc import (
     STAR,
     NoLcmError,
     RatioForest,
+    _type_totals,
     analyze_rules,
     fs_table_json,
     jcm_baseline,
@@ -23,6 +26,7 @@ from ptcache.fscalc import (
 )
 from ptcache.typevec import (
     TypeVector,
+    enumerate_types,
     make_grouping,
     mgroup_structure,
     per_user_count,
@@ -367,6 +371,30 @@ def test_fs_table_json_form():
     types = [TypeVector.parse("3,1"), TypeVector.parse("2,2")]
     rows = [(3, 2), (STAR, 3)]
     assert fs_table_json(types, rows) == {"3,1": [3, 2], "2,2": ["star", 3]}
+
+
+# ---------------------------------------------------------------- table cap
+
+
+@settings(max_examples=100, deadline=None)
+@given(grouping_params(12))
+def test_type_totals_count_the_listed_types(params):
+    K, sizes = params
+    g = make_grouping(K, sizes)
+    assert _type_totals(g, K) == [len(enumerate_types(g, s)) for s in range(K + 1)]
+
+
+def _refuse(*args):
+    raise AssertionError(f"types listed: {args}")
+
+
+def test_groupings_with_few_profiles_skip_the_type_count(monkeypatch):
+    """A grouping with at most 1,024 block profiles, the product of
+    C(beta + psi, psi), cannot fill the table, so its types are not
+    counted before they are listed."""
+    monkeypatch.setattr(ptcache.fscalc, "_type_totals", _refuse)
+    assert math.comb(2 + 10, 10) * math.comb(1 + 1, 1) <= 1_024
+    assert len(scheme_layout(make_grouping(21, (2,) * 10 + (1,)), 12).group_types) > 0
 
 
 if __name__ == "__main__":

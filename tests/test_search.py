@@ -128,10 +128,10 @@ def test_unread_census_builds_no_doomed_records(monkeypatch):
     built = 0
 
     class Counted(CandidateRecord):
-        def __init__(self, *args):
+        def __new__(cls, *args):
             nonlocal built
             built += 1
-            super().__init__(*args)
+            return super().__new__(cls, *args)
 
     monkeypatch.setattr(ptcache.search, "CandidateRecord", Counted)
     r = exhaustive_search(7, 4)

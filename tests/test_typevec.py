@@ -123,6 +123,26 @@ def test_type_vector_validation():
             TypeVector(blocks)
 
 
+def test_trusted_type_vector_equals_a_checked_one():
+    """A type built without the checks, as enumeration and ``type_of``
+    build them, equals and hashes like one built by ``TypeVector(...)``,
+    and no type can be changed."""
+    blocks = ((2, 1, 0), (1,))
+    checked, trusted = TypeVector(blocks), TypeVector._trusted(blocks)
+    assert checked == trusted and hash(checked) == hash(trusted)
+    assert {trusted: 1}[checked] == 1
+    g = make_grouping(7, (2, 2, 2, 1))
+    assert type_of(g, (1, 2, 3, 7)) == checked
+    assert checked in dict(enumerate_types(g, 4))
+    assert checked != TypeVector(((2, 1, 0), (0,))) and checked != blocks
+    for name in ("blocks", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(checked, name, ((1, 1, 1), (1,)))
+    with pytest.raises(AttributeError):
+        del checked.blocks
+    assert checked.blocks == blocks and hash(checked) == hash(trusted)
+
+
 def test_enumerate_types_frozen_counts():
     g = make_grouping(8, (4, 4))
     got = {v.text(): c for v, c in enumerate_types(g, 3)}
