@@ -71,17 +71,19 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
-    """Accept "4..40", a single value, or a comma list, each K <= LAYOUT_MAX_K."""
+    """Accept "4..40", a single value, or a comma list, each 1 <= K <= LAYOUT_MAX_K."""
     if ".." in text:
         lo, top = (int(x) for x in text.split("..", 1))
         values: Sequence[int] = range(lo, top + 1)
     else:
         values = _parse_int_list(text)
-        top = max(values, default=0)
+        lo, top = min(values, default=1), max(values, default=0)
     if not values:
         raise UsageError(f"--K {text!r} names no value")
     if top > LAYOUT_MAX_K:
         raise UsageError(f"--K {text!r} goes above the cap K={LAYOUT_MAX_K}")
+    if lo < 1:
+        raise UsageError(f"--K {text!r} goes below K=1")
     return tuple(values)
 
 

@@ -88,6 +88,7 @@ def integer_partitions(
                 rec(remaining - c * v, v - 1, slots - c, prefix + (v,) * c)
 
     rec(n, max_part, max_parts, ())
+    del rec  # it refers to itself: free it, and what it holds, now
     return out
 
 

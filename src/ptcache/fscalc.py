@@ -13,13 +13,13 @@ order and raises :class:`PlanError` at the first that rejects the rules.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .combinat import binomial, box_partition_counts
-from .typevec import Grouping, MGroupStructure, TypeVector, enumerate_types
-from .typevec import make_grouping, mgroup_structure
+from .typevec import Grouping, TypeVector, enumerate_types, make_grouping
+from .typevec import mgroup_structure
 
 # Marks "this subfile type is not involved in this row".  Distinct from an
 # explicit 0, which carries meaning (exclusion or wildcard, per policy).
@@ -53,24 +53,23 @@ GlobalFS = namedtuple("GlobalFS", "factors row_scales")
 MCResult = namedtuple("MCResult", "ok fail_index dots", defaults=(None, None))
 
 
-def local_fs(structure: MGroupStructure, d_tx: Iterable[int]) -> dict[TypeVector, int]:
+def local_fs(structure: Sequence[tuple[int, Hashable]], d_tx: Iterable[int]) -> dict:
     """Local split factors of one group type for transmitter selection ``d_tx``.
 
-    ``d_tx`` holds 1-based unique-set indices.  The factor for the type owned
-    by unique set i counts the useful messages its members receive: every
-    transmitter except (if i transmits) one slot for the member itself.
+    ``structure`` holds the (size, key) pair of each unique set, its key the
+    subfile type it owns or that type's column; ``d_tx`` holds 1-based
+    unique-set indices.  The factor for unique set i's key counts the useful
+    messages its members receive: every transmitter except (if i transmits)
+    one slot for the member itself.
     """
     chosen = sorted(set(d_tx))
     if not chosen:
         raise ValueError("transmitter selection must be nonempty")
-    n = structure.num_unique_sets
+    n = len(structure)
     if any(not 1 <= i <= n for i in chosen):
         raise ValueError(f"selection {chosen} out of range 1..{n}")
-    senders = sum(structure.unique_sets[i - 1].size for i in chosen)
-    out: dict[TypeVector, int] = {}
-    for idx, vtype in enumerate(structure.involved, start=1):
-        out[vtype] = senders - 1 if idx in chosen else senders
-    return out
+    senders = sum(structure[i - 1][0] for i in chosen)
+    return {key: senders - (i in chosen) for i, (_, key) in enumerate(structure, 1)}
 
 
 class RatioForest:
@@ -249,10 +248,11 @@ def subpacketization(
     return sum(a * c for a, c in zip(alpha_global, type_counts))
 
 
-# structures are aligned with group_types; col maps a subfile type to its
+# unique_sets holds, per group type, the (size, involved column) of each of
+# its unique sets, in unique_set_names order; col maps a subfile type to its
 # column; involved_masks holds, per group type, the columns it involves
 _LAYOUT = (
-    "grouping t subfile_types type_counts group_types structures col mc_rows "
+    "grouping t subfile_types type_counts group_types unique_sets col mc_rows "
     "involved_masks"
 )
 
@@ -260,7 +260,7 @@ _LAYOUT = (
 class SchemeLayout(namedtuple("SchemeLayout", _LAYOUT)):
     """The rules-independent bookkeeping of one (grouping, t): the subfile
     types (the columns of every split-factor row) with their counts, the
-    group types (the rows) with their structures, and the table the memory
+    group types (the rows) with their unique sets, and the table the memory
     check weighs the global factors with."""
 
     __slots__ = ()
@@ -269,8 +269,8 @@ class SchemeLayout(namedtuple("SchemeLayout", _LAYOUT)):
         """Full-width local split-factor row of group type i transmitting
         with ``selection``; STAR in the columns it does not involve."""
         row: list[FSEntry] = [STAR] * len(self.subfile_types)
-        for v, a in local_fs(self.structures[i], selection).items():
-            row[self.col[v]] = a
+        for j, a in local_fs(self.unique_sets[i], selection).items():
+            row[j] = a
         return tuple(row)
 
     def rate_masks(
@@ -282,13 +282,8 @@ class SchemeLayout(namedtuple("SchemeLayout", _LAYOUT)):
         which equals no mask).  A skip involves nothing."""
         if selection is None:
             return 0, -1
-        st = self.structures[i]
-        solo = -1
-        if len(selection) == 1:
-            (k,) = selection
-            if st.unique_sets[k - 1].size == 1:
-                solo = 1 << self.col[st.involved[k - 1]]
-        return self.involved_masks[i], solo
+        size, j = self.unique_sets[i][min(selection) - 1]
+        return self.involved_masks[i], 1 << j if len(selection) == size == 1 else -1
 
 
 # the memory-check table: per block, the subsets of each type that hold a
@@ -339,17 +334,19 @@ def scheme_layout(g: Grouping, t: int) -> SchemeLayout:
     vtypes = tuple(v for v, _ in typed)
     gtypes = tuple(v for v, _ in enumerate_types(g, t + 1))
     col = {v: j for j, v in enumerate(vtypes)}
-    structures = tuple(mgroup_structure(g, gt) for gt in gtypes)
+    unique_sets = tuple(
+        tuple((size, col[v]) for size, v in mgroup_structure(g, gt)) for gt in gtypes
+    )
     return SchemeLayout(
         g,
         t,
         vtypes,
         tuple(c for _, c in typed),
         gtypes,
-        structures,
+        unique_sets,
         col,
         _mc_rows(g, typed),
-        tuple(sum(1 << col[v] for v in st.involved) for st in structures),
+        tuple(sum(1 << j for _, j in us) for us in unique_sets),
     )
 
 
@@ -455,14 +452,12 @@ def analyze_layout(
     factors = gfs.factors
     if not any(factors):
         raise PlanError("lcm", "all subfile types excluded; nothing would be stored")
-    excluded = frozenset(v for v, f in zip(layout.subfile_types, factors) if not f)
     zeroed = sum(1 << j for j, f in enumerate(factors) if not f)
 
     def involved(i: int, dead: bool) -> list[str]:
         """The types group type i involves that are excluded, or live."""
-        return [
-            v.text() for v in layout.structures[i].involved if (v in excluded) == dead
-        ]
+        cols = [j for _, j in layout.unique_sets[i] if (not factors[j]) == dead]
+        return [layout.subfile_types[j].text() for j in cols]
 
     for i, (gt, sel) in enumerate(zip(layout.group_types, selections)):
         if sel is None and layout.involved_masks[i] & ~zeroed:
@@ -496,7 +491,7 @@ def analyze_layout(
         rule_types=tuple(rule_types),
         global_fs=gfs,
         z_of=dict(zip(rule_types, gfs.row_scales)),
-        excluded=excluded,
+        excluded=frozenset(v for v, f in zip(layout.subfile_types, factors) if not f),
         skipped_group_types=frozenset(
             gt
             for gt, mask in zip(layout.group_types, layout.involved_masks)

@@ -103,8 +103,8 @@ def _options(layout: SchemeLayout) -> list[list[_Option]]:
     """Per group type, every nonempty selection, smallest first, with its
     local row, record item and column masks."""
     options: list[list[_Option]] = []
-    for i, (gt, st) in enumerate(zip(layout.group_types, layout.structures)):
-        n = st.num_unique_sets
+    for i, (gt, us) in enumerate(zip(layout.group_types, layout.unique_sets)):
+        n = len(us)
         text = gt.text()
         options.append([])
         for size in range(1, n + 1):
@@ -138,7 +138,6 @@ def _walk(
     a contradiction among them holds for every leaf below; that subtree is
     "doomed" and is one no_lcm run, counted without visiting its leaves.
     """
-    structures = layout.structures
     width, depth = len(layout.subfile_types), len(order)
     walked = [options[c] for c in order]
     n_opts = [len(opts) for opts in walked]
@@ -150,11 +149,11 @@ def _walk(
     # by then.  A final column never holds a zero, so all its rows are live.
     rows_of: list[list[int]] = [[] for _ in range(width)]
     zeroers: list[list[int]] = [[] for _ in range(width)]
-    for c, st in enumerate(structures):
-        for us, v in zip(st.unique_sets, st.involved):
-            rows_of[layout.col[v]].append(at[c])
-            if us.size == 1:
-                zeroers[layout.col[v]].append(at[c])
+    for c, us in enumerate(layout.unique_sets):
+        for size, j in us:
+            rows_of[j].append(at[c])
+            if size == 1:
+                zeroers[j].append(at[c])
     # per depth: the columns turning final there, with their rows so far,
     # and the columns the row touches, with the first row touching them
     final_at: list[list[tuple[int, list[int]]]] = [[] for _ in range(depth)]
@@ -257,7 +256,7 @@ def search_space(K: int, t: int) -> tuple[int, list[SchemeLayout]]:
     for sizes in integer_partitions(K):
         layout = scheme_layout(make_grouping(K, sizes), t)
         layouts.append(layout)
-        count += prod(2**st.num_unique_sets - 1 for st in layout.structures)
+        count += prod(2 ** len(us) - 1 for us in layout.unique_sets)
         if count > MAX_CANDIDATES:
             break
     return count, layouts

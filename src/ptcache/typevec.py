@@ -240,40 +240,21 @@ def enumerate_types(g: Grouping, total: int) -> list[tuple[TypeVector, int]]:
                 prefix.pop()
 
     rec(0, total, [], 1)
+    del rec  # it refers to itself: free it, and what it holds, now
     return [(v, found[v]) for v in canonical_type_order(found)]
-
-
-# Users of one group type that are interchangeable with each other.  Two
-# users of a concrete group merge exactly when their groups lie in the same
-# block *and* the group intersections have the same cardinality, so (block,
-# cardinality) names the set and ``size`` counts its users.  Merging on
-# cardinality alone would be wrong: dropping a user must yield the same
-# subfile type for every member, and that only holds per block.
-UniqueSet = namedtuple("UniqueSet", "block cardinality size")
-
-
-class MGroupStructure(namedtuple("MGroupStructure", "gtype unique_sets involved")):
-    """Structure of all concrete groups sharing one group type.
-
-    ``unique_sets`` is in (block asc, cardinality desc) order; ``involved``
-    is aligned with it: entry i is the subfile type obtained by dropping any
-    single member of unique set i+1, which is the type that unique set
-    "owns" for delivery purposes.
-    """
-
-    __slots__ = ()
-
-    @property
-    def num_unique_sets(self) -> int:
-        return len(self.unique_sets)
 
 
 def unique_set_names(gtype: TypeVector) -> tuple[tuple[int, int], ...]:
     """(block, cardinality) of each of ``gtype``'s unique sets, block
     ascending and then cardinality descending: the order in which 1-based
-    unique-set indices count.  The users of a group type's groups that lie
-    in one block and meet their group in one intersection size form a
-    unique set, so the type alone names them."""
+    unique-set indices count.
+
+    A unique set holds the users of a group type's groups that are
+    interchangeable: two users of a concrete group merge exactly when their
+    groups lie in one block *and* meet the group in one intersection size,
+    so the type alone names the set.  Merging on cardinality alone would be
+    wrong: dropping a user must yield the same subfile type for every
+    member, and that only holds per block."""
     return tuple(
         (bi, card)
         for bi, blk in enumerate(gtype.blocks)
@@ -281,26 +262,26 @@ def unique_set_names(gtype: TypeVector) -> tuple[tuple[int, int], ...]:
     )
 
 
-def mgroup_structure(g: Grouping, gtype: TypeVector) -> MGroupStructure:
-    """The structure of ``gtype``, derived from the type alone.
+def mgroup_structure(
+    g: Grouping, gtype: TypeVector
+) -> tuple[tuple[int, TypeVector], ...]:
+    """(size, involved type) of each of ``gtype``'s unique sets, in
+    :func:`unique_set_names` order, derived from the type alone.
 
     Dropping a member of a unique set lowers the last entry equal to its
     cardinality by one, which keeps the block non-increasing: that is the
-    set's involved type.
+    set's involved type, the subfile type it owns for delivery.
     """
     if not is_realizable(g, gtype):
         raise ValueError(f"group type {gtype} is not realizable under {g}")
-    unique_sets = []
-    involved = []
+    out = []
     for bi, card in unique_set_names(gtype):
         blk = gtype.blocks[bi]
-        unique_sets.append(UniqueSet(bi, card, card * blk.count(card)))
         last = len(blk) - 1 - blk[::-1].index(card)
         lowered = blk[:last] + (card - 1,) + blk[last + 1 :]
-        involved.append(
-            TypeVector._trusted(gtype.blocks[:bi] + (lowered,) + gtype.blocks[bi + 1 :])
-        )
-    return MGroupStructure(gtype, tuple(unique_sets), tuple(involved))
+        involved = gtype.blocks[:bi] + (lowered,) + gtype.blocks[bi + 1 :]
+        out.append((card * blk.count(card), TypeVector._trusted(involved)))
+    return tuple(out)
 
 
 def per_user_count(g: Grouping, v: TypeVector, block_index: int) -> int:

@@ -1232,6 +1232,21 @@ def test_k_cap_refuses_before_any_design_is_built(command, selector, K, capsys):
             main([command, "--thm", "2", "--K", "1000", "--t", "2"])
 
 
+@pytest.mark.parametrize("K", ["-100000..4", "0..4", "0", "3,-1,5", "-5..2000"])
+def test_sweep_refuses_k_below_one_from_the_range_ends(K, capsys):
+    """sweep --K refuses a K below 1 with exit 4 before any K is swept,
+    read off the range's ends, not by walking it: ``--K=-100000..4`` swept
+    100,005 values, with a skip note each on stderr, and ``0..4`` noted
+    K=0.  A range that also goes above the cap keeps that message."""
+    with mock.patch("ptcache.cli.sweep_ratios", _refuse_row):
+        code, out, err = run_cli(
+            ["sweep", "--family", "thm1", "--tbar", "2", f"--K={K}"], capsys
+        )
+    assert (code, out) == (EXIT_USAGE, "")
+    why = "above the cap K=1000" if K.endswith("2000") else "below K=1"
+    assert err == f"error: --K {K!r} goes {why}\n"
+
+
 @pytest.mark.parametrize("argv", ANALYZE_ABOVE_CAP + [TABLE_ABOVE_CAP])
 def test_analyze_above_the_cap_is_a_usage_error_in_optimized_mode(argv):
     """The caps are no asserts: ``python -O`` refuses the same analyses."""

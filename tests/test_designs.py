@@ -354,8 +354,9 @@ def test_family_rules_digest():
 
 def test_families_build_no_structure():
     """Families name their transmitters from the group type alone: with
-    every MGroupStructure refused, each call of the digest grid builds the
-    same design, or refuses with a ValueError, exactly as it does without."""
+    ``mgroup_structure`` refused, through both the binding of ``typevec``
+    and that of ``fscalc``, each call of the digest grid builds the same
+    design, or refuses with a ValueError, exactly as it does without."""
 
     def outcomes():
         out = []
@@ -366,8 +367,9 @@ def test_families_build_no_structure():
                 out.append((label, "ValueError"))
         return out
 
-    built = AssertionError("a design built an MGroupStructure")
-    with mock.patch("ptcache.typevec.MGroupStructure", side_effect=built):
+    built = AssertionError("a design built a group type's structure")
+    with mock.patch("ptcache.typevec.mgroup_structure", side_effect=built), \
+            mock.patch("ptcache.fscalc.mgroup_structure", side_effect=built):
         named = outcomes()
     assert named == outcomes()
 

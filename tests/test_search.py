@@ -9,6 +9,7 @@ reported reasons.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -20,9 +21,11 @@ from ptcache.combinat import integer_partitions
 from ptcache.designs import theorem1_design
 from ptcache.engine import build_plan, decode_and_verify, measure, rules_json, simulate
 from ptcache.fscalc import (
+    STAR,
     NoLcmError,
     PlanError,
     analyze_rules,
+    local_fs,
     mc_check,
     rate_failure,
     subpacketization,
@@ -37,7 +40,7 @@ from ptcache.search import (
     search_space,
     sweep_ratios,
 )
-from ptcache.typevec import TypeVector
+from ptcache.typevec import TypeVector, mgroup_structure
 
 
 FROZEN_4_2 = [
@@ -268,16 +271,18 @@ def test_candidates_round_trip_through_the_engine():
             assert decode_and_verify(simulate(plan, files, demand)).ok
 
 
-def rate_violation(structure, selection, excluded):
+def rate_violation(layout, i, selection, excluded):
     """Reference for the rate stage, on sets of types: the 1-based indices
-    of the unique sets whose desired type is excluded, or [] when the group
-    type sends at full rate or sends nothing at all.  A member whose desired
-    type is excluded receives nothing, so it may appear in a transmitting
-    group type only as the lone transmitter."""
-    dead = [i for i, v in enumerate(structure.involved, 1) if v in excluded]
-    if len(dead) == len(structure.involved):
+    of group type i's unique sets whose desired type is excluded, or []
+    when the group type sends at full rate or sends nothing at all.  A
+    member whose desired type is excluded receives nothing, so it may
+    appear in a transmitting group type only as the lone transmitter."""
+    unique_sets = layout.unique_sets[i]
+    owned = [layout.subfile_types[j] for _, j in unique_sets]
+    dead = [k for k, v in enumerate(owned, 1) if v in excluded]
+    if len(dead) == len(owned):
         return []  # every involved type excluded: the group type is skipped
-    n_dead = sum(structure.unique_sets[i - 1].size for i in dead)
+    n_dead = sum(unique_sets[k - 1][0] for k in dead)
     if n_dead == 0 or (n_dead == 1 and selection == frozenset(dead)):
         return []
     return dead
@@ -292,7 +297,7 @@ def test_mask_rate_test_agrees_with_rate_violation(K):
     for t in range(1, K):
         for layout in search_space(K, t)[1]:
             width = len(layout.subfile_types)
-            for i, (st, opts) in enumerate(zip(layout.structures, _options(layout))):
+            for i, opts in enumerate(_options(layout)):
                 for opt in opts:
                     assert opt[3] == layout.rate_masks(i, frozenset(opt[1][1]))
                 for zeroed in range(1 << width):
@@ -301,8 +306,34 @@ def test_mask_rate_test_agrees_with_rate_violation(K):
                         if zeroed >> j & 1
                     }
                     for opt in opts:
-                        want = bool(rate_violation(st, frozenset(opt[1][1]), excluded))
+                        sel = frozenset(opt[1][1])
+                        want = bool(rate_violation(layout, i, sel, excluded))
                         assert (rate_failure([opt[3]], zeroed) == 0) == want
+
+
+@pytest.mark.parametrize("K", range(2, 7))
+def test_layout_rows_and_rate_masks_match_the_type_oracle(K):
+    """For every layout of every census at this K, each group type and each
+    nonempty selection: ``row`` and ``rate_masks``, read off the layout's
+    (size, column) pairs, equal ``local_fs`` of ``mgroup_structure``'s
+    (size, type) pairs mapped through ``col``."""
+    for t in range(1, K):
+        for layout in search_space(K, t)[1]:
+            for i, gt in enumerate(layout.group_types):
+                structure = mgroup_structure(layout.grouping, gt)
+                involved = sum(1 << layout.col[v] for _, v in structure)
+                sets = range(1, len(structure) + 1)
+                for k in sets:
+                    for sel in combinations(sets, k):
+                        want = [STAR] * len(layout.subfile_types)
+                        for v, a in local_fs(structure, sel).items():
+                            want[layout.col[v]] = a
+                        assert layout.row(i, sel) == tuple(want)
+                        size, v = structure[sel[0] - 1]
+                        alone = k == 1 and size == 1  # one sender, one user
+                        solo = 1 << layout.col[v] if alone else -1
+                        assert layout.rate_masks(i, frozenset(sel)) == (involved, solo)
+                assert layout.rate_masks(i, None) == (0, -1)
 
 
 def _vector_lcm_verdict(layout, selections):
@@ -317,8 +348,8 @@ def _vector_lcm_verdict(layout, selections):
     if not any(gfs.factors):
         return None, "no_lcm"
     excluded = {v for v, f in zip(layout.subfile_types, gfs.factors) if f == 0}
-    for st, sel in zip(layout.structures, selections):
-        if rate_violation(st, sel, excluded):
+    for i, sel in enumerate(selections):
+        if rate_violation(layout, i, sel, excluded):
             return None, "rate"
     if not mc_check(gfs.factors, layout.mc_rows).ok:
         return None, "mc"

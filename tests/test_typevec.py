@@ -7,6 +7,7 @@ checked the same way on small instances, plus frozen values worked out by
 hand.
 """
 
+import gc
 from collections import Counter
 from itertools import combinations
 
@@ -207,6 +208,21 @@ def test_enumerate_types_of_a_thousand_singletons():
     assert typed == [(TypeVector(((1,) * 1000,)), 1)]
 
 
+def test_enumeration_leaves_no_cyclic_garbage():
+    """``enumerate_types`` and ``integer_partitions`` recurse through inner
+    functions that refer to themselves; each drops its own once done, so
+    the types and partitions it built are freed when the caller drops them,
+    not whenever the cycle collector next runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_types(make_grouping(6, (2, 2, 1, 1)), 3)
+        integer_partitions(7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @settings(max_examples=40, deadline=None)
 @given(grouping_with_t(max_K=8), st.randoms(use_true_random=False))
 def test_type_is_invariant_under_symmetry(params, rnd):
@@ -241,33 +257,32 @@ def test_type_is_invariant_under_symmetry(params, rnd):
 # ------------------------------------------------------------- unique sets
 
 
+def named_structure(g, text):
+    """(name, size, involved type text) of each unique set of the group type
+    ``text``: ``mgroup_structure``'s pairs zipped with their names."""
+    gt = TypeVector.parse(text)
+    pairs = mgroup_structure(g, gt)
+    assert len(pairs) == len(unique_set_names(gt))
+    return [
+        (name, size, v.text()) for name, (size, v) in zip(unique_set_names(gt), pairs)
+    ]
+
+
 def test_unique_sets_split_by_block_and_cardinality():
     g = make_grouping(8, (4, 4))
-    st_ = mgroup_structure(g, TypeVector.parse("3,1"))
-    assert st_.num_unique_sets == 2
-    assert [(u.block, u.cardinality, u.size) for u in st_.unique_sets] == [
-        (0, 3, 3),
-        (0, 1, 1),
-    ]
-    assert [v.text() for v in st_.involved] == ["2,1", "3,0"]
+    assert named_structure(g, "3,1") == [((0, 3), 3, "2,1"), ((0, 1), 1, "3,0")]
 
 
 def test_unique_sets_merge_within_block_only():
     # two groups with the same intersection size in the same block merge ...
     g = make_grouping(9, (3, 3, 3))
-    st_ = mgroup_structure(g, TypeVector.parse("3,3,1"))
-    assert [(u.block, u.cardinality, u.size) for u in st_.unique_sets] == [
-        (0, 3, 6),
-        (0, 1, 1),
+    assert [(name, size) for name, size, _ in named_structure(g, "3,3,1")] == [
+        ((0, 3), 6),
+        ((0, 1), 1),
     ]
     # ... but the same cardinality in different blocks stays separate
     g2 = make_grouping(5, (3, 2))
-    st2 = mgroup_structure(g2, TypeVector.parse("2|2"))
-    assert [(u.block, u.cardinality, u.size) for u in st2.unique_sets] == [
-        (0, 2, 2),
-        (1, 2, 2),
-    ]
-    assert [v.text() for v in st2.involved] == ["1|2", "2|1"]
+    assert named_structure(g2, "2|2") == [((0, 2), 2, "1|2"), ((1, 2), 2, "2|1")]
 
 
 def test_unrealizable_group_type_rejected():
@@ -299,11 +314,11 @@ def test_structure_is_representative_independent(params, rnd):
     st_ = mgroup_structure(g, gt)
     concrete = unique_set_members(g, S)
     assert unique_set_names(gt) == tuple(name for name, _ in concrete)
-    assert [(bi, card, len(users)) for (bi, card), users in concrete] == [
-        (u.block, u.cardinality, u.size) for u in st_.unique_sets
+    assert [(name, len(users)) for name, users in concrete] == [
+        (name, size) for name, (size, _) in zip(unique_set_names(gt), st_)
     ]
     # removing any member of unique set i from S realizes involved type i
-    for (_, users), want in zip(concrete, st_.involved):
+    for (_, users), (_, want) in zip(concrete, st_):
         for member in users:
             rest = tuple(x for x in S if x != member)
             assert type_of(g, rest) == want
@@ -316,9 +331,11 @@ def test_involved_types_are_distinct_and_owned(params):
     g = make_grouping(K, sizes)
     for gt, _ in enumerate_types(g, t + 1):
         st_ = mgroup_structure(g, gt)
-        assert len(set(st_.involved)) == st_.num_unique_sets
-        for i, v in enumerate(st_.involved, start=1):
-            assert st_.involved.index(v) + 1 == i
+        assert len(st_) == len(unique_set_names(gt))
+        involved = [v for _, v in st_]
+        assert len(set(involved)) == len(st_)
+        for i, v in enumerate(involved, start=1):
+            assert involved.index(v) + 1 == i
 
 
 # --------------------------------------------------------- per-user counts
