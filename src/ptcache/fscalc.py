@@ -13,7 +13,7 @@ order and raises :class:`PlanError` at the first that rejects the rules.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -53,14 +53,13 @@ GlobalFS = namedtuple("GlobalFS", "factors row_scales")
 MCResult = namedtuple("MCResult", "ok fail_index dots", defaults=(None, None))
 
 
-def local_fs(structure: Sequence[tuple[int, Hashable]], d_tx: Iterable[int]) -> dict:
+def local_fs(structure: Sequence[tuple[int, object]], d_tx: Iterable[int]) -> dict:
     """Local split factors of one group type for transmitter selection ``d_tx``.
 
-    ``structure`` holds the (size, key) pair of each unique set, its key the
+    ``structure`` holds each unique set's (size, key) pair, the key being the
     subfile type it owns or that type's column; ``d_tx`` holds 1-based
-    unique-set indices.  The factor for unique set i's key counts the useful
-    messages its members receive: every transmitter except (if i transmits)
-    one slot for the member itself.
+    unique-set indices.  Unique set i's factor counts the useful messages its
+    members receive: every transmitter except (if i transmits) the member itself.
     """
     chosen = sorted(set(d_tx))
     if not chosen:
@@ -69,7 +68,10 @@ def local_fs(structure: Sequence[tuple[int, Hashable]], d_tx: Iterable[int]) -> 
     if any(not 1 <= i <= n for i in chosen):
         raise ValueError(f"selection {chosen} out of range 1..{n}")
     senders = sum(structure[i - 1][0] for i in chosen)
-    return {key: senders - (i in chosen) for i, (_, key) in enumerate(structure, 1)}
+    out = {}
+    for idx, (_, key) in enumerate(structure, start=1):
+        out[key] = senders - 1 if idx in chosen else senders
+    return out
 
 
 class RatioForest:
@@ -248,9 +250,8 @@ def subpacketization(
     return sum(a * c for a, c in zip(alpha_global, type_counts))
 
 
-# unique_sets holds, per group type, the (size, involved column) of each of
-# its unique sets, in unique_set_names order; col maps a subfile type to its
-# column; involved_masks holds, per group type, the columns it involves
+# per group type, unique_sets holds its unique sets' (size, column) pairs and
+# involved_masks the columns it involves; col maps a subfile type to its column
 _LAYOUT = (
     "grouping t subfile_types type_counts group_types unique_sets col mc_rows "
     "involved_masks"
@@ -456,8 +457,11 @@ def analyze_layout(
 
     def involved(i: int, dead: bool) -> list[str]:
         """The types group type i involves that are excluded, or live."""
-        cols = [j for _, j in layout.unique_sets[i] if (not factors[j]) == dead]
-        return [layout.subfile_types[j].text() for j in cols]
+        return [
+            layout.subfile_types[j].text()
+            for _, j in layout.unique_sets[i]
+            if (not factors[j]) == dead
+        ]
 
     for i, (gt, sel) in enumerate(zip(layout.group_types, selections)):
         if sel is None and layout.involved_masks[i] & ~zeroed:

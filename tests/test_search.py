@@ -311,7 +311,7 @@ def test_mask_rate_test_agrees_with_rate_violation(K):
                         assert (rate_failure([opt[3]], zeroed) == 0) == want
 
 
-@pytest.mark.parametrize("K", range(2, 7))
+@pytest.mark.parametrize("K", range(2, 8))
 def test_layout_rows_and_rate_masks_match_the_type_oracle(K):
     """For every layout of every census at this K, each group type and each
     nonempty selection: ``row`` and ``rate_masks``, read off the layout's
