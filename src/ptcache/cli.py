@@ -259,6 +259,13 @@ def _emit(obj: object, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# opens each output path given once for append, called once every refusal
+# check has passed, so that an unwritable one fails before the work
+def _open_outputs(*paths):
+    for path in filter(None, paths):
+        open(path, "a").close()
+
+
 def cmd_design(args: argparse.Namespace) -> int:
     ds = _resolve_design(args)
     N, M = _memory_point(args, ds)
@@ -354,6 +361,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     # random demands are drawn lazily, after the files
     demands = _demand_vectors(args.demands, ds.K, N, rng)
+    _open_outputs(args.out, args.transcript)
     files = tuple(
         rng.randbytes(plan.f_pt * args.bytes_per_packet) for _ in range(N)
     )
@@ -394,15 +402,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     K, t, budget = args.K, args.t, args.budget
-    if args.out and 1 <= t < K <= MAX_K:  # other (K, t) the search refuses
+    # other (K, t) and budgets the search refuses
+    if args.out and 1 <= t < K <= MAX_K and (budget is None or 0 < budget <= MAX_BUDGET):
         # a row per candidate, counted before the census runs; without a
         # budget, one above MAX_CANDIDATES is the search's to refuse
         count = search_space(K, t)[0]
         rows = count if budget is None else min(count, budget)
-        if rows > MAX_CSV_ROWS and (budget is not None or count <= MAX_CANDIDATES):
-            raise UsageError(
-                f"--out would write {rows:,} rows; the cap is {MAX_CSV_ROWS:,}"
-            )
+        if budget is not None or count <= MAX_CANDIDATES:
+            if rows > MAX_CSV_ROWS:
+                raise UsageError(
+                    f"--out would write {rows:,} rows; the cap is {MAX_CSV_ROWS:,}"
+                )
+            _open_outputs(args.out)
     result = exhaustive_search(K, t, max_candidates=budget)
     if args.out:
         f_jcm, _ = jcm_baseline(K, t)
@@ -456,8 +467,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     jobs = [{"t_bar": tb} for tb in args.t_bar_list]
     jobs += [{"m": args.m, "t": t} for t in args.t_list]
 
-    # every job runs before any note is printed, so a job that no K admits
-    # fails the command with nothing else on stderr
+    # each job's parameters are checked, on no K, before --out is opened,
+    # and every job runs before any note is printed, so a job that no K
+    # admits fails the command with nothing else on stderr
+    for job in jobs:
+        sweep_ratios(args.family, (), **job)  # type: ignore[arg-type]
+    _open_outputs(args.out)
     results = [
         sweep_ratios(args.family, args.K_range, **job)  # type: ignore[arg-type]
         for job in jobs

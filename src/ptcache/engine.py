@@ -162,17 +162,11 @@ def build_plan(
 # counter) term per receiver, and the payload, the XOR of the terms' packets.
 Message = namedtuple("Message", "tx group rx terms payload")
 
-# The demand-independent delivery in one multicast group S: its further-
-# splitting factor, its transmitters in canonical order, and each member whose
-# desired subset, S minus it, holds packets, with its span (subset, first
-# packet, packet count).
-GroupSchedule = namedtuple("GroupSchedule", "z transmitters receivers spans")
 
-
-class Schedule(Mapping[tuple[int, ...], GroupSchedule]):
+class Schedule:
     """The groups that send: ``order``, (group, transmitters) in canonical
-    order, and ``z``, their split factors.  A group's ``GroupSchedule`` is
-    built when read."""
+    order, and ``z``, their split factors.  ``receivers`` gives a group's
+    receivers with their spans, read off the packet map when asked."""
 
     def __init__(self, order, z, span_of, bit):
         # span_of: a subset's bit mask, the sum of bit[u] over its users u, ->
@@ -180,24 +174,12 @@ class Schedule(Mapping[tuple[int, ...], GroupSchedule]):
         self.order, self.z, self.span_of, self.bit = order, z, span_of, bit
         self.compiled = ()  # the last send order, its B, slices and counts
 
-    @cached_property
-    def transmitters(self):
-        return dict(self.order)
-
-    def __getitem__(self, S):
-        mask, spans = sum(map(self.bit.__getitem__, S)), {}
-        for k in S:
-            if span := self.span_of.get(mask ^ self.bit[k]):
-                spans[k] = span
-        return GroupSchedule(
-            self.z[S], self.transmitters[S], tuple(spans), tuple(spans.values())
-        )
-
-    def __iter__(self):
-        return iter(self.z)
-
-    def __len__(self):
-        return len(self.z)
+    def receivers(self, S):
+        """(k, span) for each member k of group S whose desired subset, S
+        minus k, holds packets: its span (subset, first packet, packet
+        count), shared by every group that sends that subset."""
+        mask = sum(map(self.bit.__getitem__, S))
+        return [(k, span) for k in S if (span := self.span_of.get(mask ^ self.bit[k]))]
 
     def broadcast(self, order, files, demand, B):
         """The broadcast sent in ``order``, one (group, senders) per sending
@@ -345,14 +327,12 @@ class Transcript(Sequence[Message]):
         at = 0
         for S, senders in self.order:
             n, size = len(senders), self.schedule.z[S] * self.B
-            gs = self.schedule[S] if i < n else None
+            rx = self.schedule.receivers(S) if i < n else ()
             for j in range(i, n):
                 tx = senders[j]
                 # a receiver's counter: the messages before j that it received
                 terms = tuple(
-                    (k, T, j - senders[:j].count(k))
-                    for k, (T, _, _) in zip(gs.receivers, gs.spans)
-                    if k != tx
+                    (k, T, j - senders[:j].count(k)) for k, (T, _, _) in rx if k != tx
                 )
                 payload = self.broadcast[at + j * size : at + (j + 1) * size]
                 yield Message(tx, S, tuple(filter(tx.__ne__, S)), terms, payload)
@@ -444,8 +424,7 @@ def deliver(session: Session, order_seed: int | None = None) -> Transcript:
         order = tuple(order)  # the compiled slices are kept for this order
     census = _census(session)
     for S, txs in order if any(map(itemgetter(0), census.values())) else ():
-        gs = schedule[S]
-        for tx, (k, (T, _, _)) in product(txs, zip(gs.receivers, gs.spans)):
+        for tx, (k, (T, _, _)) in product(txs, schedule.receivers(S)):
             if k != tx and T in census[tx][0]:
                 raise IntegrityError(f"transmitter {tx} does not cache subfile {T}")
     B = session.bytes_per_packet
@@ -505,8 +484,8 @@ def decode_and_verify(session: Session) -> VerifyResult:
     # raises for unserved groups and overrun counters
     expected, decoded = schedule.broadcast(order, session.files, demand, B)
     for S, senders in order if deviant else ():
-        gs = schedule[S]
-        for tx, (k, (T_own, _, _)) in product(senders, zip(gs.receivers, gs.spans)):
+        rx = schedule.receivers(S)
+        for tx, (k, (T_own, _, _)) in product(senders, rx):
             if k == tx or k not in deviant:
                 continue
             lacking, foreign, _ = census[k]
@@ -515,7 +494,7 @@ def decode_and_verify(session: Session) -> VerifyResult:
                     f"user {k} decoded subfile {T_own} of file {demand[k - 1]}, "
                     f"already cached"
                 )
-            if any(T in lacking for u, (T, _, _) in zip(gs.receivers, gs.spans) if u != tx):
+            if any(T in lacking for u, (T, _, _) in rx if u != tx):
                 raise IntegrityError(
                     f"user {k} lacks side information for the message {tx} "
                     f"sends in group {S}"
@@ -531,7 +510,7 @@ def decode_and_verify(session: Session) -> VerifyResult:
                     f"message of {len(sent) - at} bytes in a group sending {size}"
                 )
             if sent[at : at + size] != expected[at : at + size]:
-                wrong.update(filter(tx.__ne__, schedule[S].receivers))
+                wrong.update(k for k, _ in schedule.receivers(S) if k != tx)
             at += size
 
     per_user: dict[int, bool] = {}
@@ -542,9 +521,8 @@ def decode_and_verify(session: Session) -> VerifyResult:
         if decoded[k] + census[k][2] != plan.f_pt:
             got = {}  # per subset, how many of its packets k recovered
             for S, senders in order:
-                if k in (gs := schedule[S]).receivers:
-                    T = gs.spans[gs.receivers.index(k)][0]
-                    got[T] = gs.z * (len(senders) - senders.count(k))
+                if span := dict(schedule.receivers(S)).get(k):
+                    got[span[0]] = schedule.z[S] * (len(senders) - senders.count(k))
             got.update((T, plan.subset_map[T][1]) for T in session.caches[k].held)
             missing[k] = [
                 (demand[k - 1], T, i + 1)

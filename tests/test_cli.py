@@ -1152,6 +1152,61 @@ def test_search_out_refuses_more_rows_than_the_cap(monkeypatch, tmp_path, capsys
     assert len(path.read_text().splitlines()) == 1 + 1_451
 
 
+class _Worked(Exception):
+    """Raised by a patched search walk, simulation or sweep row: the
+    command's work started."""
+
+
+def _refuse_work(*args, **kwargs):
+    raise _Worked(*args)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--thm", "2", "--K", "6", "--t", "4", "--demands", "all",
+         "--out", "DIR"],
+        ["simulate", "--jcm", "--K", "4", "--t", "2", "--transcript", "DIR"],
+        ["search", "--K", "7", "--t", "3", "--out", "DIR"],
+        ["search", "--K", "5", "--t", "2", "--budget", "10", "--out", "DIR"],
+        ["sweep", "--family", "thm1", "--tbar", "2", "--K", "4..12", "--out", "DIR"],
+    ],
+)
+def test_unwritable_output_is_refused_before_the_work(argv, tmp_path, capsys):
+    """An --out or --transcript path that cannot be opened (here a
+    directory) exits 4 before the search walks a candidate, a demand is
+    simulated or a sweep row is built, not once they are done."""
+    argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
+    with mock.patch.object(ptcache.search, "_walk", _refuse_work), \
+            mock.patch.object(ptcache.engine, "simulate", _refuse_work), \
+            mock.patch.object(ptcache.search, "_least_f_pt", _refuse_work):
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: [Errno 21] Is a directory"), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--K", "5", "--t", "2", "--budget", "0"],
+        ["search", "--K", "5", "--t", "2", "--budget", str(2**63)],
+        ["search", "--K", "17", "--t", "2"],
+        ["search", "--K", "5", "--t", "5"],
+        ["search", "--K", "16", "--t", "8"],  # above MAX_CANDIDATES
+        ["sweep", "--family", "thm1", "--tbar", "3", "--K", "4..12"],
+        ["sweep", "--family", "thm2", "--t", "2,5", "--K", "4..12"],
+        ["simulate", "--jcm", "--K", "4", "--t", "2", "--demands", "0"],
+    ],
+)
+def test_refused_commands_leave_no_output_file(argv, tmp_path, capsys):
+    """A command refused for its arguments creates no --out file."""
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: "), err
+    assert not path.exists()
+
+
 def test_table_cap_refuses_before_any_row_is_built(capsys):
     """The table cap is checked once the types are enumerated, before any
     group type's structure, memory-check entry or split-factor row is

@@ -543,25 +543,35 @@ def test_flipped_payload_byte_fails_exactly_its_receivers(ds, N, M, _):
 def reference_decode(session):
     """The per-message, per-receiver decoder that ``decode_and_verify``
     replaced: its own counter replay, and each receiver's packets recovered
-    as the payload XOR every other term, checked against its demanded file."""
+    as the payload XOR every other term, checked against its demanded file.
+    Each group's split factor and receivers come from the plan's analysis
+    and packet map, not from the session's schedule."""
     plan, demand, B = session.plan, session.demand, session.bytes_per_packet
+    a = plan.analysis
     wanted = [session.files[n - 1] for n in demand]
     got = {k: bytearray(plan.f_pt) for k in range(1, plan.K + 1)}
     wrong = set()
     counters = {}
     for msg in session.transcript:
-        gs = session.schedule.get(msg.group)
-        if gs is None:
-            raise IntegrityError(f"unserved group {msg.group}")
-        cnt = counters.setdefault(msg.group, [0] * len(gs.receivers))
+        S = msg.group
+        gtype = type_of(plan.grouping, S) if len(S) == plan.t + 1 else None
+        if gtype in a.skipped_group_types or a.tx_rules.get(gtype) is None:
+            raise IntegrityError(f"unserved group {S}")
+        z = a.z_of[gtype]
+        # each member whose subset, S without it, holds packets
+        receivers = [
+            (k, T) for k in S if (T := tuple(u for u in S if u != k)) in plan.subset_map
+        ]
+        cnt = counters.setdefault(S, [0] * len(receivers))
         terms = []  # (receiver, subset, first packet)
-        for j, (k, (T, base, alpha)) in enumerate(zip(gs.receivers, gs.spans)):
+        for j, (k, T) in enumerate(receivers):
+            base, alpha = plan.subset_map[T]
             if k != msg.tx:
-                if (cnt[j] + 1) * gs.z > alpha:
+                if (cnt[j] + 1) * z > alpha:
                     raise IntegrityError(f"counter overran {T}")
-                terms.append((k, T, base + cnt[j] * gs.z))
+                terms.append((k, T, base + cnt[j] * z))
                 cnt[j] += 1
-        size = gs.z * B
+        size = z * B
         if len(msg.payload) != size:
             raise IntegrityError("payload length")
 
@@ -580,7 +590,7 @@ def reference_decode(session):
                     acc ^= packets(k2, f2)
             if acc != packets(k, first):
                 wrong.add(k)
-            got[k][first : first + gs.z] = b"\1" * gs.z
+            got[k][first : first + z] = b"\1" * z
     per_user, missing = {}, {}
     for k in range(1, plan.K + 1):
         for T in session.caches[k].held:
@@ -703,12 +713,12 @@ def test_decoder_counts_a_cached_subset_of_a_silent_group():
     S = (1, 2, 3, 4, 5)
     s = edited_copy("thm2-K8-t4", lambda m: m.group != S)
     k, T_own = 1, (2, 3, 4, 5)
-    assert k in s.schedule[S].receivers and T_own in s.plan.subset_map
+    assert k in dict(s.schedule.receivers(S)) and T_own in s.plan.subset_map
     s.caches[k].held |= {T_own}
     res = decode_and_verify(s)
     assert res == reference_decode(s)
     assert res.per_user[k] and k not in res.missing
-    assert set(res.missing) == set(s.schedule[S].receivers) - {k}
+    assert set(res.missing) == set(dict(s.schedule.receivers(S))) - {k}
 
 
 def test_decoder_counts_a_duplicated_message_of_three_transmitters():
@@ -720,7 +730,7 @@ def test_decoder_counts_a_duplicated_message_of_three_transmitters():
     first = next(m for m in EDIT_SESSIONS["thm3-m3-q3-t2"].transcript if m.group == S)
     s = edited_copy("thm3-m3-q3-t2", lambda m: m.group != S)
     s.transcript += [first, first]
-    assert s.schedule[S].transmitters == S
+    assert dict(s.schedule.order)[S] == S
     res = decode_and_verify(s)
     assert res == reference_decode(s)
     assert {k for k, ok in res.per_user.items() if not ok} == set(S)
@@ -753,18 +763,13 @@ def test_decoder_lists_the_packets_of_a_forgotten_subset():
 
 
 def test_schedule_shares_the_packet_maps_spans():
-    """The schedule is a read-only Mapping that builds each group's
-    GroupSchedule when it is read, holding no per-group tuples; every group
-    that sends a subset reads one shared span object for it, whose subset
-    is the packet map's own key."""
+    """The schedule holds no per-group receivers: every group that sends a
+    subset reads, through ``receivers``, one shared span object for it,
+    whose subset is the packet map's own key."""
     ds = theorem2_design(8, 4)
     plan = build_plan(8, 8, 4, ds.grouping_sizes, ds.tx_rules)
     schedule = _compile_schedule(plan)
-    S = next(iter(schedule))
-    assert schedule[S] == schedule[S] and schedule[S] is not schedule[S]
-    with pytest.raises(TypeError):
-        schedule[S] = schedule[S]
-    spans = [span for gs in schedule.values() for span in gs.spans]
+    spans = [span for S, _ in schedule.order for _, span in schedule.receivers(S)]
     assert len({id(span) for span in spans}) == len({span[0] for span in spans})
     keys = {id(T) for T in plan.subset_map}
     assert all(id(span[0]) in keys for span in spans)
@@ -839,13 +844,14 @@ def test_one_gather_per_user_per_demand(monkeypatch):
     compiled = session.schedule.compiled
     assert gathered == wanted
     assert list(full.order) == senders_by_group(full)
-    assert len(full.order) == len(session.schedule)
+    assert len(full.order) == len(session.schedule.order)
     gathered.clear()
     assert decode_and_verify(session).ok
     assert gathered == wanted
     assert session.schedule.compiled is compiled  # not compiled again
-    alone = next(m for m in full if len(session.schedule[m.group].transmitters) == 1)
-    several = next(m for m in full if len(session.schedule[m.group].transmitters) > 1)
+    transmitters = dict(session.schedule.order)
+    alone = next(m for m in full if len(transmitters[m.group]) == 1)
+    several = next(m for m in full if len(transmitters[m.group]) > 1)
     for dropped in ([], [alone], [several], [alone, several]):
         session.transcript = [m for m in full if m not in dropped]
         gathered.clear()
@@ -853,7 +859,7 @@ def test_one_gather_per_user_per_demand(monkeypatch):
         assert gathered == wanted
         order = session.schedule.compiled[0]
         assert list(order) == senders_by_group(session.transcript)
-        assert len(order) == len(session.schedule) - (alone in dropped)
+        assert len(order) == len(session.schedule.order) - (alone in dropped)
 
 
 @pytest.mark.parametrize("ds,N,M,_", DATA_PLANE_CASES)
@@ -899,13 +905,13 @@ def test_transcript_index_builds_one_message(monkeypatch):
     transcript = session.transcript
     msgs = list(transcript)
     reads = []
-    real = Schedule.__getitem__
+    real = Schedule.receivers
 
     def counting_read(self, S):
         reads.append(S)
         return real(self, S)
 
-    monkeypatch.setattr(Schedule, "__getitem__", counting_read)
+    monkeypatch.setattr(Schedule, "receivers", counting_read)
     for i in (0, -1, len(msgs) // 2, -len(msgs)):
         reads.clear()
         assert transcript[i] == msgs[i]
@@ -1023,8 +1029,8 @@ def test_schedule_transmitters_match_concrete_unique_sets():
         plan = build_plan(ds.K, ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
         g = plan.grouping
         schedule = _compile_schedule(plan)
-        assert schedule
-        for S, gs in schedule.items():
+        assert schedule.order
+        for S, transmitters in schedule.order:
             sel = ds.tx_rules[type_of(g, S)]
             chosen = {
                 u
@@ -1032,10 +1038,10 @@ def test_schedule_transmitters_match_concrete_unique_sets():
                 if i in sel
                 for u in users
             }
-            assert gs.transmitters == tuple(u for u in S if u in chosen)
+            assert transmitters == tuple(u for u in S if u in chosen)
             # the rate stage leaves every transmitter a receiver
-            receivers = list(gs.receivers)
-            assert all(set(receivers) - {tx} for tx in gs.transmitters)
+            receivers = {k for k, _ in schedule.receivers(S)}
+            assert all(receivers - {tx} for tx in transmitters)
             checked += 1
     assert checked == 289
 
