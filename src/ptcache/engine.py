@@ -1,7 +1,8 @@
 """Scheme plans, placement, XOR delivery, decoding, and measurement.
 
 A plan is a scheme that :func:`ptcache.fscalc.analyze_rules` admits, with
-its packet map, built on first read: each t-subset's packets within a file.
+its packet map, each t-subset's packets within a file, and its delivery
+schedule, both built on first read.
 A plan simulates losslessly: every user reassembles its demanded file
 bit-exactly from its cache plus the broadcast, which the tests check on real
 byte strings rather than symbolically.
@@ -10,7 +11,6 @@ byte strings rather than symbolically.
 from __future__ import annotations
 
 import json
-import random
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -33,7 +33,8 @@ SCHEMA_VERSION = "1"
 # caps, plus about five times its broadcast, which a demand's gathers hold at
 # once as bytes and ints; its transcript read as messages takes 0.25 KB plus
 # 80 bytes per receiver a message.  thm2(14,6), with C(14, 7) = 3,432 groups,
-# simulates and decodes a demand in 0.05 s on a 2-vCPU x86-64 host.
+# simulates and decodes its first demand in 0.05 s on a 2-vCPU x86-64 host,
+# and each later demand of the plan, which reuses its schedule, in 0.015 s.
 MAX_SUBSETS = 2**17
 MAX_LISTED = 2**21
 
@@ -98,6 +99,43 @@ class SchemePlan:
         # via a set, since a frozenset copied from a set is half one built from
         # a list; one set at a time, so that they do not raise the peak
         return {k: (frozenset(set(Ts)), count[k]) for k, Ts in lists.items()}
+
+    # The groups that send, in canonical order, with their split factors:
+    # everything delivery does that the demand does not change, built on first
+    # read.  A group's type and transmitters depend only on its members' user
+    # groups, so they are worked out once per such tuple, not once per group:
+    # a user group transmits when its block and intersection size name a
+    # selected unique set.
+    @cached_property
+    def schedule(self) -> Schedule:
+        g, a = self.grouping, self.analysis
+        bit = [1 << u for u in range(self.K + 1)]
+        span_of = {}
+        for T, span in self.subset_map.items():
+            span_of[sum(map(bit.__getitem__, T))] = (T, *span)
+        # members' user groups -> (z, transmitters' places in S), None when skipped
+        rules: dict[tuple[int, ...], tuple[int, tuple[int, ...]] | None] = {}
+        order, z_of = [], {}
+        for S in subsets(self.K, self.t + 1):
+            ids = tuple(map(g.group_of.__getitem__, S))
+            if ids not in rules:
+                gtype = type_of(g, S)
+                sel = a.tx_rules[gtype]
+                if gtype in a.skipped_group_types:
+                    rules[ids] = None
+                elif sel is None:
+                    raise IntegrityError(f"group type {gtype} sends but is marked skip")
+                else:
+                    names = unique_set_names(gtype)
+                    named = {names[i - 1] for i in sel}
+                    rules[ids] = a.z_of[gtype], tuple(
+                        i for i, gi in enumerate(ids)
+                        if (g.block_of_group[gi], ids.count(gi)) in named
+                    )
+            if rule := rules[ids]:
+                z_of[S] = rule[0]
+                order.append((S, tuple(map(S.__getitem__, rule[1]))))
+        return Schedule(tuple(order), z_of, span_of, bit)
 
     @property
     def f_pt(self) -> int:
@@ -240,42 +278,6 @@ class Schedule:
         return acc.to_bytes(total, "little"), decoded
 
 
-# Everything delivery does that the demand does not change: the groups that
-# send, in canonical order.  A group's type and transmitters depend only on
-# its members' user groups, so they are worked out once per such tuple, not
-# once per group: a user group transmits when its block and intersection size
-# name a selected unique set.
-def _compile_schedule(plan: SchemePlan) -> Schedule:
-    g, a = plan.grouping, plan.analysis
-    bit = [1 << u for u in range(plan.K + 1)]
-    span_of = {}
-    for T, span in plan.subset_map.items():
-        span_of[sum(map(bit.__getitem__, T))] = (T, *span)
-    # members' user groups -> (z, transmitters' places in S), None when skipped
-    rules: dict[tuple[int, ...], tuple[int, tuple[int, ...]] | None] = {}
-    order, z_of = [], {}
-    for S in subsets(plan.K, plan.t + 1):
-        ids = tuple(map(g.group_of.__getitem__, S))
-        if ids not in rules:
-            gtype = type_of(g, S)
-            sel = a.tx_rules[gtype]
-            if gtype in a.skipped_group_types:
-                rules[ids] = None
-            elif sel is None:
-                raise IntegrityError(f"group type {gtype} sends but is marked skip")
-            else:
-                names = unique_set_names(gtype)
-                named = {names[i - 1] for i in sel}
-                rules[ids] = a.z_of[gtype], tuple(
-                    i for i, gi in enumerate(ids)
-                    if (g.block_of_group[gi], ids.count(gi)) in named
-                )
-        if rule := rules[ids]:
-            z_of[S] = rule[0]
-            order.append((S, tuple(map(S.__getitem__, rule[1]))))
-    return Schedule(tuple(order), z_of, span_of, bit)
-
-
 class CacheView(Mapping[PacketKey, bytes]):
     """One user's cache: every packet of every file's subfile T for the T in
     ``held``, read in place from the files through the plan's packet map.
@@ -308,15 +310,15 @@ class CacheView(Mapping[PacketKey, bytes]):
 
 
 class Transcript(Sequence[Message]):
-    """What ``deliver`` stores and returns: the send order, one (group,
-    senders) per sending group, and the broadcast as one byte string.  Its
-    messages are built when read (take a list to read them more than once)."""
+    """What ``deliver`` stores and returns: the broadcast as one byte string,
+    sent in the schedule's order.  Its messages are built when read (take a
+    list to read them more than once)."""
 
-    def __init__(self, order, broadcast, schedule, B):
-        self.order, self.broadcast, self.schedule, self.B = order, broadcast, schedule, B
+    def __init__(self, broadcast, schedule, B):
+        self.broadcast, self.schedule, self.B = broadcast, schedule, B
 
     def __len__(self) -> int:
-        return sum(map(len, map(itemgetter(1), self.order)))
+        return sum(map(len, map(itemgetter(1), self.schedule.order)))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -325,7 +327,7 @@ class Transcript(Sequence[Message]):
 
     def _messages(self, i=0):  # from message i on, building none before it
         at = 0
-        for S, senders in self.order:
+        for S, senders in self.schedule.order:
             n, size = len(senders), self.schedule.z[S] * self.B
             rx = self.schedule.receivers(S) if i < n else ()
             for j in range(i, n):
@@ -343,14 +345,12 @@ class Transcript(Sequence[Message]):
 
 
 class Session:
-    """One simulated demand: the plan, files and demand, the schedule of
-    sending groups, every user's cache and the transcript."""
+    """One simulated demand: the plan, files and demand, every user's cache
+    and the transcript."""
 
-    def __init__(
-        self, plan, files, demand, bytes_per_packet, schedule, caches=None, transcript=None
-    ):
+    def __init__(self, plan, files, demand, bytes_per_packet, caches=None, transcript=None):
         self.plan, self.files, self.demand = plan, files, demand
-        self.bytes_per_packet, self.schedule = bytes_per_packet, schedule
+        self.bytes_per_packet = bytes_per_packet
         self.caches = {} if caches is None else caches
         self.transcript = [] if transcript is None else transcript
 
@@ -407,21 +407,12 @@ def _census(session: Session) -> dict[int, tuple]:
     return census
 
 
-def deliver(session: Session, order_seed: int | None = None) -> Transcript:
-    """Generate the broadcast into ``session.transcript``, and return it.
-    Every transmitter sends: the rate stage admits no group type in which
-    one has no receiver.  ``order_seed`` shuffles group and transmitter
-    order (decoding is order-independent); None keeps the canonical
-    ascending order."""
-    schedule = session.schedule
+def deliver(session: Session) -> Transcript:
+    """Generate the broadcast into ``session.transcript``, in the schedule's
+    canonical order, and return it.  Every transmitter sends: the rate stage
+    admits no group type in which one has no receiver."""
+    schedule = session.plan.schedule
     order = schedule.order
-    if order_seed is not None:
-        rng = random.Random(order_seed)
-        rng.shuffle(order := list(order))
-        for i, (S, txs) in enumerate(order):
-            rng.shuffle(txs := list(txs))
-            order[i] = (S, tuple(txs))
-        order = tuple(order)  # the compiled slices are kept for this order
     census = _census(session)
     for S, txs in order if any(map(itemgetter(0), census.values())) else ():
         for tx, (k, (T, _, _)) in product(txs, schedule.receivers(S)):
@@ -429,23 +420,17 @@ def deliver(session: Session, order_seed: int | None = None) -> Transcript:
                 raise IntegrityError(f"transmitter {tx} does not cache subfile {T}")
     B = session.bytes_per_packet
     sent, _ = schedule.broadcast(order, session.files, session.demand, B)
-    session.transcript = transcript = Transcript(order, sent, schedule, B)
+    session.transcript = transcript = Transcript(sent, schedule, B)
     return transcript
 
 
-def simulate(
-    plan: SchemePlan,
-    files: Sequence[bytes],
-    demand: Sequence[int],
-    order_seed: int | None = None,
-) -> Session:
+def simulate(plan: SchemePlan, files: Sequence[bytes], demand: Sequence[int]) -> Session:
     demand_t = tuple(map(int, demand))
     if len(demand_t) != plan.K or any(not 1 <= d <= plan.N for d in demand_t):
         raise ValueError(f"demand must list {plan.K} file indices in 1..{plan.N}")
     caches = place(plan, files)
-    schedule = _compile_schedule(plan)
-    session = Session(plan, caches[1].files, demand_t, caches[1].B, schedule, caches)
-    deliver(session, order_seed=order_seed)
+    session = Session(plan, caches[1].files, demand_t, caches[1].B, caches)
+    deliver(session)
     return session
 
 
@@ -463,12 +448,13 @@ def decode_and_verify(session: Session) -> VerifyResult:
     checked per message.  Recovered packets are counted, and listed only
     for a user that falls short.
     """
-    plan, demand, schedule = session.plan, session.demand, session.schedule
+    plan, demand = session.plan, session.demand
+    schedule = plan.schedule
     B = session.bytes_per_packet
     census = _census(session)
     deviant = {k for k, (lacking, foreign, _) in census.items() if lacking or foreign}
     if isinstance(tr := session.transcript, Transcript):
-        order, sent = tr.order, tr.broadcast
+        order, sent = schedule.order, tr.broadcast
     else:
         txs: dict[tuple[int, ...], list[int]] = {}  # per group, in first-seen order
         payloads: dict[tuple[int, ...], list[bytes]] = {}

@@ -39,8 +39,7 @@ def unique_set_members(g, S):
     return [(k, buckets[k]) for k in sorted(buckets, key=lambda k: (k[0], -k[1]))]
 
 
-def roundtrip_design(ds, N=None, M=None, bytes_per_packet=1, seed=0, demand=None,
-                     order_seed=None):
+def roundtrip_design(ds, N=None, M=None, bytes_per_packet=1, seed=0, demand=None):
     """Build, simulate and verify a design; returns (plan, session, verify)."""
     N = N if N is not None else ds.K
     M = M if M is not None else ds.t
@@ -49,7 +48,7 @@ def roundtrip_design(ds, N=None, M=None, bytes_per_packet=1, seed=0, demand=None
     files = tuple(rng.randbytes(plan.f_pt * bytes_per_packet) for _ in range(N))
     if demand is None:
         demand = tuple(rng.randrange(1, N + 1) for _ in range(ds.K))
-    session = simulate(plan, files, demand, order_seed=order_seed)
+    session = simulate(plan, files, demand)
     return plan, session, decode_and_verify(session)
 
 

@@ -10,6 +10,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -327,6 +328,34 @@ def test_simulate_builds_messages_only_for_a_transcript(monkeypatch, tmp_path, c
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "89527b0fe86c0a65b3c2fe672fd6ebae7f8bfabf45bc490358e34c439884fbaf"
     )
+
+
+def test_simulate_types_each_profile_once_per_command(monkeypatch, capsys):
+    """The packet map and delivery schedule are the plan's, so a command of
+    three demands types one t-subset and one group of t + 1 users per
+    profile (the number of members in each user group), once in all, not
+    once per demand."""
+    typed = []
+    real = ptcache.engine.type_of
+
+    def counting_type_of(g, subset):
+        typed.append((g, subset))
+        return real(g, subset)
+
+    monkeypatch.setattr(ptcache.engine, "type_of", counting_type_of)
+    argv = ["simulate", "--thm", "2", "--K", "8", "--t", "4", "--demands", "3"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK and json.loads(out)["demands_checked"] == 3
+    (g,) = {g for g, _ in typed}
+
+    def profile(S):
+        return tuple(sum(g.group_of[u] == b for u in S) for b in range(len(g.sizes)))
+
+    for n in (4, 5):
+        profiles = {profile(S) for S in itertools.combinations(range(1, 9), n)}
+        seen = [profile(S) for _, S in typed if len(S) == n]
+        assert sorted(seen) == sorted(profiles)
+    assert {len(S) for _, S in typed} == {4, 5}
 
 
 def test_simulate_decode_failure_exit_code(monkeypatch, capsys):

@@ -35,8 +35,8 @@ from ptcache.engine import (
     Schedule,
     SchemePlan,
     Session,
+    Transcript,
     VerifyResult,
-    _compile_schedule,
     build_plan,
     decode_and_verify,
     deliver,
@@ -55,6 +55,22 @@ from ptcache.typevec import TypeVector, type_of
 def make_files(n_files, length, seed=7):
     rng = random.Random(seed)
     return tuple(rng.randbytes(length) for _ in range(n_files))
+
+
+def reordered(session, seed):
+    """The messages of ``session``'s demand sent with its groups, and then
+    each group's transmitters, shuffled by ``random.Random(seed)``: a
+    ``Message`` list, which is decoded in the order received."""
+    rng = random.Random(seed)
+    schedule = session.plan.schedule
+    rng.shuffle(order := list(schedule.order))
+    for i, (S, txs) in enumerate(order):
+        rng.shuffle(txs := list(txs))
+        order[i] = (S, tuple(txs))
+    shuffled = Schedule(tuple(order), schedule.z, schedule.span_of, schedule.bit)
+    B = session.bytes_per_packet
+    sent, _ = shuffled.broadcast(shuffled.order, session.files, session.demand, B)
+    return list(Transcript(sent, shuffled, B))
 
 
 # ------------------------------------------------- four users, two files
@@ -275,7 +291,8 @@ def test_delivery_order_is_irrelevant(idx, order_seed):
     files = make_files(N, plan.f_pt, seed=3)
     demand = tuple((i % N) + 1 for i in range(ds.K))
     canonical = simulate(plan, files, demand)
-    shuffled = simulate(plan, files, demand, order_seed=order_seed)
+    shuffled = simulate(plan, files, demand)
+    shuffled.transcript = reordered(shuffled, order_seed)
     assert decode_and_verify(shuffled).ok
     assert measure(shuffled).total_bits == measure(canonical).total_bits
     assert measure(shuffled).message_count == measure(canonical).message_count
@@ -348,12 +365,15 @@ def test_transcript_jsonl_shape():
     ],
 )
 def test_transcript_bytes_are_pinned(ds, N, M, order_seed, digest):
-    """The JSONL transcript of fixed files and demand, byte for byte."""
+    """The JSONL transcript of fixed files and demand, byte for byte; with an
+    order seed, that of its messages sent in the seeded order."""
     plan = build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
     rng = random.Random(7)
     files = [rng.randbytes(plan.f_pt * 2) for _ in range(N)]
     demand = [rng.randrange(1, N + 1) for _ in range(plan.K)]
-    session = simulate(plan, files, demand, order_seed=order_seed)
+    session = simulate(plan, files, demand)
+    if order_seed is not None:
+        session.transcript = reordered(session, order_seed)
     text = transcript_jsonl(session.transcript)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -468,10 +488,15 @@ DATA_PLANE_CASES = [
 
 
 def data_plane_session(ds, N, M, order_seed=None):
+    """A simulated session; with an order seed, its transcript is the list
+    of its messages sent in the seeded order."""
     plan = build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
     files = make_files(N, 2 * plan.f_pt)
     demand = tuple((k % N) + 1 for k in range(ds.K))
-    return simulate(plan, files, demand, order_seed=order_seed)
+    session = simulate(plan, files, demand)
+    if order_seed is not None:
+        session.transcript = reordered(session, order_seed)
+    return session
 
 
 @pytest.mark.parametrize("ds,N,M,_", DATA_PLANE_CASES)
@@ -627,7 +652,7 @@ def session_copy(base, transcript):
         k: CacheView(c.subset_map, c.files, c.B, c.held) for k, c in base.caches.items()
     }
     return Session(base.plan, base.files, base.demand, base.bytes_per_packet,
-                   base.schedule, caches, transcript)
+                   caches, transcript)
 
 
 @st.composite
@@ -713,12 +738,12 @@ def test_decoder_counts_a_cached_subset_of_a_silent_group():
     S = (1, 2, 3, 4, 5)
     s = edited_copy("thm2-K8-t4", lambda m: m.group != S)
     k, T_own = 1, (2, 3, 4, 5)
-    assert k in dict(s.schedule.receivers(S)) and T_own in s.plan.subset_map
+    assert k in dict(s.plan.schedule.receivers(S)) and T_own in s.plan.subset_map
     s.caches[k].held |= {T_own}
     res = decode_and_verify(s)
     assert res == reference_decode(s)
     assert res.per_user[k] and k not in res.missing
-    assert set(res.missing) == set(dict(s.schedule.receivers(S))) - {k}
+    assert set(res.missing) == set(dict(s.plan.schedule.receivers(S))) - {k}
 
 
 def test_decoder_counts_a_duplicated_message_of_three_transmitters():
@@ -730,7 +755,7 @@ def test_decoder_counts_a_duplicated_message_of_three_transmitters():
     first = next(m for m in EDIT_SESSIONS["thm3-m3-q3-t2"].transcript if m.group == S)
     s = edited_copy("thm3-m3-q3-t2", lambda m: m.group != S)
     s.transcript += [first, first]
-    assert dict(s.schedule.order)[S] == S
+    assert dict(s.plan.schedule.order)[S] == S
     res = decode_and_verify(s)
     assert res == reference_decode(s)
     assert {k for k, ok in res.per_user.items() if not ok} == set(S)
@@ -768,7 +793,7 @@ def test_schedule_shares_the_packet_maps_spans():
     whose subset is the packet map's own key."""
     ds = theorem2_design(8, 4)
     plan = build_plan(8, 8, 4, ds.grouping_sizes, ds.tx_rules)
-    schedule = _compile_schedule(plan)
+    schedule = plan.schedule
     spans = [span for S, _ in schedule.order for _, span in schedule.receivers(S)]
     assert len({id(span) for span in spans}) == len({span[0] for span in spans})
     keys = {id(T) for T in plan.subset_map}
@@ -777,10 +802,10 @@ def test_schedule_shares_the_packet_maps_spans():
 
 
 def test_schedule_types_each_intersection_profile_once(monkeypatch):
-    """Each simulation compiles its delivery schedule typing one group per
-    intersection profile (the number of members in each user group), not
-    every group, and repeated simulations of one plan give the transcripts
-    of a freshly built plan."""
+    """A plan's first simulation compiles its delivery schedule typing one
+    group per intersection profile (the number of members in each user
+    group), not every group; later simulations of the plan type none, and
+    give the transcripts of a freshly built plan."""
     ds = special_designs("tbar3", 9)
     plan = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
     plan.subset_map  # built on first read, typing the t-subsets' profiles
@@ -799,32 +824,35 @@ def test_schedule_types_each_intersection_profile_once(monkeypatch):
     monkeypatch.setattr(ptcache.engine, "type_of", counting_type_of)
     rng = random.Random(11)
     typed = []  # type_of calls made by each simulation of ``plan``
-    for order_seed in (None, 4, None):
+    for _ in range(3):
         demand = tuple(rng.randint(1, 3) for _ in range(ds.K))
         before = len(calls)
-        session = simulate(plan, files, demand, order_seed=order_seed)
+        session = simulate(plan, files, demand)
         assert decode_and_verify(session).ok
         typed.append(len(calls) - before)
         fresh = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
-        expected = simulate(fresh, files, demand, order_seed=order_seed)
+        expected = simulate(fresh, files, demand)
         assert transcript_jsonl(session.transcript) == transcript_jsonl(
             expected.transcript
         )
-    assert typed == [len(profiles)] * 3
+    assert typed == [len(profiles), 0, 0]
 
 
 def test_one_gather_per_user_per_demand(monkeypatch):
     """A demand costs one gather per user, over that user's demanded file.
-    ``deliver`` compiles the slices of its send order once, and decoding
-    the unedited transcript reuses them.  A message list is decoded in the
-    order received: regrouped by group, its messages' transmitters in
-    transcript order, also once a message or a whole group's messages are
-    dropped, and a transcript with dropped messages still fails decoding."""
+    The plan's schedule compiles the slices of its send order once: a
+    second delivery and decoding the unedited transcript reuse them.  A
+    message list is decoded in the order received: regrouped by group, its
+    messages' transmitters in transcript order, also once a message or a
+    whole group's messages are dropped, and a transcript with dropped
+    messages still fails decoding."""
     ds = special_designs("tbar3", 9)
     plan = build_plan(ds.K, 3, 2, ds.grouping_sizes, ds.tx_rules)
     files = make_files(3, 2 * plan.f_pt)
     demand = (1, 2, 3, 1, 2, 3, 1, 2, 3)
-    session = simulate(plan, files, demand, order_seed=4)
+    session = simulate(plan, files, demand)
+    schedule = plan.schedule
+    compiled = schedule.compiled
     wanted = [files[n - 1] for n in demand]  # user k's at k - 1
     gathered = []  # the file each gather reads beside the shared zero run
     real_cycle = ptcache.engine.cycle
@@ -840,16 +868,15 @@ def test_one_gather_per_user_per_demand(monkeypatch):
         return [(S, tuple(txs)) for S, txs in by_group.items()]
 
     monkeypatch.setattr(ptcache.engine, "cycle", counting_cycle)
-    full = deliver(session, order_seed=4)
-    compiled = session.schedule.compiled
+    full = deliver(session)
     assert gathered == wanted
-    assert list(full.order) == senders_by_group(full)
-    assert len(full.order) == len(session.schedule.order)
+    assert list(schedule.order) == senders_by_group(full)
+    assert schedule.compiled is compiled  # not compiled again
     gathered.clear()
     assert decode_and_verify(session).ok
     assert gathered == wanted
-    assert session.schedule.compiled is compiled  # not compiled again
-    transmitters = dict(session.schedule.order)
+    assert schedule.compiled is compiled
+    transmitters = dict(schedule.order)
     alone = next(m for m in full if len(transmitters[m.group]) == 1)
     several = next(m for m in full if len(transmitters[m.group]) > 1)
     for dropped in ([], [alone], [several], [alone, several]):
@@ -857,9 +884,9 @@ def test_one_gather_per_user_per_demand(monkeypatch):
         gathered.clear()
         assert decode_and_verify(session).ok == (not dropped)
         assert gathered == wanted
-        order = session.schedule.compiled[0]
+        order = schedule.compiled[0]
         assert list(order) == senders_by_group(session.transcript)
-        assert len(order) == len(session.schedule.order) - (alone in dropped)
+        assert len(order) == len(schedule.order) - (alone in dropped)
 
 
 @pytest.mark.parametrize("ds,N,M,_", DATA_PLANE_CASES)
@@ -901,7 +928,7 @@ def test_transcript_index_builds_one_message(monkeypatch):
     """Indexing a transcript walks to message i, reading the schedule of
     its group alone, with list semantics: negative indices count from the
     end, an index out of range raises IndexError, and a slice is a list."""
-    session = data_plane_session(special_designs("tbar3", 9), 3, 2, order_seed=5)
+    session = data_plane_session(special_designs("tbar3", 9), 3, 2)
     transcript = session.transcript
     msgs = list(transcript)
     reads = []
@@ -1028,7 +1055,7 @@ def test_schedule_transmitters_match_concrete_unique_sets():
     for ds in designs:
         plan = build_plan(ds.K, ds.K, ds.t, ds.grouping_sizes, ds.tx_rules)
         g = plan.grouping
-        schedule = _compile_schedule(plan)
+        schedule = plan.schedule
         assert schedule.order
         for S, transmitters in schedule.order:
             sel = ds.tx_rules[type_of(g, S)]
@@ -1223,6 +1250,8 @@ for ds, N, M in [(theorem2_design(4, 2), 2, 1), (theorem3_design(3, 3, 2), 9, 2)
     plan.subset_map[T] = (base + plan.f_pt, alpha)  # packets past the file's end
     ok.append(raises(lambda: simulate(plan, files, demand), "spans packets"))
 
+    # a fresh plan, whose schedule reads the edited packet map when first read
+    plan = build_plan(ds.K, N, M, ds.grouping_sizes, ds.tx_rules)
     plan.subset_map[T] = (base, 0)  # shorter than the delivery counters need
     ok.append(raises(lambda: simulate(plan, files, demand), "overran"))
 print(ok)
