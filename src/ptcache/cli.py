@@ -399,18 +399,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     K, t, budget = args.K, args.t, args.budget
-    # other (K, t) and budgets the search refuses
-    if args.out and 1 <= t < K <= MAX_K and (budget is None or 0 < budget <= MAX_BUDGET):
-        # a row per candidate, counted before the census runs; without a
-        # budget, one above MAX_CANDIDATES is the search's to refuse
-        count = search_space(K, t)[0]
+    if args.out:  # a row per candidate, counted as the search admits it
+        count = search_space(K, t, budget)[0]
         rows = count if budget is None else min(count, budget)
-        if budget is not None or count <= MAX_CANDIDATES:
-            if rows > MAX_CSV_ROWS:
-                raise UsageError(
-                    f"--out would write {rows:,} rows; the cap is {MAX_CSV_ROWS:,}"
-                )
-            _open_outputs(args.out)
+        if rows > MAX_CSV_ROWS:
+            raise UsageError(
+                f"--out would write {rows:,} rows; the cap is {MAX_CSV_ROWS:,}"
+            )
+        _open_outputs(args.out)
     result = exhaustive_search(K, t, max_candidates=budget)
     if args.out:
         f_jcm, _ = jcm_baseline(K, t)

@@ -61,7 +61,7 @@ class CandidateRecords:
 
     Canonical order takes the groupings in search order and, within one,
     the product order of its group types' selections.  Iterating re-runs
-    the canonical depth-first search over the searched groupings and builds
+    the canonical depth-first search over the laid-out groupings and builds
     each record as it is read, a subtree the LCM check cut as the product
     of its remaining selections; it stops after ``len(self)`` records, so a
     budgeted run reads back exactly the candidates it counted.
@@ -131,12 +131,14 @@ def _walk(
     single leaf when d is the depth.  Counts, verdicts and the set of
     feasible leaves do not depend on ``order``; record order does.
 
-    The LCM stage is checked on the way down, on the *final* columns only:
-    those no chosen row has zeroed and no later group type can still zero
-    (a zero needs a single-user unique set transmitting alone for its own
-    type).  Final columns only grow along a path and keep their entries, so
-    a contradiction among them holds for every leaf below; that subtree is
-    "doomed" and is one no_lcm run, counted without visiting its leaves.
+    The LCM stage is checked on the way down, one list of (column, first
+    row, other row) pairs per depth.  Row k's entry in column j is related
+    to the column's first row at depth max(k, the last row that can zero j;
+    a zero needs a single-user unique set transmitting alone for its own
+    type), unless j is zeroed by then.  From that depth on, j keeps its
+    entries on every path below, so a contradiction there holds for every
+    leaf below; that subtree is "doomed" and is one no_lcm run, counted
+    without visiting its leaves.
     """
     width, depth = len(layout.subfile_types), len(order)
     walked = [options[c] for c in order]
@@ -144,30 +146,20 @@ def _walk(
     below = [prod(n_opts[d:]) for d in range(depth + 1)]
     at = [order.index(c) for c in range(depth)]  # walk depth of group type c
 
-    # Column j can be zeroed only by the rows in zeroers; it turns final at
-    # the last of them (from the start when there are none) unless zeroed
-    # by then.  A final column never holds a zero, so all its rows are live.
+    # the rows in column j, and the last of them that can zero it
     rows_of: list[list[int]] = [[] for _ in range(width)]
-    zeroers: list[list[int]] = [[] for _ in range(width)]
+    last_zeroer = [-1] * width
     for c, us in enumerate(layout.unique_sets):
         for size, j in us:
             rows_of[j].append(at[c])
             if size == 1:
-                zeroers[j].append(at[c])
-    # per depth: the columns turning final there, with their rows so far,
-    # and the columns the row touches, with the first row touching them
-    final_at: list[list[tuple[int, list[int]]]] = [[] for _ in range(depth)]
-    touched: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-    initial_final = 0
+                last_zeroer[j] = max(last_zeroer[j], at[c])
+    # per depth: the (column, first row, other row) pairs related there
+    pairs: list[list[tuple[int, int, int]]] = [[] for _ in range(depth)]
     for j, rows in enumerate(rows_of):
         rows.sort()
-        if zeroers[j]:
-            last = max(zeroers[j])
-            final_at[last].append((j, [k for k in rows if k <= last]))
-        else:
-            initial_final |= 1 << j
         for k in rows[1:]:
-            touched[k].append((j, rows[0]))
+            pairs[max(k, last_zeroer[j])].append((j, rows[0], k))
     first_of = [rows[0] for rows in rows_of]  # first row in column j
     all_columns = (1 << width) - 1
 
@@ -176,27 +168,19 @@ def _walk(
     rows = [opts[0][0] for opts in walked]  # the chosen options' rows
     rates = [opts[0][3] for opts in walked]  # and their rate masks
 
-    def consistent(d: int, final: int, zeroed: int) -> int | None:
-        """Add row d's constraints on final columns to the forest; the new
-        final-column mask, or None on a contradiction."""
-        row = rows[d]
-        for j, first in touched[d]:
-            if final >> j & 1 and not relate(first, rows[first][j], d, row[j]):
-                return None
-        for j, ks in final_at[d]:
-            if zeroed >> j & 1:
-                continue  # excluded on this whole subtree
-            final |= 1 << j
-            k0 = ks[0]
-            e0 = rows[k0][j]
-            for k in ks[1:]:
-                if not relate(k0, e0, k, rows[k][j]):
-                    return None
-        return final
+    def consistent(d: int, zeroed: int) -> bool:
+        """Add the pairs of depth d in columns not in ``zeroed`` to the
+        forest; False on a contradiction."""
+        for j, first, k in pairs[d]:
+            if not zeroed >> j & 1 and not relate(
+                first, rows[first][j], k, rows[k][j]
+            ):
+                return False
+        return True
 
     def evaluate(zeroed: int) -> _Verdict:
-        """Verdict of a leaf whose final columns reconcile.  Every other
-        column is in ``zeroed``, so the LCM passes and excludes exactly
+        """Verdict of a leaf whose rows reconcile in every column not in
+        ``zeroed``.  So the LCM passes and excludes exactly
         ``zeroed`` (each column has a row: a subset of type v plus one more
         user is a group that involves v), and the forest holds its row
         scales.  So the rate stage can run first, on bit masks, and only the
@@ -215,7 +199,6 @@ def _walk(
             return _REJECTED["mc"]
         return subpacketization(factors, layout.type_counts), ""
 
-    finals = [initial_final] * (depth + 1)
     zeroeds = [0] * (depth + 1)
     marks = [0] * depth
     d = 0
@@ -232,33 +215,53 @@ def _walk(
         opt = walked[d][k]
         rows[d], rates[d] = opt[0], opt[3]
         zeroed = zeroeds[d] | opt[2]
-        final = consistent(d, finals[d], zeroed)
-        if final is None:
+        if not consistent(d, zeroed):
             yield d + 1, below[d + 1], _REJECTED["lcm"]
         elif d + 1 == depth:
             yield depth, 1, evaluate(zeroed)
         else:
             d += 1
-            finals[d], zeroeds[d], marks[d] = final, zeroed, forest.mark()
+            zeroeds[d], marks[d] = zeroed, forest.mark()
             picks[d] = 0
             continue
         forest.rollback(marks[d])
         picks[d] += 1
 
 
-def search_space(K: int, t: int) -> tuple[int, list[SchemeLayout]]:
-    """The number of candidates at (K, t) and the layout of every grouping,
-    in search order.  A grouping has the product, over its group types, of
-    2^(unique sets) - 1 nonempty selections.  Summing stops once the count
-    passes MAX_CANDIDATES; the count is then a lower bound."""
+def search_space(
+    K: int, t: int, max_candidates: int | None = None
+) -> tuple[int, list[SchemeLayout]]:
+    """Admit a search at (K, t) with an optional candidate budget, and lay
+    out what it walks: a candidate count and the groupings' layouts, in
+    search order.  A grouping has the product, over its group types, of
+    2^(unique sets) - 1 nonempty selections.  Groupings are laid out until
+    the count passes the budget (MAX_CANDIDATES without one), so at most one
+    beyond those the budget reaches; a count above the budget is a lower
+    bound and says candidates remain.  Without a budget, a census above
+    MAX_CANDIDATES is refused.  K is at most MAX_K either way."""
+    if not 1 <= t <= K - 1:
+        raise ValueError(f"need 1 <= t <= K-1, got K={K}, t={t}")
+    if K > MAX_K:
+        raise ValueError(f"search needs K <= {MAX_K}, got K={K}")
+    if max_candidates is not None and not 1 <= max_candidates <= MAX_BUDGET:
+        raise ValueError(
+            f"candidate budget must be between 1 and {MAX_BUDGET}, "
+            f"got {max_candidates}"
+        )
+    cap = MAX_CANDIDATES if max_candidates is None else max_candidates
     count = 0
     layouts = []
     for sizes in integer_partitions(K):
         layout = scheme_layout(make_grouping(K, sizes), t)
         layouts.append(layout)
         count += prod(2 ** len(us) - 1 for us in layout.unique_sets)
-        if count > MAX_CANDIDATES:
+        if count > cap:
             break
+    if max_candidates is None and count > MAX_CANDIDATES:
+        raise ValueError(
+            f"K={K}, t={t} has at least {count:,} candidates, more than the "
+            f"{MAX_CANDIDATES:,} searched without a candidate budget"
+        )
     return count, layouts
 
 
@@ -271,53 +274,31 @@ def exhaustive_search(
     order and, within one, the product order of its group types'
     selections, smallest first.  ``best`` is the least (F_PT, grouping
     index, option indices in canonical group-type order), the first minimum
-    in canonical order.  Without a budget, a census of more than
-    MAX_CANDIDATES candidates is refused before it starts, and each
-    grouping's group types are walked last first: that cuts contradicted
-    subtrees nearer the root and changes no count.  With
-    a budget the walk is canonical and the result holds the first
-    ``max_candidates`` candidates.  ``records`` re-runs the canonical walk
-    whenever it is read.  K is at most MAX_K either way.
+    in canonical order.  ``search_space`` admits the search and lays out
+    its groupings.  Without a budget, each grouping's group types are
+    walked last first: that cuts contradicted subtrees nearer the root and
+    changes no count.  With a budget the walk is canonical and the result
+    holds the first ``max_candidates`` candidates; ``partial`` says
+    candidates remain beyond them.  ``records`` re-runs the canonical walk
+    whenever it is read.
     """
-    if not 1 <= t <= K - 1:
-        raise ValueError(f"need 1 <= t <= K-1, got K={K}, t={t}")
-    if K > MAX_K:
-        raise ValueError(f"search needs K <= {MAX_K}, got K={K}")
-    if max_candidates is not None and not 1 <= max_candidates <= MAX_BUDGET:
-        raise ValueError(
-            f"candidate budget must be between 1 and {MAX_BUDGET}, "
-            f"got {max_candidates}"
-        )
-    layouts: Iterable[SchemeLayout]
-    if max_candidates is None:
-        count, layouts = search_space(K, t)
-        if count > MAX_CANDIDATES:
-            raise ValueError(
-                f"K={K}, t={t} has at least {count:,} candidates, more than the "
-                f"{MAX_CANDIDATES:,} searched without a candidate budget"
-            )
-    else:  # the budget bounds the work; lay groupings out as they come
-        layouts = (
-            scheme_layout(make_grouping(K, s), t) for s in integer_partitions(K)
-        )
-    searched: list[SchemeLayout] = []
+    count, layouts = search_space(K, t, max_candidates)
     reasons: Counter[str] = Counter()
     # (F_PT, grouping index, option indices, record) per feasible candidate:
     # the indices of one grouping share a length, so they sort canonically
     feasible: list[tuple[int, int, tuple[int, ...], CandidateRecord]] = []
     explored = 0
     for gi, layout in enumerate(layouts):
-        searched.append(layout)
         options = _options(layout)
         depth = len(options)
         order = range(depth - 1, -1, -1) if max_candidates is None else range(depth)
         at = [order.index(c) for c in range(depth)]  # walk depth of group type c
         picks = [0] * depth
-        for _, count, verdict in _walk(layout, options, order, picks):
+        for _, n, verdict in _walk(layout, options, order, picks):
             if max_candidates is not None:
-                count = min(count, max_candidates - explored)
-            reasons[verdict[1]] += count
-            explored += count
+                n = min(n, max_candidates - explored)
+            reasons[verdict[1]] += n
+            explored += n
             if verdict[0] is not None:
                 index = tuple(picks[d] for d in at)
                 rules = tuple(opts[k][1] for opts, k in zip(options, index))
@@ -338,10 +319,10 @@ def exhaustive_search(
             (rec for *_, rec in feasible),
             key=lambda r: (r.f_pt, r.grouping, r.rules),
         ),
-        records=CandidateRecords(searched, explored),
+        records=CandidateRecords(layouts, explored),
         explored=explored,
         infeasible={k: reasons[k] for k in ("no_lcm", "rate", "mc")},
-        partial=explored == max_candidates,
+        partial=count > explored,
     )
 
 

@@ -393,6 +393,17 @@ def test_budget_admits_a_census_above_the_cap(capsys):
     assert summary["partial"] is True and summary["explored"] == 1000
 
 
+@pytest.mark.parametrize("budget,partial", [(16, True), (17, False), (18, False)])
+def test_partial_is_true_only_when_candidates_remain(budget, partial, capsys):
+    """(4,2) has 17 candidates: a budget that reaches them all explores the
+    whole census and is not partial."""
+    argv = ["search", "--K", "4", "--t", "2", "--budget", str(budget)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    summary = json.loads(out)
+    assert (summary["explored"], summary["partial"]) == (min(budget, 17), partial)
+
+
 def test_search_summary_and_csv(tmp_path, capsys):
     out_csv = tmp_path / "census.csv"
     code, out, _ = run_cli(

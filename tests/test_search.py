@@ -114,10 +114,27 @@ def test_census_sizes_frozen():
 
 @pytest.mark.parametrize("K", range(2, 7))
 def test_preflight_count_is_the_census_size(K):
+    """Unbudgeted, ``search_space`` counts the census and lays out every
+    grouping.  With budget b it agrees with the budgeted search on the
+    candidates explored and on whether any remain, and lays out every
+    grouping the first b records reach, in search order, and at most one
+    more."""
     for t in range(1, K):
         count, layouts = search_space(K, t)
-        assert count == exhaustive_search(K, t).explored
+        full = exhaustive_search(K, t)
+        assert count == full.explored
         assert [lay.grouping.sizes for lay in layouts] == integer_partitions(K)
+        records = list(full.records)
+        for b in sorted({1, count - 1, count // 2, count, count + 1} - {0}):
+            count_b, layouts_b = search_space(K, t, b)
+            r = exhaustive_search(K, t, b)
+            assert min(count_b, b) == r.explored == min(count, b)
+            assert r.partial == (count_b > b) == (count > b)
+            reached = list(dict.fromkeys(rec.grouping for rec in records[:b]))
+            sizes = [lay.grouping.sizes for lay in layouts_b]
+            assert sizes == integer_partitions(K)[: len(sizes)]
+            assert sizes[: len(reached)] == reached
+            assert len(sizes) <= len(reached) + 1
 
 
 def test_preflight_count_of_larger_censuses():
@@ -173,6 +190,11 @@ def test_budget_stops_early_and_flags_partial():
     for n in (1, 50, 100, 700, 908, 1000):
         r = exhaustive_search(6, 3, max_candidates=n)
         assert (r.explored, list(r.records)) == (n, full_records[:n])
+    # partial says candidates remain: (4,2) has 17, and a budget of 17
+    # explores them all
+    for n, partial in [(16, True), (17, False), (18, False)]:
+        r = exhaustive_search(4, 2, max_candidates=n)
+        assert (r.explored, r.partial) == (min(n, 17), partial)
 
 
 def test_search_rejects_bad_parameters():
@@ -259,16 +281,27 @@ def test_skipping_emerges_from_exclusion():
 
 
 def test_candidates_round_trip_through_the_engine():
-    for K, t in [(4, 2), (5, 3)]:
-        r = exhaustive_search(K, t)
-        rng = random.Random(1)
-        for rec in r.pareto:
-            ds = candidate_to_design(K, t, rec)
-            assert ds.expected_f_pt == rec.f_pt
-            plan = build_plan(K, K, t, ds.grouping_sizes, ds.tx_rules)
-            files = tuple(rng.randbytes(plan.f_pt) for _ in range(K))
-            demand = tuple(rng.randrange(1, K + 1) for _ in range(K))
-            assert decode_and_verify(simulate(plan, files, demand)).ok
+    """Every feasible candidate of every census with K <= 8 (682 of them),
+    built at N = K files and M = t with 1-byte packets, decodes bit-exactly,
+    sends exactly (K - t)/t file lengths and caches t * F_PT bytes per
+    user."""
+    feasible = 0
+    for K in range(2, 9):
+        for t in range(1, K):
+            rng = random.Random(K * 10 + t)
+            for rec in exhaustive_search(K, t).pareto:
+                ds = candidate_to_design(K, t, rec)
+                assert ds.expected_f_pt == rec.f_pt
+                plan = build_plan(K, K, t, ds.grouping_sizes, ds.tx_rules)
+                files = tuple(rng.randbytes(plan.f_pt) for _ in range(K))
+                demand = tuple(rng.randrange(1, K + 1) for _ in range(K))
+                session = simulate(plan, files, demand)
+                assert decode_and_verify(session).ok
+                meas = measure(session)
+                assert meas.rate == Fraction(K - t, t)
+                assert meas.per_user_cache_bits == 8 * t * rec.f_pt
+                feasible += 1
+    assert feasible == 682
 
 
 def rate_violation(layout, i, selection, excluded):
@@ -396,6 +429,37 @@ def test_leaf_split_factors_from_the_forest_match_vector_lcm(K, monkeypatch):
         assert reads == live
 
 
+def _walk_tally(layout, options, order):
+    """Candidates per reason, and each feasible leaf's verdict keyed by its
+    option indices in canonical group-type order, of one walk."""
+    depth = len(options)
+    at = [order.index(c) for c in range(depth)]
+    picks = [0] * depth
+    counts = Counter()
+    feasible = {}
+    for _, n, verdict in _walk(layout, options, order, picks):
+        counts[verdict[1]] += n
+        if verdict[0] is not None:
+            feasible[tuple(picks[d] for d in at)] = verdict
+    return counts, feasible
+
+
+@pytest.mark.parametrize("K", range(2, 7))
+def test_walk_order_changes_no_verdict(K):
+    """For every grouping of every census at this K, three seeded random
+    walk orders give the canonical walk's counts per reason and its
+    feasible candidates, with their F_PT."""
+    rng = random.Random(K)
+    for t in range(1, K):
+        for layout in search_space(K, t)[1]:
+            options = _options(layout)
+            want = _walk_tally(layout, options, list(range(len(options))))
+            for _ in range(3):
+                order = list(range(len(options)))
+                rng.shuffle(order)
+                assert _walk_tally(layout, options, order) == want
+
+
 def _first_minimum(records):
     """The first record of least F_PT, scanning in record order."""
     best = None
@@ -428,7 +492,7 @@ def test_best_breaks_ties_inside_a_grouping_canonically(K, t, monkeypatch):
     count, layouts = search_space(K, t)
     for layout in layouts:
         monkeypatch.setattr(
-            ptcache.search, "search_space", lambda K, t: (count, [layout])
+            ptcache.search, "search_space", lambda K, t, budget: (count, [layout])
         )
         r = exhaustive_search(K, t)
         first = _first_minimum(r.records)
